@@ -30,7 +30,6 @@ from .graded import (
     reduced,
     sign_of,
     v_is_zero,
-    vacc,
     vadd,
     vscale,
 )
@@ -42,8 +41,6 @@ from .linalg import (
     solve_combination,
 )
 from .novikov import NovikovScalar
-
-_UNSEEN = object()
 
 __all__ = [
     "AInfCategory",
@@ -802,17 +799,6 @@ def local_system_value(field, rho, dvec):
     return out
 
 
-def _insertion_coefficient(b_plus, positions, args):
-    """Product of b coefficients at the inserted positions, or None."""
-    total = None
-    for p in positions:
-        c = b_plus.get(args[p])
-        if c is None or c.is_zero():
-            return None
-        total = c if total is None else total * c
-    return total
-
-
 def _check_convergent(alg, b_plus):
     for label, c in b_plus.items():
         if c.is_zero():
@@ -826,15 +812,22 @@ def _check_convergent(alg, b_plus):
             )
 
 
-def _rho_tables(alg: EnergyGradedAlgebra, rho):
-    """Collapse the energy grading: scale each disk table into Novikov land."""
+def _rho_tables(alg: EnergyGradedAlgebra, rho, eta_pairings=None):
+    """Collapse the energy grading: scale each disk table into Novikov land.
+
+    With ``eta_pairings`` disk i is also weighted by ``eta_pairings[i]`` and
+    the cup product is left out: these are the tables of a divisor class.
+    """
     tables: dict[int, list] = {}
-    cup = alg.cup_op()
-    tables[2] = [(alg.one(), cup.table)]
-    for disk in alg.disks:
+    if eta_pairings is None:
+        tables[2] = [(alg.one(), alg.cup_op().table)]
+        eta_pairings = [alg.field.one] * len(alg.disks)
+    for disk, eta in zip(alg.disks, eta_pairings):
+        if alg.field.is_zero(eta):
+            continue
         scale = NovikovScalar.monomial(
             alg.field, alg.cutoff, disk.energy,
-            local_system_value(alg.field, rho, disk.boundary),
+            eta * local_system_value(alg.field, rho, disk.boundary),
         )
         if scale.is_zero():
             continue
@@ -922,27 +915,8 @@ def divisor_element(alg: EnergyGradedAlgebra, rho, b_plus, eta_pairings):
     deformed differential.
     """
     _check_convergent(alg, b_plus)
-    sp = alg.space
-    total: dict = {}
-    for disk, eta in zip(alg.disks, eta_pairings):
-        if alg.field.is_zero(eta):
-            continue
-        scale = NovikovScalar.monomial(
-            alg.field, alg.cutoff, disk.energy,
-            eta * local_system_value(alg.field, rho, disk.boundary),
-        )
-        if scale.is_zero():
-            continue
-        for s, table in disk.ops.items():
-            for args, row in table.items():
-                coeff = _insertion_coefficient(b_plus, range(s), args)
-                if s and coeff is None:
-                    continue
-                factor = scale if coeff is None else scale * coeff
-                for out, c in row.items():
-                    x = c if isinstance(c, NovikovScalar) else alg.constant(c)
-                    vacc(total, factor, {out: x})
-    total = {k: v for k, v in total.items() if not v.is_zero()}
+    eta_tables = _rho_tables(alg, rho, eta_pairings)
+    total = _gap_inserted_op(alg, eta_tables, [b_plus], 0).apply(())
     tables = _rho_tables(alg, rho)
     d1 = _deformed_op(alg, tables, b_plus, 1)
     image = d1.apply_to_vectors([total]) if total else {}
@@ -1015,77 +989,69 @@ def mc_family_category(alg: EnergyGradedAlgebra, rho, elements, names=None,
 
 
 def _gap_inserted_op(alg, tables, gap_elements, s):
+    """Arity-s operation with ``gap_elements[g]`` inserted in gap g.
+
+    Every table entry m(a_1, ..., a_n) of arity n >= s contributes, for each
+    choice of s visible positions, scale * (product of the hidden
+    coefficients) * m(...) to the entry keyed by the visible labels.  A
+    hidden a_p that follows g visible positions lies in gap g and
+    contributes ``gap_elements[g][a_p]``.
+
+    The choices are not enumerated.  One left-to-right pass over the
+    positions keeps, per tuple of visible labels chosen so far (its length
+    is the current gap index), the sum of the hidden products that reach
+    it.  Each position is either hidden in the current gap or, while fewer
+    than s are visible, made visible; tuples that can no longer collect s
+    visible labels are dropped.  Each surviving key's sum is multiplied by
+    scale and by each row output once.  For arguments with one label this
+    costs O(n * s) products per table entry instead of C(n, s) * n.
+
+    The regrouping is exact: truncated Novikov scalars form a commutative
+    ring, each product is still taken left to right, and a carried cutoff
+    can only rise, never fall, where a sum cancels its leading terms.
+    """
     sp = alg.space
     m = MultilinearMap((sp,) * s, sp, parity=s & 1)
-    first = gap_elements[0] if gap_elements else None
-    uniform = all(ge is first for ge in gap_elements)
     for s_full, entries in tables.items():
         if s_full < s:
             continue
         for scale, table in entries:
             for args, row in table.items():
+                # None is the empty product: nothing hidden yet.  Every path
+                # into a key at one position hides the same number of
+                # arguments, so None never meets a scalar in _merge.
+                states = {(): None}
+                for p, label in enumerate(args):
+                    hide_from = s - s_full + p + 1
+                    nxt: dict = {}
+                    for key, coeff in states.items():
+                        g = len(key)
+                        if g < s:
+                            _merge(nxt, key + (label,), coeff)
+                        if g >= hide_from:
+                            c = gap_elements[g].get(label)
+                            if c is not None and not c.is_zero():
+                                _merge(nxt, key, c if coeff is None else coeff * c)
+                    states = nxt
+                if not states:
+                    continue
                 consts = [
                     (out, c if isinstance(c, NovikovScalar) else alg.constant(c))
                     for out, c in row.items()
                 ]
-                if uniform and s_full > s:
-                    # with one element feeding every gap the inserted factor
-                    # depends only on the multiset of hidden labels, so the
-                    # scaled outputs can be shared across insertion patterns
-                    cache: dict = {}
-                    for visible in itertools.combinations(range(s_full), s):
-                        vis = set(visible)
-                        key = tuple(sorted(
-                            args[p] for p in range(s_full) if p not in vis
-                        ))
-                        entry = cache.get(key, _UNSEEN)
-                        if entry is _UNSEEN:
-                            factor = scale
-                            for label in key:
-                                c = first.get(label)
-                                if c is None or c.is_zero():
-                                    factor = None
-                                    break
-                                factor = factor * c
-                            if factor is None or factor.is_zero():
-                                entry = None
-                            else:
-                                entry = [
-                                    (out, y)
-                                    for out, x in consts
-                                    for y in (factor * x,)
-                                    if not y.is_zero()
-                                ] or None
-                            cache[key] = entry
-                        if entry is None:
-                            continue
-                        key_vis = tuple(args[p] for p in visible)
-                        for out, y in entry:
-                            m.add_entry(key_vis, out, y)
-                    continue
-                for visible in itertools.combinations(range(s_full), s):
-                    coeff = None
-                    ok = True
-                    bounds = (-1,) + visible + (s_full,)
-                    for g in range(s + 1):
-                        lo, hi = bounds[g] + 1, bounds[g + 1]
-                        for p in range(lo, hi):
-                            c = gap_elements[g].get(args[p])
-                            if c is None or c.is_zero():
-                                ok = False
-                                break
-                            coeff = c if coeff is None else coeff * c
-                        if not ok:
-                            break
-                    if not ok:
-                        continue
+                for key, coeff in states.items():
                     factor = scale if coeff is None else scale * coeff
                     if factor.is_zero():
                         continue
-                    key = tuple(args[p] for p in visible)
-                    for out, c in row.items():
-                        x = c if isinstance(c, NovikovScalar) else alg.constant(c)
+                    for out, x in consts:
                         y = factor * x
                         if not y.is_zero():
                             m.add_entry(key, out, y)
     return m
+
+
+def _merge(states, key, coeff):
+    if key in states:
+        states[key] = states[key] + coeff
+    else:
+        states[key] = coeff

@@ -648,11 +648,6 @@ class NovikovScalar:
             self.field, cutoff, [(e, c) for e, c in self.terms if e < cutoff]
         )
 
-    def with_cutoff(self, cutoff) -> "NovikovScalar":
-        """Reinterpret at a (possibly larger) cutoff without adding terms."""
-        return NovikovScalar(self.field, Fraction(cutoff),
-                             [(e, c) for e, c in self.terms if e < Fraction(cutoff)])
-
     def __eq__(self, other):
         o = self._coerce_other(other)
         if o is None:

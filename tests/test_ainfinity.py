@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -5,6 +6,8 @@ import pytest
 
 from ainfbench.ainfinity import (
     AInfCategory,
+    _gap_inserted_op,
+    _rho_tables,
     check_ainf,
     check_cyclic,
     check_energy_cyclic,
@@ -26,6 +29,7 @@ from ainfbench.models import (
     lambda_pair_algebra,
     point_category,
     sphere_model,
+    torus_surface_algebra,
     word_label,
 )
 from ainfbench.novikov import NovikovScalar, Rationals, parse_scalar
@@ -364,6 +368,104 @@ def test_mc_family_category():
     assert cat.hom_space("a", "c").dim == 0
     assert check_ainf(cat, max_arity=4).passed
     assert check_unital(cat, max_arity=4).passed
+
+
+def test_mc_family_build_multiplication_count(monkeypatch):
+    # deterministic guard on the cost of gap insertion: enumerating every
+    # choice of visible positions needs about 2.3M products for this
+    # family, the left-to-right pass about 40k
+    alg = bare_circle()
+    rho = (Fraction(1),)
+    c = sc("2*T^(1/2)")
+    elements = [{"x": c}, {"x": -c}, {"x": sc("T")}]
+    calls = 0
+    mul = NovikovScalar.__mul__
+
+    def counting_mul(self, other):
+        nonlocal calls
+        calls += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(NovikovScalar, "__mul__", counting_mul)
+    mc_family_category(alg, rho, elements, names=("a", "b", "c"), max_arity=5)
+    assert 0 < calls < 100_000
+
+
+def gap_insertion_reference(alg, tables, gap_elements, s):
+    """Sum over every choice of s visible positions, one product per choice."""
+    out: dict = {}
+    for s_full, entries in tables.items():
+        if s_full < s:
+            continue
+        for scale, table in entries:
+            for args, row in table.items():
+                for visible in itertools.combinations(range(s_full), s):
+                    coeff = None
+                    gap = 0
+                    for p, label in enumerate(args):
+                        if gap < s and visible[gap] == p:
+                            gap += 1
+                            continue
+                        c = gap_elements[gap].get(label)
+                        if c is None or c.is_zero():
+                            break
+                        coeff = c if coeff is None else coeff * c
+                    else:
+                        factor = scale if coeff is None else scale * coeff
+                        dst = out.setdefault(tuple(args[p] for p in visible), {})
+                        for o, x in row.items():
+                            if not isinstance(x, NovikovScalar):
+                                x = alg.constant(x)
+                            y = factor * x
+                            if not y.is_zero():
+                                dst[o] = dst[o] + y if o in dst else y
+    return {
+        key: {o: (y.terms, y.cutoff) for o, y in row.items() if not y.is_zero()}
+        for key, row in out.items()
+        if any(not y.is_zero() for y in row.values())
+    }
+
+
+def assert_matches_reference(alg, tables, gap_elements, s):
+    got = _gap_inserted_op(alg, tables, gap_elements, s)
+    want = gap_insertion_reference(alg, tables, gap_elements, s)
+    assert {
+        key: {o: (y.terms, y.cutoff) for o, y in row.items()}
+        for key, row in got.table.items()
+    } == want
+    return want
+
+
+@pytest.mark.parametrize("s", [0, 1, 2, 3])
+def test_gap_insertion_matches_enumeration_on_torus(s):
+    third, half = Fraction(1, 3), Fraction(1, 2)
+    alg = torus_surface_algebra(
+        Q, E, [(half, (1, 0), 1), (third, (0, 1), 2), (half, (-1, -1), 1)],
+        s_max=6,
+    )
+    tables = _rho_tables(alg, (Fraction(2), Fraction(-3)))
+    gaps = [
+        {"x1": sc("T^(1/2)"), "x2": sc("2*T^(1/3) - T")},
+        {"x1": sc("-3*T^(1/3)")},
+        {"x2": sc("T^(1/4)"), "x1": sc("T + 1/2*T^(3/2)")},
+        {"x1": sc("5*T^(2/3)"), "x2": sc("-T^(1/2)")},
+    ][: s + 1]
+    assert assert_matches_reference(alg, tables, gaps, s)
+    assert assert_matches_reference(alg, tables, [gaps[0]] * (s + 1), s)
+
+
+@pytest.mark.parametrize("s", [0, 1, 2, 3])
+def test_gap_insertion_matches_enumeration_on_circle(s):
+    alg = bare_circle()
+    tables = _rho_tables(alg, (Fraction(2),))
+    gaps = [
+        {"x": sc("2*T^(1/2)")},
+        {"x": sc("-T^(1/3) + T")},
+        {},
+        {"x": sc("3*T^(2/3)")},
+    ]
+    assert assert_matches_reference(alg, tables, gaps[: s + 1], s)
+    assert assert_matches_reference(alg, tables, [gaps[0]] * (s + 1), s)
 
 
 def test_energy_cyclic_on_circle_fixture():
