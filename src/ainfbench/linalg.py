@@ -16,7 +16,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .errors import InsufficientCutoff, StructureError
+from .errors import StructureError
 from .novikov import NovikovScalar
 
 __all__ = [
@@ -191,15 +191,6 @@ def blocked_rank(rows):
     return [matrix_rank(grp) for grp in partition_rows(rows)]
 
 
-def _augmented(vectors):
-    for i, v in enumerate(vectors):
-        yield i, v
-
-
-def _one_for(vectors, field, cutoff):
-    return NovikovScalar.one(field, cutoff)
-
-
 def solve_combination(vectors, target, field, cutoff):
     """Coefficients c with sum(c_i * vectors_i) = target, or None.
 
@@ -207,8 +198,8 @@ def solve_combination(vectors, target, field, cutoff):
     cutoffs that survive the elimination.
     """
     elim = Eliminator()
-    one = _one_for(vectors, field, cutoff)
-    for i, v in _augmented(vectors):
+    one = NovikovScalar.one(field, cutoff)
+    for i, v in enumerate(vectors):
         row = dict(v)
         row[AugKey(i)] = one
         elim.insert(row)
@@ -227,10 +218,10 @@ def solve_combination(vectors, target, field, cutoff):
 def kernel_coefficients(vectors, field, cutoff):
     """Basis of relations sum(c_i * vectors_i) = 0, as coefficient lists."""
     elim = Eliminator()
-    one = _one_for(vectors, field, cutoff)
+    one = NovikovScalar.one(field, cutoff)
     zero = NovikovScalar.zero(field, cutoff)
     out = []
-    for i, v in _augmented(vectors):
+    for i, v in enumerate(vectors):
         row = dict(v)
         row[AugKey(i)] = one
         key, res = elim.insert(row)

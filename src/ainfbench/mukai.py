@@ -17,7 +17,8 @@ import itertools
 
 from .errors import StructureError
 from .graded import reduced, sign_of
-from .hochschild import HCochain, _word_prefixes, b11, chain_parity, word_parity
+from .hochschild import (HCochain, _acc, _signed, _word_prefixes, b11,
+                         chain_parity, word_parity)
 from .linalg import dense_inverse
 from .novikov import NovikovScalar
 
@@ -34,19 +35,6 @@ __all__ = [
 def _require_cyclic(cat):
     if cat.cyclic_degree is None or not cat.pairing:
         raise StructureError("no cyclic pairing declared")
-
-
-def _acc(vec: dict, key, scalar):
-    cur = vec.get(key)
-    cur = scalar if cur is None else cur + scalar
-    if cur.is_zero():
-        vec.pop(key, None)
-    else:
-        vec[key] = cur
-
-
-def _signed(scalar, sgn: int):
-    return scalar if sgn > 0 else -scalar
 
 
 def _segment(objects, n, lo, hi):

@@ -6,6 +6,13 @@ scalar carries a cutoff E: terms with exponent >= E have been discarded, and
 the value is only meaningful modulo T^E.  Exponents may be negative (this is
 the field of truncated universal Novikov series, not just the ring).
 
+Exponents and cutoffs are kept in one canonical exact form: a Python ``int``
+when the value is integral, a ``Fraction`` with denominator > 1 otherwise.
+Both types may meet in one computation because equal values compare and
+hash equal, and both carry ``.numerator``/``.denominator``.  The form keeps
+the bookkeeping of constant scalars (all exponents 0) in machine-int
+arithmetic; fractional exponents keep ``Fraction`` arithmetic.
+
 Coefficient fields:
 
 * ``Rationals``          -- exact Q, elements are ``fractions.Fraction``;
@@ -41,6 +48,15 @@ __all__ = [
     "parse_scalar",
     "format_scalar",
 ]
+
+
+def _exact(x):
+    """Canonical exact exponent: ``int`` if integral, else a ``Fraction``."""
+    if type(x) is int:
+        return x
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 def _fraction_sqrt(x: Fraction) -> Fraction | None:
@@ -144,9 +160,6 @@ class QuadExt:
 
     def __bool__(self):
         return self.a != 0 or self.b != 0
-
-    def conjugate(self) -> "QuadExt":
-        return QuadExt(self.a, -self.b, self.d)
 
     def __complex__(self):
         if self.d >= 0:
@@ -387,15 +400,16 @@ class NovikovScalar:
 
     Immutable.  ``terms`` is a tuple of (exponent, coefficient) pairs with
     strictly increasing exponents, no zero coefficients, and all exponents
-    below ``cutoff``.
+    below ``cutoff``.  Every exponent and the cutoff are in the canonical
+    form of the module docstring: ``int`` when integral, else ``Fraction``.
     """
 
     __slots__ = ("field", "cutoff", "terms")
 
     def __init__(self, field, cutoff, terms):
         object.__setattr__(self, "field", field)
-        if type(cutoff) is not Fraction:
-            cutoff = Fraction(cutoff)
+        if type(cutoff) is not int:
+            cutoff = _exact(cutoff)
         object.__setattr__(self, "cutoff", cutoff)
         object.__setattr__(self, "terms", tuple(terms))
 
@@ -407,13 +421,13 @@ class NovikovScalar:
     @classmethod
     def make(cls, field, cutoff, pairs):
         """Normalize arbitrary (exponent, coefficient) pairs."""
-        if type(cutoff) is not Fraction:
-            cutoff = Fraction(cutoff)
-        acc: dict[Fraction, object] = {}
+        if type(cutoff) is not int:
+            cutoff = _exact(cutoff)
+        acc: dict = {}
         coerce = field.coerce
         for e, c in pairs:
-            if type(e) is not Fraction:
-                e = Fraction(e)
+            if type(e) is not int:
+                e = _exact(e)
             if e >= cutoff:
                 continue
             c = coerce(c)
@@ -431,15 +445,15 @@ class NovikovScalar:
 
     @classmethod
     def one(cls, field, cutoff):
-        return cls.make(field, cutoff, [(Fraction(0), field.one)])
+        return cls.make(field, cutoff, [(0, field.one)])
 
     @classmethod
     def monomial(cls, field, cutoff, exponent, coeff=1):
-        return cls.make(field, cutoff, [(Fraction(exponent), coeff)])
+        return cls.make(field, cutoff, [(exponent, coeff)])
 
     @classmethod
     def constant(cls, field, cutoff, coeff):
-        return cls.make(field, cutoff, [(Fraction(0), coeff)])
+        return cls.make(field, cutoff, [(0, coeff)])
 
     # -- basic queries -----------------------------------------------------
 
@@ -556,6 +570,8 @@ class NovikovScalar:
             e1, c1 = self.terms[0]
             e2, c2 = o.terms[0]
             e = e1 + e2
+            if type(e) is not int:
+                e = _exact(e)
             if e >= cutoff:
                 return NovikovScalar(self.field, cutoff, ())
             c = c1 * c2
@@ -630,7 +646,7 @@ class NovikovScalar:
                 f"leading coefficient {c0!r} has no square root in the field"
             )
         half = self.field.invert(self.field.coerce(2))
-        x = NovikovScalar.monomial(self.field, self.cutoff, v / 2, r0)
+        x = NovikovScalar.monomial(self.field, self.cutoff, Fraction(v) / 2, r0)
         # Newton: x <- (x + a/x)/2 doubles correct T-adic digits per step.
         while True:
             nxt = (x + self / x) * half
@@ -643,7 +659,7 @@ class NovikovScalar:
 
     def truncate(self, cutoff) -> "NovikovScalar":
         """Lower the cutoff (never raises it: that would fabricate precision)."""
-        cutoff = min(Fraction(cutoff), self.cutoff)
+        cutoff = min(_exact(cutoff), self.cutoff)
         return NovikovScalar(
             self.field, cutoff, [(e, c) for e, c in self.terms if e < cutoff]
         )

@@ -403,7 +403,9 @@ class NovikovLaurentPolynomial:
                 for v, k in zip(self.variables, a)
                 if k
             )
-            if mono:
+            if mono and lit in ("1", "-1"):
+                lit = lit[:-1] + mono  # unit coefficients print bare
+            elif mono:
                 lit = f"({lit})*{mono}" if ("+" in lit or "-" in lit[1:]) else f"{lit}*{mono}"
             pieces.append(lit)
         out = pieces[0]

@@ -346,6 +346,21 @@ def test_homology_of_small_cliffords():
     assert homology(cl2(), 4).require().dims == {0: 1, 1: 0}
 
 
+def test_clifford_differentials_keep_int_exponents():
+    # constant fixtures keep exponent/cutoff bookkeeping in plain ints,
+    # also when the category was built with a Fraction cutoff
+    rng = random.Random(3)
+    for cat in (cl2(), clifford_model(Q, Fraction(E), [[Fraction(3)]])):
+        chain = chain_differential(cat, random_chain(cat, 1, 3, rng))
+        cochain = cochain_differential(random_cochain(cat, 0, 3, rng))
+        scalars = list(chain.values()) + [
+            x for outs in cochain.table.values() for x in outs.values()]
+        assert scalars
+        for x in scalars:
+            assert type(x.cutoff) is int
+            assert all(type(e) is int for e, _ in x.terms)
+
+
 def test_homology_matches_dense_window_oracle():
     for cat in (cl1(), cl2(), cl1(beta=0)):
         assert dense_window_dims(cat, 4) == homology(cat, 4).dims

@@ -111,6 +111,43 @@ def test_truncation_congruence(a, b, e):
         assert (a * b).truncate(e) == (a.truncate(e) * b.truncate(e)).truncate(e)
 
 
+# -- canonical exponent form ----------------------------------------------
+
+def canonical(x):
+    """Every exponent and the cutoff: int, or Fraction with denominator > 1."""
+    for e in [x.cutoff] + [e for e, _ in x.terms]:
+        if not (type(e) is int or (type(e) is Fraction and e.denominator > 1)):
+            return False
+    return True
+
+
+def plain(e):
+    return e.numerator if e.denominator == 1 else e
+
+
+@given(scalars(), nonzero_scalars(),
+       st.fractions(min_value=0, max_value=5, max_denominator=3))
+@settings(max_examples=200)
+def test_results_keep_canonical_exponents(a, b, e):
+    lead = NovikovScalar.monomial(Q, E, *b.leading())
+    results = [a + b, a - b, a * b, b.invert(), a.truncate(e),
+               a.truncate(float(e)), (lead * lead).sqrt(),
+               nov([(float(x), c) for x, c in b.terms], cutoff=float(E)),
+               nov([(Fraction(x), c) for x, c in b.terms], cutoff=Fraction(E))]
+    assert all(canonical(x) for x in results)
+
+
+@given(st.lists(st.tuples(exponents, coeffs), max_size=4),
+       st.fractions(min_value=1, max_value=8, max_denominator=2))
+def test_fraction_and_int_inputs_build_the_same_scalar(pairs, cutoff):
+    a = nov(pairs, cutoff=cutoff)
+    b = nov([(plain(e), c) for e, c in pairs], cutoff=plain(cutoff))
+    assert a.terms == b.terms and a.cutoff == b.cutoff
+    assert [type(e) for e, _ in a.terms] == [type(e) for e, _ in b.terms]
+    assert type(a.cutoff) is type(b.cutoff)
+    assert format_scalar(a, show_order=True) == format_scalar(b, show_order=True)
+
+
 # -- inversion oracles -----------------------------------------------------
 
 def test_invert_one_plus_t_geometric():
@@ -167,11 +204,16 @@ def test_sqrt_monomial():
     r = a.sqrt()
     assert r == NovikovScalar.monomial(Q, E, Fraction(1, 2))
     assert r * r == a
+    r = nov([(2, 4)]).sqrt()  # 4*T^2
+    assert r.terms == ((1, 2),) and type(r.terms[0][0]) is int
 
 
 def test_sqrt_series():
     a = nov([(0, 4), (1, 4), (2, 1)])  # (2 + T)^2
     assert a.sqrt() == nov([(0, 2), (1, 1)])
+    r = nov([(2, 4), (3, 4), (4, 1)]).sqrt()  # (2T + T^2)^2
+    assert r == nov([(1, 2), (2, 1)])
+    assert all(type(e) is int for e, _ in r.terms)
     b = nov([(0, 1), (1, 1)])
     r = b.sqrt()
     assert (r * r - b).is_zero()
