@@ -20,7 +20,6 @@ __all__ = [
     "clifford_words",
     "word_label",
     "clifford_product",
-    "exterior_product_sign",
     "clifford_model",
     "sphere_model",
     "point_category",
@@ -95,18 +94,6 @@ def clifford_product(field, q, wa, wb):
                     nxt[w2] = tot
         acc = nxt
     return acc
-
-
-def exterior_product_sign(wa, wb):
-    """Shuffle sign of the wedge of disjoint sorted words, else None."""
-    if set(wa) & set(wb):
-        return None
-    inversions = 0
-    for a in wa:
-        for b in wb:
-            if a > b:
-                inversions += 1
-    return sign_of(inversions)
 
 
 def _clifford_space(n):

@@ -488,7 +488,7 @@ class NovikovScalar:
 
     def _coerce_other(self, other):
         if isinstance(other, NovikovScalar):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise FieldMismatch(f"{self.field!r} vs {other.field!r}")
             return other
         if isinstance(other, (int, Fraction, QuadExt, float, complex)):

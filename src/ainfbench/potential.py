@@ -9,6 +9,21 @@ lift T-adically by Newton iteration.  Floating point enters only as a
 guide for root recognition; every accepted root is re-verified exactly,
 and quadratic irrationalities trigger an automatic base change to the
 matching quadratic field.
+
+Two rules keep the solve from computing anything twice:
+
+* One monomial table per point.  ``monomial_values`` evaluates every term
+  c*T^e*y^a once; the value, the logarithmic derivatives and the
+  logarithmic Hessian are weighted sums over that table (weights 1, a_i,
+  a_i*a_j - delta_ij*a_i).  Each Newton iterate builds one table for its
+  residuals and Jacobian, and the lifted point one more for its value
+  and Hessian.
+* The potential keeps its own field through a base change.  When leading
+  roots need sqrt(d), the solve reruns with the root field Q(sqrt d): the
+  leading systems and their Sylvester eliminants stay over the field of
+  the potential, and only the eliminant, the columns evaluated at its
+  roots and the lifted coordinates live in the root field.  Evaluation
+  coerces coefficients into the field of the point.
 """
 
 from __future__ import annotations
@@ -22,7 +37,6 @@ from fractions import Fraction
 import numpy
 
 from .errors import (
-    FieldMismatch,
     InsufficientCutoff,
     NotRepresentable,
     StructureError,
@@ -46,7 +60,6 @@ __all__ = [
     "SymmetryVerdict",
     "MorseCountVerdict",
     "DegenerateRootWarning",
-    "log_derivative",
     "critical_points",
     "hessian",
     "build_toric_potential",
@@ -111,28 +124,19 @@ def _frac_solve(rows, rhs):
     return ("unique", x)
 
 
-def _frac_det(rows):
-    n = len(rows)
-    m = [[Fraction(x) for x in row] for row in rows]
-    det = Fraction(1)
-    for c in range(n):
-        piv = None
-        for i in range(c, n):
-            if m[i][c]:
-                piv = i
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = 1 / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c]:
-                f = m[i][c] * inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return det
+def _det(mat):
+    """Determinant by cofactor expansion (the matrices here are tiny)."""
+    n = len(mat)
+    if n == 1:
+        return mat[0][0]
+    out = None
+    for j in range(n):
+        minor = [row[:j] + row[j + 1:] for row in mat[1:]]
+        piece = mat[0][j] * _det(minor)
+        if j % 2:
+            piece = -piece
+        out = piece if out is None else out + piece
+    return out
 
 
 def _elem_pow(field, x, k: int):
@@ -199,15 +203,6 @@ class NovikovLaurentPolynomial:
     def zero(cls, field, variables):
         return cls.make(field, variables, ())
 
-    @classmethod
-    def from_scalar_terms(cls, field, variables, pairs):
-        """Build from (NovikovScalar, exponents) pairs, expanding energies."""
-        entries = []
-        for scalar, exponents in pairs:
-            for energy, coeff in scalar.terms:
-                entries.append((energy, exponents, coeff))
-        return cls.make(field, variables, entries)
-
     @property
     def nvars(self) -> int:
         return len(self.variables)
@@ -224,16 +219,13 @@ class NovikovLaurentPolynomial:
         c = self._terms.get(key)
         return self.field.zero if c is None else c
 
-    def _entries(self):
-        return [(e, a, c) for (e, a), c in self._terms.items()]
-
     def __add__(self, other):
         if not isinstance(other, NovikovLaurentPolynomial):
             return NotImplemented
         if other.field != self.field or other.nvars != self.nvars:
             raise StructureError("cannot add potentials over different setups")
         return NovikovLaurentPolynomial.make(
-            self.field, self.variables, self._entries() + other._entries()
+            self.field, self.variables, self.terms() + other.terms()
         )
 
     def __neg__(self):
@@ -254,8 +246,8 @@ class NovikovLaurentPolynomial:
                     "cannot multiply potentials over different setups"
                 )
             entries = []
-            for e1, a1, c1 in self._entries():
-                for e2, a2, c2 in other._entries():
+            for e1, a1, c1 in self.terms():
+                for e2, a2, c2 in other.terms():
                     entries.append(
                         (e1 + e2, tuple(x + y for x, y in zip(a1, a2)), c1 * c2)
                     )
@@ -270,7 +262,7 @@ class NovikovLaurentPolynomial:
         c = self.field.coerce(other)
         return NovikovLaurentPolynomial.make(
             self.field, self.variables,
-            [(e, a, c * c0) for e, a, c0 in self._entries()],
+            [(e, a, c * c0) for e, a, c0 in self.terms()],
         )
 
     __rmul__ = __mul__
@@ -298,25 +290,15 @@ class NovikovLaurentPolynomial:
                 out[(e, a)] = self.field.coerce(a[i]) * c
         return NovikovLaurentPolynomial(self.field, self.variables, out)
 
-    def log_hessian_entry(self, i: int, j: int) -> "NovikovLaurentPolynomial":
-        """y_i y_j d^2/dy_i dy_j, termwise a_i a_j (a_i(a_i - 1) on the diagonal)."""
-        for k in (i, j):
-            if not 0 <= k < self.nvars:
-                raise StructureError(f"variable index {k} out of range")
-        out = {}
-        for (e, a), c in self._terms.items():
-            f = a[i] * a[j] - (a[i] if i == j else 0)
-            if f:
-                out[(e, a)] = self.field.coerce(f) * c
-        return NovikovLaurentPolynomial(self.field, self.variables, out)
+    def monomial_values(self, point):
+        """Every term c*T^e*y^a evaluated once at a point.
 
-    def evaluate(self, point) -> NovikovScalar:
-        """Value at a tuple of Novikov scalars, one per variable.
-
-        Negative exponents invert the coordinate, so those entries must be
-        nonzero below their cutoff.  Coefficients are coerced into the
-        field of the point, which lets a rational potential be evaluated
-        at points living in a quadratic extension.
+        Returns the table ``(field, cutoff, entries)``: the field of the
+        point, its least coordinate cutoff and one (exponents, value) pair
+        per term.  Negative exponents invert the coordinate, so those
+        entries must be nonzero below their cutoff.  Coefficients are
+        coerced into the field of the point, which lets a rational
+        potential be evaluated at points living in a quadratic extension.
         """
         point = tuple(point)
         if len(point) != self.nvars:
@@ -330,7 +312,6 @@ class NovikovLaurentPolynomial:
             raise StructureError("a potential needs at least one variable")
         field = point[0].field
         cutoff = min(z.cutoff for z in point)
-        total = NovikovScalar.zero(field, _EXACT)
         powers: dict = {}
 
         def power(j, k):
@@ -345,17 +326,21 @@ class NovikovLaurentPolynomial:
                     powers[(j, k)] = power(j, k + 1) * powers[(j, -1)]
             return powers[(j, k)]
 
+        coerce = self.field is not field and self.field != field
+        entries = []
         for (e, a), c in self._terms.items():
-            if self.field != field:
+            if coerce:
                 c = field.coerce(c)
             term = NovikovScalar.monomial(field, _EXACT, e, c)
             for j, k in enumerate(a):
                 if k:
                     term = term * power(j, k)
-            total = total + term
-        if total.cutoff > cutoff:
-            total = total.truncate(cutoff)
-        return total
+            entries.append((a, term))
+        return field, cutoff, entries
+
+    def evaluate(self, point) -> NovikovScalar:
+        """Value at a tuple of Novikov scalars, one per variable."""
+        return _weighted_sum(self.monomial_values(point), lambda a: 1)
 
     def rescale(self, shifts) -> "NovikovLaurentPolynomial":
         """Substitute y_i -> T^{s_i} y_i; energies move by <a, s>."""
@@ -363,7 +348,7 @@ class NovikovLaurentPolynomial:
         if len(shifts) != self.nvars:
             raise StructureError("one shift per variable")
         entries = []
-        for e, a, c in self._entries():
+        for e, a, c in self.terms():
             entries.append((e + sum(s * k for s, k in zip(shifts, a)), a, c))
         return NovikovLaurentPolynomial.make(self.field, self.variables, entries)
 
@@ -373,28 +358,21 @@ class NovikovLaurentPolynomial:
         m = [[int(x) for x in row] for row in matrix]
         if len(m) != n or any(len(row) != n for row in m):
             raise StructureError("substitution matrix must be n x n")
-        if abs(_frac_det(m)) != 1:
+        if abs(_det(m)) != 1:
             raise StructureError("substitution matrix must be unimodular")
         entries = []
-        for e, a, c in self._entries():
+        for e, a, c in self.terms():
             new_a = tuple(
                 sum(a[i] * m[i][j] for i in range(n)) for j in range(n)
             )
             entries.append((e, new_a, c))
         return NovikovLaurentPolynomial.make(self.field, self.variables, entries)
 
-    def map_field(self, new_field) -> "NovikovLaurentPolynomial":
-        """Coerce every coefficient into another field."""
-        return NovikovLaurentPolynomial.make(
-            new_field, self.variables,
-            [(e, a, new_field.coerce(c)) for e, a, c in self._entries()],
-        )
-
     def __str__(self):
         if not self._terms:
             return "0"
         pieces = []
-        for e, a, c in self._entries():
+        for e, a, c in self.terms():
             lit = format_scalar(
                 NovikovScalar.monomial(self.field, e + 1, e, c)
             )
@@ -420,9 +398,36 @@ class NovikovLaurentPolynomial:
         return f"<laurent potential {self}>"
 
 
-def log_derivative(pot: NovikovLaurentPolynomial, i: int):
-    """Logarithmic derivative y_i dW/dy_i of a potential."""
-    return pot.log_derivative(i)
+def _weighted_sum(table, weight):
+    """Sum of weight(a) * value over a monomial table, cut at its cutoff.
+
+    Zero weights are skipped and the others scale the coefficients
+    directly: a product with a constant scalar would lower the cutoff of
+    terms with negative valuation.
+    """
+    field, cutoff, entries = table
+    total = NovikovScalar.zero(field, _EXACT)
+    for a, value in entries:
+        w = weight(a)
+        if not w:
+            continue
+        if w != 1:
+            value = NovikovScalar(
+                field, value.cutoff, [(e, w * c) for e, c in value.terms]
+            )
+        total = total + value
+    if total.cutoff > cutoff:
+        total = total.truncate(cutoff)
+    return total
+
+
+def _log_hessian(table, n):
+    """y_i y_j d^2W/dy_i dy_j from a table: weights a_i a_j - delta_ij a_i."""
+    return tuple(
+        tuple(_weighted_sum(table, lambda a, i=i, j=j: a[i] * (a[j] - (i == j)))
+              for j in range(n))
+        for i in range(n)
+    )
 
 
 # -- dense univariate polynomials over a coefficient field -----------------
@@ -535,6 +540,13 @@ def _poly_gcd(a: _Poly, b: _Poly) -> _Poly:
         _, r = a.divmod(b)
         a, b = b, r
     return a.monic() if not a.is_zero() else a
+
+
+def _in_field(p: _Poly, field) -> _Poly:
+    """The same polynomial with its coefficients coerced into ``field``."""
+    if p.field == field:
+        return p
+    return _Poly(field, [field.coerce(c) for c in p.coeffs])
 
 
 def _strip_origin(p: _Poly):
@@ -744,6 +756,10 @@ def _exact_roots(p: _Poly):
 # -- tropical candidates and leading systems -------------------------------
 
 
+def _vec(u) -> str:
+    return "(" + ", ".join(str(x) for x in u) + ")"
+
+
 def _term_weight(e, a, u):
     return e + sum(Fraction(k) * s for k, s in zip(a, u))
 
@@ -855,8 +871,12 @@ def _sylvester(cols_a, cols_b, field):
     return rows
 
 
-def _solve_leading_two(leads, field):
-    """Solve a two-variable leading system exactly; (r, s) pairs plus hints."""
+def _solve_leading_two(leads, field, root):
+    """Solve a two-variable leading system exactly; (r, s) pairs plus hints.
+
+    The eliminant is computed over ``field``, then moved with the columns
+    into ``root``, the field of the roots.
+    """
     cols1 = _bicols(leads[0], field)
     cols2 = _bicols(leads[1], field)
     d1, d2 = len(cols1) - 1, len(cols2) - 1
@@ -868,10 +888,11 @@ def _solve_leading_two(leads, field):
     if d1 == 0 or d2 == 0:
         # one equation already univariate in z1
         uni_cols, other = (cols1, cols2) if d1 == 0 else (cols2, cols1)
-        base, _ = _strip_origin(uni_cols[0])
+        base, _ = _strip_origin(_in_field(uni_cols[0], root))
+        other = [_in_field(col, root) for col in other]
         sols = []
         for r, _m in _exact_roots(base):
-            g = _col_eval(other, r, field)
+            g = _col_eval(other, r, root)
             g, _ = _strip_origin(g)
             if g.is_zero():
                 raise StructureError(
@@ -887,11 +908,13 @@ def _solve_leading_two(leads, field):
             "positive-dimensional leading system: the leading curves share "
             "a component"
         )
-    elim, _ = _strip_origin(elim)
+    elim, _ = _strip_origin(_in_field(elim, root))
+    cols1 = [_in_field(col, root) for col in cols1]
+    cols2 = [_in_field(col, root) for col in cols2]
     sols = []
     for r, _m in _exact_roots(elim):
-        g1 = _col_eval(cols1, r, field)
-        g2 = _col_eval(cols2, r, field)
+        g1 = _col_eval(cols1, r, root)
+        g2 = _col_eval(cols2, r, root)
         if g1.is_zero() and g2.is_zero():
             raise StructureError(
                 "positive-dimensional leading system: a coordinate line of "
@@ -911,12 +934,12 @@ def _solve_leading_two(leads, field):
     return sols
 
 
-def _solve_leading(leads, field, n):
+def _solve_leading(leads, field, root, n):
     if n == 1:
-        p = _univar_from_lead(leads[0], field)
-        return [((root,), m) for root, m in _exact_roots(p)]
+        p = _in_field(_univar_from_lead(leads[0], field), root)
+        return [((r,), m) for r, m in _exact_roots(p)]
     if n == 2:
-        return _solve_leading_two(leads, field)
+        return _solve_leading_two(leads, field, root)
     raise StructureError(
         "leading-order solving is implemented for at most two variables"
     )
@@ -954,20 +977,6 @@ class HessianReport:
     nondegenerate: bool
 
 
-def _field_det_scalar(mat):
-    n = len(mat)
-    if n == 1:
-        return mat[0][0]
-    out = None
-    for j in range(n):
-        minor = [row[:j] + row[j + 1:] for row in mat[1:]]
-        piece = mat[0][j] * _field_det_scalar(minor)
-        if j % 2:
-            piece = -piece
-        out = piece if out is None else out + piece
-    return out
-
-
 def _leading_jacobian(leads, z0, field, n):
     rows = []
     for i in range(n):
@@ -986,23 +995,12 @@ def _leading_jacobian(leads, z0, field, n):
     return rows
 
 
-def _field_det(mat, field):
-    n = len(mat)
-    if n == 1:
-        return mat[0][0]
-    out = None
-    for j in range(n):
-        minor = [row[:j] + row[j + 1:] for row in mat[1:]]
-        piece = mat[0][j] * _field_det(minor, field)
-        if j % 2:
-            piece = -piece
-        out = piece if out is None else out + piece
-    return out if out is not None else field.zero
+def _lift_point(pot, u, mus, z0, cutoff, slack, field):
+    """Newton-lift a nondegenerate leading solution to the requested cutoff.
 
-
-def _lift_point(pot, eqs, jac_polys, u, mus, z0, cutoff, slack):
-    """Newton-lift a nondegenerate leading solution to the requested cutoff."""
-    field = pot.field
+    ``field`` holds z0 and the coordinates.  Each iterate reads residuals
+    (weights a_i) and Jacobian (weights a_i a_j) off one monomial table.
+    """
     n = pot.nvars
     weights = [
         _term_weight(e, a, u) for e, a, _ in pot.terms()
@@ -1018,14 +1016,14 @@ def _lift_point(pot, eqs, jac_polys, u, mus, z0, cutoff, slack):
     unshift = [NovikovScalar.monomial(field, _EXACT, -m) for m in mus]
     z = [NovikovScalar.constant(field, work, c) for c in z0]
 
-    def residuals(zs):
-        scaled = [shifts[j] * zs[j] for j in range(n)]
-        return [unshift[i] * eqs[i].evaluate(scaled) for i in range(n)]
+    def derivative(table, *idx):
+        return _weighted_sum(table, lambda a: math.prod(a[k] for k in idx))
 
     schedule = []
     prev = None
     for _ in range(80):
-        res = residuals(z)
+        table = pot.monomial_values([shifts[j] * z[j] for j in range(n)])
+        res = [unshift[i] * derivative(table, i) for i in range(n)]
         if all(r.is_zero() for r in res):
             schedule.append(min(r.cutoff for r in res))
             break
@@ -1041,9 +1039,8 @@ def _lift_point(pot, eqs, jac_polys, u, mus, z0, cutoff, slack):
                 "the leading root appears degenerate"
             )
         prev = val
-        scaled = [shifts[j] * z[j] for j in range(n)]
         jac = [
-            [unshift[i] * jac_polys[i][j].evaluate(scaled) for j in range(n)]
+            [unshift[i] * derivative(table, i, j) for j in range(n)]
             for i in range(n)
         ]
         corr = dense_solve(jac, res)
@@ -1051,7 +1048,7 @@ def _lift_point(pot, eqs, jac_polys, u, mus, z0, cutoff, slack):
     else:
         raise StructureError("Newton lifting did not terminate")
 
-    res = residuals(z)
+    # the loop only stops on a zero residual, which is that of the final z
     res_val = min(
         mus[i] + (res[i].cutoff if res[i].is_zero() else res[i].valuation())
         for i in range(n)
@@ -1065,15 +1062,18 @@ def _lift_point(pot, eqs, jac_polys, u, mus, z0, cutoff, slack):
     coords = tuple(
         (shifts[j] * z[j]).truncate(cutoff) for j in range(n)
     )
-    value = pot.evaluate(coords).truncate(cutoff)
+    for name, c in zip(pot.variables, coords):
+        if c.is_zero():
+            raise InsufficientCutoff(
+                f"coordinate {name} of the critical point at valuation "
+                f"{_vec(u)} vanishes below T^{cutoff}; raise the cutoff")
+    table = pot.monomial_values(coords)
+    value = _weighted_sum(table, lambda a: 1).truncate(cutoff)
     hess = tuple(
-        tuple(
-            pot.log_hessian_entry(i, j).evaluate(coords).truncate(cutoff)
-            for j in range(n)
-        )
-        for i in range(n)
+        tuple(h.truncate(cutoff) for h in row)
+        for row in _log_hessian(table, n)
     )
-    det = _field_det_scalar([list(row) for row in hess])
+    det = _det(hess)
     det = det.truncate(cutoff)
     if det.is_zero():
         raise InsufficientCutoff(
@@ -1093,7 +1093,7 @@ def _lift_point(pot, eqs, jac_polys, u, mus, z0, cutoff, slack):
     )
 
 
-def _critical_points_impl(pot, cutoff, slack):
+def _critical_points_impl(pot, cutoff, slack, root):
     field = pot.field
     n = pot.nvars
     eqs = [pot.log_derivative(i) for i in range(n)]
@@ -1111,18 +1111,15 @@ def _critical_points_impl(pot, cutoff, slack):
                 "admits a continuum of valuation vectors"
             )
         return []
-    jac_polys = [
-        [eqs[i].log_derivative(j) for j in range(n)] for i in range(n)
-    ]
     points = []
     for u in cands:
         mus, leads = _leading_parts(eqs, u)
-        sols = _solve_leading(leads, field, n)
-        sols.sort(key=lambda sm: tuple(field.format(c) for c in sm[0]))
+        sols = _solve_leading(leads, field, root, n)
+        sols.sort(key=lambda sm: tuple(root.format(c) for c in sm[0]))
         for z0, hint in sols:
-            jac0 = _leading_jacobian(leads, z0, field, n)
-            if field.is_zero(_field_det(jac0, field)):
-                coords = ", ".join(field.format(c) for c in z0)
+            jac0 = _leading_jacobian(leads, z0, root, n)
+            if root.is_zero(_det(jac0)):
+                coords = ", ".join(root.format(c) for c in z0)
                 warnings.warn(
                     f"degenerate leading root ({coords}) at valuation "
                     f"{tuple(u)} (multiplicity hint {hint}); not lifted",
@@ -1130,9 +1127,7 @@ def _critical_points_impl(pot, cutoff, slack):
                     stacklevel=3,
                 )
                 continue
-            points.append(
-                _lift_point(pot, eqs, jac_polys, u, mus, z0, cutoff, slack)
-            )
+            points.append(_lift_point(pot, u, mus, z0, cutoff, slack, root))
     points.sort(
         key=lambda p: (
             p.valuations,
@@ -1156,7 +1151,7 @@ def critical_points(pot, cutoff, *, slack=Fraction(0)):
     if cutoff <= 0:
         raise StructureError("cutoff must be positive")
     try:
-        return _critical_points_impl(pot, cutoff, slack)
+        return _critical_points_impl(pot, cutoff, slack, pot.field)
     except _ExtensionNeeded as need:
         if not isinstance(pot.field, Rationals):
             raise NotRepresentable(
@@ -1164,7 +1159,7 @@ def critical_points(pot, cutoff, *, slack=Fraction(0)):
             ) from need
         ext = QuadraticField(need.d)
         try:
-            return _critical_points_impl(pot.map_field(ext), cutoff, slack)
+            return _critical_points_impl(pot, cutoff, slack, ext)
         except _ExtensionNeeded as again:
             raise NotRepresentable(
                 "leading roots span more than one quadratic extension "
@@ -1184,16 +1179,8 @@ def hessian(pot, point, *, certify_below=None):
         coords = point.coordinates
     else:
         coords = tuple(point)
-    n = pot.nvars
-    if len(coords) != n:
-        raise StructureError(f"expected {n} coordinates, got {len(coords)}")
-    mat = tuple(
-        tuple(
-            pot.log_hessian_entry(i, j).evaluate(coords) for j in range(n)
-        )
-        for i in range(n)
-    )
-    det = _field_det_scalar([list(row) for row in mat])
+    mat = _log_hessian(pot.monomial_values(coords), pot.nvars)
+    det = _det(mat)
     if det.is_zero():
         if certify_below is not None and det.cutoff < Fraction(certify_below):
             raise InsufficientCutoff(
@@ -1269,7 +1256,7 @@ class MomentPolytope:
             if not 0 <= i < len(rays):
                 raise StructureError(f"basis index {i} out of range")
         bmat = [rays[i] for i in basis]
-        if abs(_frac_det(bmat)) != 1:
+        if abs(_det(bmat)) != 1:
             raise StructureError("designated basis rays are not unimodular")
         self.rays = rays
         self.offsets = offsets
@@ -1297,9 +1284,6 @@ class MomentPolytope:
 
     def contains(self, u) -> bool:
         return all(s >= 0 for s in self.supports(u))
-
-    def is_interior(self, u) -> bool:
-        return all(s > 0 for s in self.supports(u))
 
     def __repr__(self):
         return (
@@ -1442,7 +1426,7 @@ def u_of_c(toric, point) -> FiberPoint:
         s = poly.support(u, i)
         if s <= 0:
             raise StructureError(
-                f"recentered point {u} is not interior: ray "
+                f"recentered point {_vec(u)} is not interior: ray "
                 f"{poly.rays[i]} has support {s}"
             )
     return FiberPoint(moment_point=u, coordinates=tuple(units))
@@ -1538,7 +1522,12 @@ class MorseCountVerdict:
 
 
 def morse_count_check(pot, expected_dim: int, cutoff, *, slack=Fraction(0)):
-    """Compare the nondegenerate critical count with an expected dimension."""
+    """Compare the nondegenerate critical count with an expected dimension.
+
+    Given a ToricPotential, every point is recentered with ``u_of_c`` and
+    only points over the interior of the polytope count; the message names
+    each excluded point.
+    """
     poly = _potential_of(pot)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", DegenerateRootWarning)
@@ -1546,6 +1535,17 @@ def morse_count_check(pot, expected_dim: int, cutoff, *, slack=Fraction(0)):
     degenerate = sum(
         1 for w in caught if issubclass(w.category, DegenerateRootWarning)
     )
+    excluded = []
+    if isinstance(pot, ToricPotential):
+        interior = []
+        for p in points:
+            try:
+                u_of_c(pot, p)
+            except StructureError as exc:
+                excluded.append(f"valuation {_vec(p.valuations)}: {exc}")
+            else:
+                interior.append(p)
+        points = interior
     nondeg = sum(1 for p in points if p.nondegenerate)
     total = len(points) + degenerate
     expected = int(expected_dim)
@@ -1564,6 +1564,10 @@ def morse_count_check(pot, expected_dim: int, cutoff, *, slack=Fraction(0)):
             f"expected {expected}"
         )
         ok = False
+    if excluded:
+        msg += f"; {len(excluded)} exterior point(s) not counted: " + "; ".join(
+            excluded
+        )
     return MorseCountVerdict(
         matches=ok,
         expected=expected,
