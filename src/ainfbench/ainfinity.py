@@ -27,20 +27,22 @@ from .errors import FixtureError, InsufficientCutoff, StructureError
 from .graded import (
     GradedSpace,
     MultilinearMap,
+    _signed,
     reduced,
     sign_of,
     v_is_zero,
+    vacc,
     vadd,
+    vector_parity,
     vscale,
 )
 from .linalg import (
-    Eliminator,
     dense_inverse,
     kernel_coefficients,
     quotient_representatives,
     solve_combination,
 )
-from .novikov import NovikovScalar
+from .novikov import NovikovScalar, field_power
 
 __all__ = [
     "AInfCategory",
@@ -54,7 +56,6 @@ __all__ = [
     "DiskClass",
     "EnergyGradedAlgebra",
     "check_energy_cyclic",
-    "unit_power",
     "local_system_value",
     "deform_by_mc",
     "mc_curvature",
@@ -262,16 +263,7 @@ def _relation_residual(cat: AInfCategory, chain, labels):
                 continue
             for mid_label, c in mid.items():
                 out = outer.apply(labels[:i] + (mid_label,) + labels[i + j :])
-                for o, v in out.items():
-                    y = c * v
-                    if sgn < 0:
-                        y = -y
-                    cur = total.get(o)
-                    z = y if cur is None else cur + y
-                    if z.is_zero():
-                        total.pop(o, None)
-                    else:
-                        total[o] = z
+                vacc(total, _signed(c, sgn), out)
     return total
 
 
@@ -313,7 +305,7 @@ def check_unital(cat: AInfCategory, max_arity=None) -> CheckReport:
                         )
                         sgn = sign_of(sp.parity(label))
                         want = {label: _one(cat) if sgn > 0 else -_one(cat)}
-                    if not _veq(got, want):
+                    if not v_is_zero(vadd(got, vscale(-_one(cat), want))):
                         report.add(
                             "unit-arity2", (x, y), (label, direction),
                             f"got {sorted(got)}",
@@ -420,18 +412,6 @@ def _one(cat: AInfCategory) -> NovikovScalar:
     return NovikovScalar.one(cat.field, cat.cutoff)
 
 
-def _veq(a: dict, b: dict) -> bool:
-    diff = dict(a)
-    for k, v in b.items():
-        cur = diff.get(k)
-        s = -v if cur is None else cur - v
-        if s.is_zero():
-            diff.pop(k, None)
-        else:
-            diff[k] = s
-    return all(v.is_zero() for v in diff.values())
-
-
 # -- cohomology ------------------------------------------------------------
 
 
@@ -507,25 +487,14 @@ class CohomologyCategory:
         """
         cat = self.cat
         spf = cat.hom_space(z, y)
-        pf = _parity_of(spf, f)
-        pg = _parity_of(cat.hom_space(y, x), g)
+        pf = vector_parity(spf, f)
+        pg = vector_parity(cat.hom_space(y, x), g)
         out = cat.apply_vectors((z, y, x), [f, g])
         if pf is None or pg is None:
             raise StructureError("compose needs homogeneous classes")
         if sign_of(pf * pg + pf) < 0:
             out = vscale(-_one(cat), out)
         return out
-
-    def ring_table(self, x):
-        """Multiplication table of the endomorphism ring at ``x``."""
-        reps = self.classes[(x, x)]
-        table = []
-        for f in reps:
-            row = []
-            for g in reps:
-                row.append(self.express(x, x, self.compose(x, x, x, f, g)))
-            table.append(row)
-        return table
 
     def unit_class(self, x):
         return self.express(x, x, self.cat.unit(x))
@@ -549,19 +518,6 @@ def _veq_mod(h: CohomologyCategory, x, y, a, b):
     ca = h.express(x, y, a)
     cb = h.express(x, y, b)
     return all((p - q).is_zero() for p, q in zip(ca, cb))
-
-
-def _parity_of(space: GradedSpace, vec) -> int | None:
-    seen = None
-    for k, v in vec.items():
-        if v.is_zero():
-            continue
-        p = space.parity(k)
-        if seen is None:
-            seen = p
-        elif seen != p:
-            return None
-    return seen
 
 
 def cohomology_category(cat: AInfCategory, slack=0) -> CohomologyCategory:
@@ -778,24 +734,13 @@ def _pair_row(alg, row, closing):
 # -- Maurer-Cartan deformation ---------------------------------------------
 
 
-def unit_power(field, x, k: int):
-    """x**k in the coefficient field, k any integer."""
-    if k < 0:
-        x = field.invert(x)
-        k = -k
-    out = field.one
-    for _ in range(k):
-        out = out * x
-    return out
-
-
 def local_system_value(field, rho, dvec):
     """Value of the local system on a boundary class in Z^m."""
     if len(rho) != len(dvec):
         raise StructureError("local system rank mismatch")
     out = field.one
     for r, k in zip(rho, dvec):
-        out = out * unit_power(field, r, k)
+        out = out * field_power(field, r, k)
     return out
 
 

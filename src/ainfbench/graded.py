@@ -162,6 +162,20 @@ def vacc(dst: dict, coeff, src: dict) -> None:
             dst[k] = y
 
 
+def _acc(vec: dict, key, scalar):
+    """vec[key] += scalar, in place, dropping the entry if it cancels."""
+    cur = vec.get(key)
+    cur = scalar if cur is None else cur + scalar
+    if cur.is_zero():
+        vec.pop(key, None)
+    else:
+        vec[key] = cur
+
+
+def _signed(scalar, sgn: int):
+    return scalar if sgn > 0 else -scalar
+
+
 def v_is_zero(v: dict) -> bool:
     return all(x.is_zero() for x in v.values())
 

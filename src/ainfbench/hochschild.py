@@ -14,10 +14,15 @@ never lowers the length, so lengths > N span a subcomplex and the truncation
 is the quotient by it.
 
 Either way the truncated homology depends on the window N.  What gets
-reported is the part stable under moving the window: the dimension of the
-image of the homology at one window inside the homology at the neighbouring
-window two steps away.  Reports carry the comparison with the previous
-window and a certification flag for the T-adic margins of the eliminations.
+reported is the part stable under moving the window: the rank of the map
+between the homology at one window and at the neighbouring window two steps
+away, a persistent rank of the length filtration.  One ``homology`` call
+builds one table, a column per basis element up to the largest window it
+needs, and every window and the class basis read length slices of it.  One
+formula counts the boundaries landing in the small window: the rank of the
+differential on the build window minus the rank of its part sticking out.
+Reports carry the comparison with the previous window and a certification
+flag for the T-adic margins of the eliminations.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from dataclasses import dataclass
 
 from .ainfinity import AInfCategory, subcategory
 from .errors import InsufficientCutoff, NotStabilized, StructureError
-from .graded import reduced, sign_of, vadd
+from .graded import _acc, _signed, reduced, sign_of, vadd
 from .linalg import (
     blocked_rank,
     kernel_coefficients,
@@ -40,19 +45,6 @@ from .novikov import NovikovScalar
 def _require_flat(cat: AInfCategory):
     if not cat.is_flat():
         raise StructureError("Hochschild complexes require a flat category")
-
-
-def _signed(scalar, sgn: int):
-    return scalar if sgn > 0 else -scalar
-
-
-def _acc(vec: dict, key, scalar):
-    cur = vec.get(key)
-    cur = scalar if cur is None else cur + scalar
-    if cur.is_zero():
-        vec.pop(key, None)
-    else:
-        vec[key] = cur
 
 
 # -- words -----------------------------------------------------------------
@@ -711,134 +703,68 @@ class HomologyReport:
         return f"{self.side} N={self.length}: {dims} ({tag})"
 
 
-def _chain_columns(cat, length):
-    """Words grouped by parity with their boundaries, lengths <= N."""
-    words = {0: [], 1: []}
-    for w in words_up_to(cat, length):
-        words[word_parity(cat, w)].append(w)
-    bmap = {w: b_word(cat, w) for ws in words.values() for w in ws}
-    return words, bmap
+def _columns(cat, top, side):
+    """Basis per parity up to length ``top``, and one column per element.
 
-
-def _dual_columns(cat, length):
-    """Transpose of the cochain differential on the elementary basis.
-
-    Row e holds the coefficient of e in the differential of every
-    elementary cochain, so the rows realize the dual complex; the dual
-    differential lowers length, mirroring the chain side.
+    A word's column is its boundary, an elementary cochain's its
+    differential in the ``top`` window.  The boundary never raises length
+    and the differential never lowers it, so every smaller window reads the
+    same columns, filtered by length.
     """
-    elems = {0: [], 1: []}
-    rows: dict = {}
-    for parity in (0, 1):
-        for f in iter_elementaries(cat, length, parity):
-            elems[parity].append(f)
-            d = cochain_differential(elementary_cochain(cat, f, length))
-            for (chain, args), outs in d.table.items():
-                for o, c in outs.items():
-                    rows.setdefault((chain, args, o), {})[f] = c
-    return elems, rows
+    basis = {0: [], 1: []}
+    cols = {}
+    if side == "chains":
+        for w in words_up_to(cat, top):
+            basis[word_parity(cat, w)].append(w)
+            cols[w] = b_word(cat, w)
+    else:
+        for p in (0, 1):
+            for f in iter_elementaries(cat, top, p):
+                basis[p].append(f)
+                cols[f] = cochain_differential(
+                    elementary_cochain(cat, f, top)).as_vector()
+    return basis, cols
 
 
-def _stable_dims(cat, length, side):
+def _stable_dims(basis, diff, of_len, length, build):
     """Per-parity dimension of the window-stable homology.
 
-    Cycle count inside the small window, minus the boundaries of the large
-    window that land inside it.  Without arity-1 structure maps the
-    differential strictly moves the length, so those boundaries are exactly
-    the boundaries of the layer one step above the small window and the
-    large window's own layer never enters.  With arity-1 maps present the
-    boundary count falls back to the rank of the full map minus the rank of
-    its part sticking out of the small window.
+    Cycles of the small window m = length - 2, minus the boundaries of the
+    build window that land inside it: the rank of the differential on the
+    build window minus the rank of its part sticking out of the small
+    window.  With arity-1 structure maps the build window is ``length``;
+    without them it is ``length - 1``, the differential strictly lowers
+    length and nothing sticks out.
     """
     m = length - 2
-    shortcut = 1 not in _op_arities(cat)
-    build_to = length - 1 if shortcut else length
     elims = []
-    if side == "chains":
-        basis, rows = _chain_columns(cat, build_to)
-        diff = rows.__getitem__
-        of_len = word_length
-    else:
-        basis, rows = _dual_columns(cat, build_to)
-        diff = lambda e: rows.get(e, {})
-        of_len = lambda e: len(e[1])
-    rank_m, rank_bound = {}, {}
-    dim_m = {}
-    for p in (0, 1):
-        small = [e for e in basis[p] if of_len(e) <= m]
-        dim_m[p] = len(small)
-        blocks = blocked_rank([dict(diff(e)) for e in small])
-        rank_m[p] = sum(el.rank for el in blocks)
+
+    def rank(rows):
+        blocks = blocked_rank(rows)
         elims.extend(blocks)
-        if shortcut:
-            blocks = blocked_rank([dict(diff(e)) for e in basis[p]])
-            rank_bound[p] = sum(el.rank for el in blocks)
-            elims.extend(blocks)
-        else:
-            full_rows, out_rows = [], []
-            for e in basis[p]:
-                row = diff(e)
-                full_rows.append(dict(row))
-                out_rows.append(
-                    {k: v for k, v in row.items() if of_len(k) > m})
-            blocks = blocked_rank(full_rows)
-            rank_n = sum(el.rank for el in blocks)
-            elims.extend(blocks)
-            blocks = blocked_rank(out_rows)
-            rank_bound[p] = rank_n - sum(el.rank for el in blocks)
-            elims.extend(blocks)
-    dims = {p: dim_m[p] - rank_m[p] - rank_bound[1 - p] for p in (0, 1)}
-    return dims, elims
+        return sum(el.rank for el in blocks)
 
-
-def _chain_class_basis(cat, length):
-    """Cycle representatives of the stable classes, per parity."""
-    m = length - 2
-    basis, rows = _chain_columns(cat, length)
-    reps = {}
-    elims = []
+    cycles, bounds = {}, {}
     for p in (0, 1):
-        small = [w for w in basis[p] if word_length(w) <= m]
-        rels = kernel_coefficients([dict(rows[w]) for w in small],
-                                   cat.field, cat.cutoff)
-        cycles = []
-        for coeffs in rels:
-            vec = {}
-            for w, c in zip(small, coeffs):
-                if not c.is_zero():
-                    vec[w] = c
-            cycles.append(vec)
-        images = [dict(rows[w]) for w in basis[1 - p]]
-        found, el = quotient_representatives(cycles, images)
-        reps[p] = found
-        elims.append(el)
-    return reps, elims
+        small = [diff(e) for e in basis[p] if of_len(e) <= m]
+        full = [diff(e) for e in basis[p] if of_len(e) <= build]
+        cycles[p] = len(small) - rank(small)
+        bounds[p] = rank(full) - rank(
+            [{k: v for k, v in row.items() if of_len(k) > m} for row in full])
+    return {p: cycles[p] - bounds[1 - p] for p in (0, 1)}, elims
 
 
-def _cochain_class_basis(cat, length):
-    """Cocycles whose truncations to the small window span the stable part."""
-    m = length - 2
-    reps = {}
-    elims = []
-    for p in (0, 1):
-        elems = list(iter_elementaries(cat, length, p))
-        cols = [cochain_differential(
-            elementary_cochain(cat, f, length)).as_vector() for f in elems]
-        rels = kernel_coefficients(cols, cat.field, cat.cutoff)
-        cocycles = []
-        for coeffs in rels:
-            vec = {}
-            for f, c in zip(elems, coeffs):
-                if not c.is_zero() and len(f[1]) <= m:
-                    vec[f] = c
-            cocycles.append(vec)
-        bounds = [cochain_differential(
-            elementary_cochain(cat, g, m)).as_vector()
-            for g in iter_elementaries(cat, m, 1 - p)]
-        found, el = quotient_representatives(cocycles, bounds)
-        reps[p] = [cochain_from_vector(cat, p, m, vec) for vec in found]
-        elims.append(el)
-    return reps, elims
+def _class_basis(cat, cols, sources, images, keep):
+    """Kernel vectors on ``sources`` modulo the columns of ``images``.
+
+    Both sides are cut down to their ``keep`` entries before the quotient.
+    """
+    rels = kernel_coefficients([cols[e] for e in sources],
+                               cat.field, cat.cutoff)
+    kernel = [{e: c for e, c in zip(sources, coeffs)
+               if keep(e) and not c.is_zero()} for coeffs in rels]
+    bounds = [{k: v for k, v in cols[g].items() if keep(k)} for g in images]
+    return quotient_representatives(kernel, bounds)
 
 
 def homology(cat, length, side="chains", slack=0, want_basis=False
@@ -847,24 +773,55 @@ def homology(cat, length, side="chains", slack=0, want_basis=False
 
     ``side`` is "chains" for the boundary complex and "cochains" for the
     differential on cochains.  Dimensions are per parity; ``stabilized``
-    compares against the window two steps down.
+    compares against the window two steps down.  One table of columns
+    serves both windows and the class basis.
     """
     _require_flat(cat)
     if side not in ("chains", "cochains"):
         raise StructureError(f"unknown side {side!r}")
     if length < 2:
         raise StructureError("homology needs a window of length at least 2")
-    dims, elims = _stable_dims(cat, length, side)
+    drop = 0 if 1 in _op_arities(cat) else 1
+    basis, cols = _columns(cat, length if want_basis else length - drop, side)
+    if side == "chains":
+        of_len, diff = word_length, cols.__getitem__
+    else:
+        # the transpose realizes the dual complex, whose differential lowers
+        # length like the boundary: row e holds the coefficient of e in the
+        # differential of every elementary cochain
+        of_len = lambda e: len(e[1])
+        rows: dict = {}
+        for f, col in cols.items():
+            for e, c in col.items():
+                rows.setdefault(e, {})[f] = c
+        diff = lambda e: rows.get(e, {})
+    dims, elims = _stable_dims(basis, diff, of_len, length, length - drop)
     previous = None
     if length >= 4:
-        previous, prev_elims = _stable_dims(cat, length - 2, side)
+        previous, prev_elims = _stable_dims(basis, diff, of_len, length - 2,
+                                            length - 2 - drop)
         elims.extend(prev_elims)
     stabilized = previous is not None and previous == dims
     representatives = None
     if want_basis:
-        build = _chain_class_basis if side == "chains" else _cochain_class_basis
-        representatives, rep_elims = build(cat, length)
-        elims.extend(rep_elims)
+        # chains: cycles of the small window modulo all boundaries;
+        # cochains: cocycles truncated to the small window modulo the
+        # coboundaries computed there
+        m = length - 2
+        representatives = {}
+        for p in (0, 1):
+            if side == "chains":
+                found, el = _class_basis(
+                    cat, cols, [w for w in basis[p] if of_len(w) <= m],
+                    basis[1 - p], lambda k: True)
+            else:
+                found, el = _class_basis(
+                    cat, cols, basis[p],
+                    [g for g in basis[1 - p] if of_len(g) <= m],
+                    lambda k: of_len(k) <= m)
+                found = [cochain_from_vector(cat, p, m, v) for v in found]
+            representatives[p] = found
+            elims.append(el)
         counted = {p: len(representatives[p]) for p in (0, 1)}
         if counted != dims:
             raise StructureError(

@@ -16,9 +16,9 @@ from __future__ import annotations
 import itertools
 
 from .errors import StructureError
-from .graded import reduced, sign_of
-from .hochschild import (HCochain, _acc, _signed, _word_prefixes, b11,
-                         chain_parity, word_parity)
+from .graded import _acc, _signed, reduced, sign_of
+from .hochschild import (HCochain, _word_prefixes, b11, chain_parity,
+                         word_parity)
 from .linalg import dense_inverse
 from .novikov import NovikovScalar
 
@@ -28,6 +28,8 @@ __all__ = [
     "cyc_pair",
     "mukai",
     "z_map",
+    "comparison_element",
+    "contract_element",
     "z_x",
 ]
 
@@ -277,18 +279,15 @@ def z_map(cat, vec: dict, max_length: int,
     return out
 
 
-def z_x(cat, vec: dict, target, duals: DualBasisTable | None = None) -> dict:
-    """Object component of the comparison cochain by the closed formula.
+def comparison_element(cat, vec: dict, target,
+                       duals: DualBasisTable) -> dict:
+    """Bar element Hom(K,X0) (x) letters (x) Hom(Xs,K) of a chain.
 
-    For each splitting of a word, a dual letter leads one operation
-    through the wrap and the matching basis letter closes a second one;
-    the output is an endomorphism of the target object.
+    Each splitting of a word sends the wrap through one operation led by a
+    dual letter; the window between the marks stays tensorial and the
+    matching basis letter closes the tail.  Keys are (object chain, labels)
+    with the labels running head hom, middle letters, tail hom.
     """
-    if target not in cat.objects:
-        raise StructureError(f"object {target!r} not in category")
-    _require_cyclic(cat)
-    if duals is None:
-        duals = DualBasisTable(cat)
     arities = {len(c) - 1 for c in cat.ops}
     one = NovikovScalar.one(cat.field, cat.cutoff)
     out: dict = {}
@@ -309,39 +308,50 @@ def z_x(cat, vec: dict, target, duals: DualBasisTable | None = None) -> dict:
             for j in range(i + 1):
                 if (s - i) + j + 2 not in arities:
                     continue
-                if (i - j) + 2 not in arities:
-                    continue
-                head_letters = (
+                head_chain = _op_chain(
                     [(target, mark)]
                     + _segment(objs, n, i + 1, s)
-                    + _segment(objs, n, 0, j)
-                )
-                head_chain = _op_chain(head_letters)
+                    + _segment(objs, n, 0, j))
                 if cat.op(head_chain) is None:
-                    continue
-                close_letters = (
-                    [(target, objs[(j + 1) % n])]
-                    + _segment(objs, n, j + 1, i)
-                    + [(mark, target)]
-                )
-                close_chain = _op_chain(close_letters)
-                if cat.op(close_chain) is None:
                     continue
                 head_fixed = [{lab: one}
                               for lab in labels[i + 1:] + labels[:j + 1]]
-                mid_fixed = [{lab: one} for lab in labels[j + 1:i + 1]]
+                mid_chain = tuple(objs[u % n] for u in range(j + 1, i + 2))
+                mid_labels = labels[j + 1:i + 1]
                 base = (pre[i + 1] * ltail) & 1
                 for ai, alabel in enumerate(basis.labels):
                     head = cat.apply_vectors(
                         head_chain, [table[ai]] + head_fixed)
-                    if not head:
-                        continue
-                    res = cat.apply_vectors(
-                        close_chain, [head] + mid_fixed + [{alabel: one}])
-                    if not res:
-                        continue
-                    sgn = (base + basis.parity(alabel) * wdeg) & 1
-                    f = _signed(c, sign_of(sgn))
-                    for olabel, oc in res.items():
-                        _acc(out, olabel, f * oc)
+                    sgn = sign_of((base + basis.parity(alabel) * wdeg) & 1)
+                    for hlab, hv in head.items():
+                        key = (mid_chain, (hlab,) + mid_labels + (alabel,))
+                        _acc(out, key, _signed(c * hv, sgn))
     return out
+
+
+def contract_element(cat, target, elem: dict) -> dict:
+    """One structure map across each tensor of a bar element, into Hom(K,K)."""
+    arities = {len(c) - 1 for c in cat.ops}
+    out: dict = {}
+    for (chain, labels), c in elem.items():
+        if c.is_zero() or len(chain) + 1 not in arities:
+            continue
+        res = cat.apply((target,) + chain + (target,), labels)
+        for lab, v in res.items():
+            _acc(out, lab, c * v)
+    return out
+
+
+def z_x(cat, vec: dict, target, duals: DualBasisTable | None = None) -> dict:
+    """Object component of the comparison cochain at the target.
+
+    The comparison element of the chain, contracted by one structure map;
+    the output is an endomorphism of the target object.
+    """
+    if target not in cat.objects:
+        raise StructureError(f"object {target!r} not in category")
+    _require_cyclic(cat)
+    if duals is None:
+        duals = DualBasisTable(cat)
+    return contract_element(
+        cat, target, comparison_element(cat, vec, target, duals))

@@ -47,6 +47,7 @@ __all__ = [
     "NovikovScalar",
     "parse_scalar",
     "format_scalar",
+    "field_power",
 ]
 
 
@@ -57,6 +58,18 @@ def _exact(x):
     if type(x) is not Fraction:
         x = Fraction(x)
     return x.numerator if x.denominator == 1 else x
+
+
+def field_power(field, x, k: int):
+    """x**k in a coefficient field, k any integer."""
+    if k == 0:
+        return field.one
+    if k < 0:
+        x, k = field.invert(x), -k
+    out = x
+    for _ in range(k - 1):
+        out = out * x
+    return out
 
 
 def _fraction_sqrt(x: Fraction) -> Fraction | None:

@@ -47,6 +47,7 @@ from .novikov import (
     QuadraticField,
     Rationals,
     _squarefree_decompose,
+    field_power,
     format_scalar,
 )
 
@@ -139,17 +140,6 @@ def _det(mat):
     return out
 
 
-def _elem_pow(field, x, k: int):
-    if k == 0:
-        return field.one
-    if k < 0:
-        return _elem_pow(field, field.invert(x), -k)
-    out = x
-    for _ in range(k - 1):
-        out = out * x
-    return out
-
-
 # -- Laurent polynomials ---------------------------------------------------
 
 
@@ -199,10 +189,6 @@ class NovikovLaurentPolynomial:
         acc = {k: v for k, v in acc.items() if not field.is_zero(v)}
         return cls(field, variables, acc)
 
-    @classmethod
-    def zero(cls, field, variables):
-        return cls.make(field, variables, ())
-
     @property
     def nvars(self) -> int:
         return len(self.variables)
@@ -213,11 +199,6 @@ class NovikovLaurentPolynomial:
 
     def is_zero(self) -> bool:
         return not self._terms
-
-    def coefficient(self, energy, exponents):
-        key = (Fraction(energy), tuple(int(x) for x in exponents))
-        c = self._terms.get(key)
-        return self.field.zero if c is None else c
 
     def __add__(self, other):
         if not isinstance(other, NovikovLaurentPolynomial):
@@ -988,7 +969,7 @@ def _leading_jacobian(leads, z0, field, n):
                     mono = field.one
                     for k, ak in enumerate(a):
                         if ak:
-                            mono = mono * _elem_pow(field, z0[k], ak)
+                            mono = mono * field_power(field, z0[k], ak)
                     acc = acc + field.coerce(a[j]) * c * mono
             row.append(acc)
         rows.append(row)
@@ -1487,11 +1468,11 @@ def zeta_symmetry_check(pot, r: int, k, zeta=None) -> SymmetryVerdict:
         zeta = root_of_unity(field, r)
     else:
         zeta = field.coerce(zeta)
-    if not field.eq(_elem_pow(field, zeta, int(r)), field.one):
+    if not field.eq(field_power(field, zeta, int(r)), field.one):
         raise StructureError(f"supplied zeta is not an {r}-th root of unity")
     for e, a, c in pot.terms():
         w = sum(ki * ai for ki, ai in zip(k, a)) % int(r)
-        lhs = _elem_pow(field, zeta, w) * c
+        lhs = field_power(field, zeta, w) * c
         rhs = zeta * c
         if not field.eq(lhs, rhs):
             return SymmetryVerdict(

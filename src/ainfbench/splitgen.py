@@ -16,11 +16,10 @@ from dataclasses import dataclass
 
 from .ainfinity import subcategory
 from .errors import StructureError
-from .graded import reduced, sign_of
-from .hochschild import _word_prefixes, homology, include_chain, word_parity
+from .graded import _acc, _signed, reduced, sign_of
+from .hochschild import homology, include_chain
 from .linalg import quotient_representatives, solve_combination
-from .mukai import DualBasisTable, _acc, _op_chain, _segment, _signed, z_x
-from .novikov import NovikovScalar
+from .mukai import DualBasisTable, comparison_element, contract_element, z_x
 
 __all__ = [
     "BarComplex",
@@ -115,76 +114,22 @@ class BarComplex:
 
     def contract(self, vec: dict) -> dict:
         """One structure map across the whole tensor, into Hom(K,K)."""
-        cat = self.cat
-        out: dict = {}
-        for (chain, labels), c in vec.items():
-            if c.is_zero() or len(chain) + 1 not in self.arities:
-                continue
-            res = cat.apply((self.target,) + chain + (self.target,), labels)
-            for lab, v in res.items():
-                _acc(out, lab, c * v)
-        return out
+        return contract_element(self.cat, self.target, vec)
 
     def from_chain(self, vec: dict,
                    duals: DualBasisTable | None = None) -> dict:
-        """Comparison element of a chain supported on the band.
-
-        Each splitting of a word sends the wrap through one operation led
-        by a dual letter; the window between the marks stays tensorial
-        and the matching basis letter closes the tail.
-        """
-        cat = self.cat
+        """Comparison element of a chain supported on the band."""
         if duals is None:
-            duals = DualBasisTable(cat)
+            duals = DualBasisTable(self.cat)
         allowed = set(self.band)
-        one = NovikovScalar.one(cat.field, cat.cutoff)
-        out: dict = {}
         for (objs, labels), c in vec.items():
             if c.is_zero():
                 continue
             if not allowed.issuperset(objs):
                 raise StructureError("chain leaves the band")
-            n = len(labels)
-            s = n - 1
-            if s > self.max_length:
+            if len(labels) - 1 > self.max_length:
                 raise StructureError("chain exceeds the bar window")
-            pre = _word_prefixes(cat, (objs, labels))
-            wdeg = word_parity(cat, (objs, labels))
-            for i in range(n):
-                ltail = (pre[n] - pre[i + 1]) & 1
-                mark = objs[(i + 1) % n]
-                basis = cat.hom_space(mark, self.target)
-                if basis.dim == 0 or cat.hom_space(self.target, mark).dim == 0:
-                    continue
-                table = duals.duals[(mark, self.target)]
-                for j in range(i + 1):
-                    if (s - i) + j + 2 not in self.arities:
-                        continue
-                    head_letters = (
-                        [(self.target, mark)]
-                        + _segment(objs, n, i + 1, s)
-                        + _segment(objs, n, 0, j)
-                    )
-                    head_chain = _op_chain(head_letters)
-                    if cat.op(head_chain) is None:
-                        continue
-                    head_fixed = [{lab: one}
-                                  for lab in labels[i + 1:] + labels[:j + 1]]
-                    mid_chain = tuple(
-                        objs[u % n] for u in range(j + 1, i + 2))
-                    mid_labels = labels[j + 1:i + 1]
-                    base = (pre[i + 1] * ltail) & 1
-                    for ai, alabel in enumerate(basis.labels):
-                        head = cat.apply_vectors(
-                            head_chain, [table[ai]] + head_fixed)
-                        if not head:
-                            continue
-                        sgn = sign_of((base + basis.parity(alabel) * wdeg) & 1)
-                        for hlab, hv in head.items():
-                            key = (mid_chain,
-                                   (hlab,) + mid_labels + (alabel,))
-                            _acc(out, key, _signed(c * hv, sgn))
-        return out
+        return comparison_element(self.cat, vec, self.target, duals)
 
 
 def delta_chain(cat, vec: dict, band, target,

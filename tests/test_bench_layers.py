@@ -1,0 +1,56 @@
+"""The traced benchmark finds every library name it wraps.
+
+``perfbench/layers.py`` replaces module and class attributes of the package
+by wrappers, where their callers look them up.  A refactor that drops or
+moves one of those names still passes the rest of the suite and fails
+only in a traced benchmark run, so this test runs the installer with a
+tracer that checks each name instead of wrapping it.
+"""
+
+import importlib
+import importlib.util
+import sys
+from collections import Counter
+from pathlib import Path
+from types import SimpleNamespace
+
+BENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load_bench_module(name):
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", BENCH / f"{name}.py")
+    mod = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = mod
+    spec.loader.exec_module(mod)
+    return mod
+
+
+class NameCheckingTracer:
+    def __init__(self):
+        self.counts = Counter()
+        self.wrapped = []
+
+    def wrap(self, owner, attr, name, after=None):
+        self.check(owner, attr, name)
+
+    def wrap_hot(self, owner, attr, name):
+        self.check(owner, attr, name)
+
+    def check(self, owner, attr, name):
+        assert attr in owner.__dict__, \
+            f"{name}: {owner.__name__} has no attribute {attr!r} of its own"
+        self.wrapped.append(name)
+
+
+def test_traced_benchmark_finds_every_name_it_wraps():
+    modules = load_bench_module("workloads").MODULES
+    lib = SimpleNamespace(**{
+        name: importlib.import_module(f"ainfbench.{name}")
+        for name in modules})
+    tracer = NameCheckingTracer()
+    load_bench_module("layers").install(tracer, lib)
+    for name in ("linalg.kernel_coefficients", "hochschild.b_word",
+                 "hochschild.cochain_differential", "mukai.z_x",
+                 "splitgen.quotient_representatives"):
+        assert name in tracer.wrapped

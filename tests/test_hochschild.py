@@ -1,5 +1,6 @@
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from ainfbench.ainfinity import (
     check_unital,
     subcategory,
 )
+from ainfbench import hochschild
 from ainfbench.errors import InsufficientCutoff, NotStabilized, StructureError
 from ainfbench.hochschild import (
     HCochain,
@@ -22,8 +24,10 @@ from ainfbench.hochschild import (
     cochain_differential,
     cup,
     element_cochain,
+    elementary_cochain,
     homology,
     include_chain,
+    iter_elementaries,
     module_relation_residual,
     object_chain,
     raise_length,
@@ -43,8 +47,9 @@ from ainfbench.models import (
     lambda_pair_algebra,
     point_category,
     sphere_model,
+    summand_category,
 )
-from ainfbench.novikov import NovikovScalar, Rationals
+from ainfbench.novikov import NovikovScalar, Rationals, format_scalar
 
 E = 6
 Q = Rationals()
@@ -632,3 +637,370 @@ def dense_window_dims(cat, length):
             b_rows.append(row)
         dims[p] = rref_rank(kernel + b_rows) - rref_rank(b_rows)
     return dims
+
+
+def null_rows(rows):
+    """Basis of the relations sum(c_i * rows_i) = 0, over plain fractions."""
+    nr = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    aug = [list(r) + [Fraction(int(i == j)) for j in range(nr)]
+           for i, r in enumerate(rows)]
+    rank = 0
+    for col in range(ncols):
+        piv = next((i for i in range(rank, nr) if aug[i][col]), None)
+        if piv is None:
+            continue
+        aug[rank], aug[piv] = aug[piv], aug[rank]
+        inv = Fraction(1) / aug[rank][col]
+        aug[rank] = [c * inv for c in aug[rank]]
+        for i in range(nr):
+            if i != rank and aug[i][col]:
+                f = aug[i][col]
+                aug[i] = [a - f * b for a, b in zip(aug[i], aug[rank])]
+        rank += 1
+    return [row[ncols:] for row in aug[rank:]]
+
+
+def dense_cochain_window_dims(cat, length):
+    """Rank of H(C^{<=N}) -> H(C^{<=N-2}) under truncation, by definition.
+
+    Cocycles of the large window, truncated to the small one, modulo the
+    coboundaries of the small window, each rank taken over plain fractions.
+    """
+    m = length - 2
+
+    def matrix(sources, targets, window):
+        index = {f: i for i, f in enumerate(targets)}
+        rows = []
+        for f in sources:
+            row = [Fraction(0)] * len(targets)
+            d = cochain_differential(elementary_cochain(cat, f, window))
+            for key, c in d.as_vector().items():
+                row[index[key]] = constant_part(c)
+            rows.append(row)
+        return rows
+
+    dims = {}
+    for p in (0, 1):
+        large = list(iter_elementaries(cat, length, p))
+        small = list(iter_elementaries(cat, m, p))
+        cocycles = null_rows(matrix(
+            large, list(iter_elementaries(cat, length, 1 - p)), length))
+        truncated = [[rel[large.index(f)] for f in small] for rel in cocycles]
+        bounds = matrix(list(iter_elementaries(cat, m, 1 - p)), small, m)
+        dims[p] = rref_rank(truncated + bounds) - rref_rank(bounds)
+    return dims
+
+
+@pytest.mark.parametrize("name", ["cl1", "cl1(beta=0)", "lambda_pair",
+                                  "sphere"])
+def test_cochain_homology_matches_dense_truncation_oracle(name):
+    cat = FIXTURES[name]()
+    for length in (2, 3, 4):
+        assert homology(cat, length, side="cochains").dims == \
+            dense_cochain_window_dims(cat, length)
+
+
+# -- golden reports --------------------------------------------------------
+
+FIXTURES = {
+    "cl1": cl1,
+    "cl1(beta=0)": lambda: cl1(beta=0),
+    "lambda_pair": lambda: lambda_pair_algebra(Q, E),
+    "pair_sum": pair_sum,
+    "acyclic_toy": acyclic_toy,
+    "energy_clifford(2)": lambda: energy_clifford(2),
+    "padded_cl2": lambda: with_zero_arity1(cl2()),
+    "sphere": sphere,
+    "summand": lambda: summand_category(Q, E),
+}
+
+
+def key_text(key):
+    """A word as ``A->B [x0|x1]``, an elementary cochain as ``... => out``."""
+    text = "->".join(key[0]) + " [" + "|".join(key[1]) + "]"
+    return text if len(key) == 2 else text + " => " + key[2]
+
+
+def describe(rep):
+    """Every report field on one line, then each representative's terms as
+    ``format_scalar text @ cutoff`` in front of the basis element."""
+    prev = "-" if rep.previous is None else \
+        "{0}/{1}".format(*rep.previous.values())
+    parts = ["{0}/{1} prev {2} {3} {4} margin {5}".format(
+        rep.dims[0], rep.dims[1], prev,
+        "stable" if rep.stabilized else "unstable",
+        "certified" if rep.certified else "uncertified", rep.margin)]
+    for p, reps in (rep.representatives or {}).items():
+        for r in reps:
+            vec = r.as_vector() if isinstance(r, HCochain) else r
+            parts.append(f"{p}: " + " + ".join(sorted(
+                f"{format_scalar(c)}@{c.cutoff} {key_text(k)}"
+                for k, c in vec.items())))
+    return " | ".join(parts)
+
+
+# (fixture, side) -> (N, want_basis) -> describe(report)
+HOMOLOGY_GOLDEN = {
+    ("cl1", "chains"): {
+        (2, False): "0/1 prev - unstable certified margin 6",
+        (2, True): "0/1 prev - unstable certified margin 6 | 1: 1@6 T [e1]",
+        (3, False): "0/1 prev - unstable certified margin 6",
+        (3, True): "0/1 prev - unstable certified margin 6 | 1: 1@6 T [e1]",
+        (4, False): "0/1 prev 0/1 stable certified margin 6",
+        (4, True): "0/1 prev 0/1 stable certified margin 6 | 1: 1@6 T [e1]",
+    },
+    ("cl1", "cochains"): {
+        (2, False): "1/0 prev - unstable certified margin 6",
+        (2, True): "1/0 prev - unstable certified margin 6 | 0: 1@6 T [] => 1",
+        (3, False): "1/0 prev - unstable certified margin 6",
+        (3, True): "1/0 prev - unstable certified margin 6 | 0: 1@6 T [] => 1",
+        (4, False): "1/0 prev 1/0 stable certified margin 6",
+        (4, True): "1/0 prev 1/0 stable certified margin 6 | 0: 1@6 T [] => 1",
+    },
+    ("cl1(beta=0)", "chains"): {
+        (2, False): "1/1 prev - unstable certified margin None",
+        (2, True): "1/1 prev - unstable certified margin 6"
+                   " | 0: 1@6 T [1]"
+                   " | 1: 1@6 T [e1]",
+        (3, False): "2/2 prev - unstable certified margin 6",
+        (3, True): "2/2 prev - unstable certified margin 6"
+                   " | 0: 1@6 T [1]"
+                   " | 0: 1@6 T->T [1|e1]"
+                   " | 1: 1@6 T [e1]"
+                   " | 1: 1@6 T->T [e1|e1]",
+        (4, False): "3/3 prev 1/1 unstable certified margin 6",
+        (4, True): "3/3 prev 1/1 unstable certified margin 6"
+                   " | 0: 1@6 T [1]"
+                   " | 0: 1@6 T->T [1|e1]"
+                   " | 0: 1@6 T->T->T [1|e1|e1]"
+                   " | 1: 1@6 T [e1]"
+                   " | 1: 1@6 T->T [e1|e1]"
+                   " | 1: 1@6 T->T->T [e1|e1|e1]",
+    },
+    ("cl1(beta=0)", "cochains"): {
+        (2, False): "1/1 prev - unstable certified margin None",
+        (2, True): "1/1 prev - unstable certified margin 6"
+                   " | 0: 1@6 T [] => 1"
+                   " | 1: 1@6 T [] => e1",
+        (3, False): "2/2 prev - unstable certified margin 6",
+        (3, True): "2/2 prev - unstable certified margin 6"
+                   " | 0: 1@6 T [] => 1"
+                   " | 0: 1@6 T->T [e1] => 1"
+                   " | 1: 1@6 T [] => e1"
+                   " | 1: 1@6 T->T [e1] => e1",
+        (4, False): "3/3 prev 1/1 unstable certified margin 6",
+        (4, True): "3/3 prev 1/1 unstable certified margin 6"
+                   " | 0: 1@6 T [] => 1"
+                   " | 0: 1@6 T->T [e1] => 1"
+                   " | 0: 1@6 T->T->T [e1|e1] => 1"
+                   " | 1: 1@6 T [] => e1"
+                   " | 1: 1@6 T->T [e1] => e1"
+                   " | 1: 1@6 T->T->T [e1|e1] => e1",
+    },
+    ("lambda_pair", "chains"): {
+        (2, False): "2/0 prev - unstable certified margin None",
+        (2, True): "2/0 prev - unstable certified margin 6"
+                   " | 0: 1@6 U [u]"
+                   " | 0: 1@6 U [v]",
+        (3, False): "2/0 prev - unstable certified margin 6",
+        (3, True): "2/0 prev - unstable certified margin 6"
+                   " | 0: 1@6 U [u]"
+                   " | 0: 1@6 U [v]",
+        (4, False): "2/0 prev 2/0 stable certified margin 6",
+        (4, True): "2/0 prev 2/0 stable certified margin 6"
+                   " | 0: 1@6 U [u]"
+                   " | 0: 1@6 U [v]",
+    },
+    ("lambda_pair", "cochains"): {
+        (2, False): "2/0 prev - unstable certified margin None",
+        (2, True): "2/0 prev - unstable certified margin 6"
+                   " | 0: 1@6 U [] => u"
+                   " | 0: 1@6 U [] => v",
+        (3, False): "2/0 prev - unstable certified margin 6",
+        (3, True): "2/0 prev - unstable certified margin 6"
+                   " | 0: 1@6 U [] => u"
+                   " | 0: 1@6 U [] => v",
+        (4, False): "2/0 prev 2/0 stable certified margin 6",
+        (4, True): "2/0 prev 2/0 stable certified margin 6"
+                   " | 0: 1@6 U [] => u"
+                   " | 0: 1@6 U [] => v",
+    },
+    ("pair_sum", "chains"): {
+        (2, False): "0/2 prev - unstable certified margin 6",
+        (2, True): "0/2 prev - unstable certified margin 6"
+                   " | 1: 1@6 A [e1]"
+                   " | 1: 1@6 B [e1]",
+        (3, False): "0/2 prev - unstable certified margin 6",
+        (3, True): "0/2 prev - unstable certified margin 6"
+                   " | 1: 1@6 A [e1]"
+                   " | 1: 1@6 B [e1]",
+        (4, False): "0/2 prev 0/2 stable certified margin 6",
+        (4, True): "0/2 prev 0/2 stable certified margin 6"
+                   " | 1: 1@6 A [e1]"
+                   " | 1: 1@6 B [e1]",
+    },
+    ("pair_sum", "cochains"): {
+        (2, False): "2/0 prev - unstable certified margin 6",
+        (2, True): "2/0 prev - unstable certified margin 6"
+                   " | 0: 1@6 A [] => 1"
+                   " | 0: 1@6 B [] => 1",
+        (3, False): "2/0 prev - unstable certified margin 6",
+        (3, True): "2/0 prev - unstable certified margin 6"
+                   " | 0: 1@6 A [] => 1"
+                   " | 0: 1@6 B [] => 1",
+        (4, False): "2/0 prev 2/0 stable certified margin 6",
+        (4, True): "2/0 prev 2/0 stable certified margin 6"
+                   " | 0: 1@6 A [] => 1"
+                   " | 0: 1@6 B [] => 1",
+    },
+    ("acyclic_toy", "chains"): {
+        (2, False): "0/0 prev - unstable certified margin 6",
+        (2, True): "0/0 prev - unstable certified margin 6",
+        (3, False): "0/0 prev - unstable certified margin 6",
+        (3, True): "0/0 prev - unstable certified margin 6",
+        (4, False): "0/0 prev 0/0 stable certified margin 6",
+        (4, True): "0/0 prev 0/0 stable certified margin 6",
+    },
+    ("acyclic_toy", "cochains"): {
+        (2, False): "0/0 prev - unstable certified margin 6",
+        (2, True): "0/0 prev - unstable certified margin 6",
+        (3, False): "0/0 prev - unstable certified margin 6",
+        (3, True): "0/0 prev - unstable certified margin 6",
+        (4, False): "0/0 prev 0/0 stable certified margin 6",
+        (4, True): "0/0 prev 0/0 stable certified margin 6",
+    },
+    ("energy_clifford(2)", "chains"): {
+        (2, False): "0/1 prev - unstable certified margin 4",
+        (2, True): "0/1 prev - unstable certified margin 4 | 1: 1@6 L [p]",
+        (3, False): "0/1 prev - unstable certified margin 4",
+        (3, True): "0/1 prev - unstable certified margin 4 | 1: 1@6 L [p]",
+        (4, False): "0/1 prev 0/1 stable certified margin 4",
+        (4, True): "0/1 prev 0/1 stable certified margin 4 | 1: 1@6 L [p]",
+    },
+    ("energy_clifford(2)", "cochains"): {
+        (2, False): "1/0 prev - unstable certified margin 4",
+        (2, True): "1/0 prev - unstable certified margin 4 | 0: 1@6 L [] => 1",
+        (3, False): "1/0 prev - unstable certified margin 4",
+        (3, True): "1/0 prev - unstable certified margin 4 | 0: 1@6 L [] => 1",
+        (4, False): "1/0 prev 1/0 stable certified margin 4",
+        (4, True): "1/0 prev 1/0 stable certified margin 4 | 0: 1@6 L [] => 1",
+    },
+    ("padded_cl2", "chains"): {
+        (2, False): "1/0 prev - unstable certified margin 6",
+        (2, True): "1/0 prev - unstable certified margin 6 | 0: 1@6 T [e12]",
+        (3, False): "1/0 prev - unstable certified margin 6",
+        (3, True): "1/0 prev - unstable certified margin 6 | 0: 1@6 T [e12]",
+        (4, False): "1/0 prev 1/0 stable certified margin 6",
+        (4, True): "1/0 prev 1/0 stable certified margin 6 | 0: 1@6 T [e12]",
+    },
+    ("padded_cl2", "cochains"): {
+        (2, False): "1/0 prev - unstable certified margin 6",
+        (2, True): "1/0 prev - unstable certified margin 6 | 0: 1@6 T [] => 1",
+        (3, False): "1/0 prev - unstable certified margin 6",
+        (3, True): "1/0 prev - unstable certified margin 6 | 0: 1@6 T [] => 1",
+        (4, False): "1/0 prev 1/0 stable certified margin 6",
+        (4, True): "1/0 prev 1/0 stable certified margin 6 | 0: 1@6 T [] => 1",
+    },
+    ("sphere", "chains"): {
+        (2, False): "2/0 prev - unstable certified margin None",
+        (2, True): "2/0 prev - unstable certified margin 6"
+                   " | 0: 1@6 S [1]"
+                   " | 0: 1@6 S [p]",
+        (3, False): "2/0 prev - unstable certified margin 6",
+        (3, True): "2/0 prev - unstable certified margin 6"
+                   " | 0: 1@6 S [1]"
+                   " | 0: 1@6 S [p]",
+        (4, False): "2/0 prev 2/0 stable certified margin 6",
+        (4, True): "2/0 prev 2/0 stable certified margin 6"
+                   " | 0: 1@6 S [1]"
+                   " | 0: 1@6 S [p]",
+    },
+    ("sphere", "cochains"): {
+        (2, False): "2/0 prev - unstable certified margin None",
+        (2, True): "2/0 prev - unstable certified margin 6"
+                   " | 0: 1@6 S [] => 1"
+                   " | 0: 1@6 S [] => p",
+        (3, False): "2/0 prev - unstable certified margin 6",
+        (3, True): "2/0 prev - unstable certified margin 6"
+                   " | 0: 1@6 S [] => 1"
+                   " | 0: 1@6 S [] => p",
+        (4, False): "2/0 prev 2/0 stable certified margin 6",
+        (4, True): "2/0 prev 2/0 stable certified margin 6"
+                   " | 0: 1@6 S [] => 1"
+                   " | 0: 1@6 S [] => p",
+    },
+    ("summand", "chains"): {
+        (2, False): "2/0 prev - unstable certified margin 6",
+        (2, True): "2/0 prev - unstable certified margin 6"
+                   " | 0: 1@6 U [u]"
+                   " | 0: 1@6 U [v]",
+        (3, False): "2/0 prev - unstable certified margin 6",
+        (3, True): "2/0 prev - unstable certified margin 6"
+                   " | 0: 1@6 U [u]"
+                   " | 0: 1@6 U [v]",
+        (4, False): "2/0 prev 2/0 stable certified margin 6",
+        (4, True): "2/0 prev 2/0 stable certified margin 6"
+                   " | 0: 1@6 U [u]"
+                   " | 0: 1@6 U [v]",
+    },
+    ("summand", "cochains"): {
+        (2, False): "2/0 prev - unstable certified margin 6",
+        (2, True): "2/0 prev - unstable certified margin 6"
+                   " | 0: 1@6 U [] => v"
+                   " | 0: 1@6 K [] => k + 1@6 U [] => u",
+        (3, False): "2/0 prev - unstable certified margin 6",
+        (3, True): "2/0 prev - unstable certified margin 6"
+                   " | 0: 1@6 U [] => v"
+                   " | 0: 1@6 K [] => k + 1@6 U [] => u",
+        (4, False): "2/0 prev 2/0 stable certified margin 6",
+        (4, True): "2/0 prev 2/0 stable certified margin 6"
+                   " | 0: 1@6 U [] => v"
+                   " | 0: 1@6 K [] => k + 1@6 U [] => u",
+    },
+}
+
+
+@pytest.mark.parametrize("name,side", sorted(HOMOLOGY_GOLDEN))
+def test_homology_reports_golden(name, side):
+    cat = FIXTURES[name]()
+    got = {(n, basis): describe(homology(cat, n, side=side, want_basis=basis))
+           for n in (2, 3, 4) for basis in (False, True)}
+    assert got == HOMOLOGY_GOLDEN[(name, side)]
+
+
+@pytest.mark.parametrize("want_basis", [False, True])
+@pytest.mark.parametrize("side", ["chains", "cochains"])
+@pytest.mark.parametrize("name", ["cl1", "pair_sum", "padded_cl1"])
+def test_homology_builds_each_column_once(monkeypatch, name, side,
+                                          want_basis):
+    # one table per call: every word or elementary cochain up to the
+    # build length has its boundary or differential computed exactly once;
+    # the build length is N when the basis is wanted or an arity-1 map is
+    # present, N - 1 otherwise
+    cat = with_zero_arity1(cl1()) if name == "padded_cl1" \
+        else FIXTURES[name]()
+    calls = Counter()
+    real_b_word = hochschild.b_word
+    real_differential = hochschild.cochain_differential
+
+    def b_word(cat, word):
+        calls[word] += 1
+        return real_b_word(cat, word)
+
+    def cochain_differential(phi):
+        for (chain, args), outs in phi.table.items():
+            for out in outs:
+                calls[(chain, args, out)] += 1
+        return real_differential(phi)
+
+    monkeypatch.setattr(hochschild, "b_word", b_word)
+    monkeypatch.setattr(hochschild, "cochain_differential",
+                        cochain_differential)
+    homology(cat, 4, side=side, want_basis=want_basis)
+    top = 4 if want_basis or name == "padded_cl1" else 3
+    if side == "chains":
+        expected = words_up_to(cat, top)
+    else:
+        expected = list(iter_elementaries(cat, top))
+    assert calls == Counter(expected)
