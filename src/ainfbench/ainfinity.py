@@ -441,11 +441,7 @@ class CohomologyCategory:
                     columns, cat.field, cat.cutoff
                 )
                 cocycles = [
-                    {
-                        label: c
-                        for label, c in zip(labels_p, rel)
-                        if not c.is_zero()
-                    }
+                    {labels_p[i]: c for i, c in rel.items()}
                     for rel in relations
                 ]
                 images_into_p = [
@@ -453,8 +449,10 @@ class CohomologyCategory:
                     for col in (cat.apply((x, y), (l,)) for l in labels_q)
                     if not v_is_zero(col)
                 ]
-                reps, elim = quotient_representatives(cocycles, images_into_p)
-                if not elim.certified(cat.cutoff, slack):
+                reps, elims = quotient_representatives(
+                    cocycles, images_into_p
+                )
+                if not all(el.certified(cat.cutoff, slack) for el in elims):
                     raise InsufficientCutoff(
                         f"insufficient cutoff for cohomology at {(x, y)}"
                     )

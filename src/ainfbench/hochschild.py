@@ -758,11 +758,15 @@ def _class_basis(cat, cols, sources, images, keep):
     """Kernel vectors on ``sources`` modulo the columns of ``images``.
 
     Both sides are cut down to their ``keep`` entries before the quotient.
+    Both eliminations run per support-connected block, and the quotient
+    skips every block without a kernel vector, so the returned eliminators
+    certify only the blocks the representatives depend on; the ranks stay
+    certified by ``_stable_dims``.
     """
     rels = kernel_coefficients([cols[e] for e in sources],
                                cat.field, cat.cutoff)
-    kernel = [{e: c for e, c in zip(sources, coeffs)
-               if keep(e) and not c.is_zero()} for coeffs in rels]
+    kernel = [{sources[i]: c for i, c in rel.items() if keep(sources[i])}
+              for rel in rels]
     bounds = [{k: v for k, v in cols[g].items() if keep(k)} for g in images]
     return quotient_representatives(kernel, bounds)
 
@@ -821,7 +825,7 @@ def homology(cat, length, side="chains", slack=0, want_basis=False
                     lambda k: of_len(k) <= m)
                 found = [cochain_from_vector(cat, p, m, v) for v in found]
             representatives[p] = found
-            elims.append(el)
+            elims.extend(el)
         counted = {p: len(representatives[p]) for p in (0, 1)}
         if counted != dims:
             raise StructureError(

@@ -9,6 +9,14 @@ stable under refining the truncation.
 Rows are sparse dicts ``{column key: NovikovScalar}``.  Column keys are
 arbitrary hashable objects; keys eligible as pivots must be mutually
 comparable (used only to break valuation ties deterministically).
+
+Ranks, kernels and quotients are computed per support-connected block
+(``partition_rows``): rows of different blocks never meet in a reduction,
+so each block runs its own ``Eliminator`` and every residual is the one a
+single elimination over all rows would give.  A quotient eliminates only
+the blocks holding a numerator; blocks of denominators alone cannot touch
+a representative and are skipped, so the margins it reports cover only
+the blocks its answer depends on.
 """
 
 from __future__ import annotations
@@ -216,41 +224,55 @@ def solve_combination(vectors, target, field, cutoff):
 
 
 def kernel_coefficients(vectors, field, cutoff):
-    """Basis of relations sum(c_i * vectors_i) = 0, as coefficient lists."""
-    elim = Eliminator()
+    """Basis of relations sum(c_i * vectors_i) = 0, as sparse ``{i: c_i}``.
+
+    Each vector is augmented by its own ``AugKey(i)``, which joins no
+    blocks, and the blocks are eliminated apart.  A relation is the
+    residual of a vector that found no pivot; its largest index is that
+    vector's, with coefficient 1, and relations come in that order.
+    """
     one = NovikovScalar.one(field, cutoff)
-    zero = NovikovScalar.zero(field, cutoff)
-    out = []
+    rows = []
     for i, v in enumerate(vectors):
         row = dict(v)
         row[AugKey(i)] = one
-        key, res = elim.insert(row)
-        if key is None:
-            coeffs = []
-            for j in range(len(vectors)):
-                c = res.get(AugKey(j))
-                coeffs.append(zero if c is None else c)
-            out.append(coeffs)
+        rows.append(row)
+    out = []
+    for grp in partition_rows(rows):
+        elim = Eliminator()
+        for row in grp:
+            key, res = elim.insert(row)
+            if key is None:
+                out.append({k.i: res[k] for k in sorted(res)})
+    out.sort(key=max)
     return out
 
 
 def quotient_representatives(numerators, denominators):
     """Rows of ``numerators`` surviving modulo the span of ``denominators``.
 
-    Returns ``(representatives, elim)`` where each representative is the
-    reduced residual installed as a fresh pivot.
+    Denominators and numerators are blocked together; each block holding a
+    numerator gets one ``Eliminator``, fed its denominators and then its
+    numerators in input order, and blocks of denominators alone are never
+    eliminated.  Returns ``(representatives, eliminators)``: each
+    representative is the reduced residual installed as a fresh pivot, in
+    numerator order.
     """
-    elim = Eliminator()
-    for row in denominators:
-        elim.insert(row)
-    base = elim.rank
-    reps = []
-    for row in numerators:
-        key, res = elim.insert(dict(row))
-        if key is not None:
-            reps.append(res)
-    assert elim.rank - base == len(reps)
-    return reps, elim
+    # fresh copies, so identity marks a numerator even when the same row
+    # object is passed twice or also as a denominator
+    nums = [dict(row) for row in numerators]
+    index = {id(row): i for i, row in enumerate(nums)}
+    found, elims = {}, []
+    for grp in partition_rows(list(denominators) + nums):
+        if not any(id(row) in index for row in grp):
+            continue
+        elim = Eliminator()
+        for row in grp:
+            key, res = elim.insert(row)
+            if key is not None and id(row) in index:
+                found[index[id(row)]] = res
+        elims.append(elim)
+    return [found[i] for i in sorted(found)], elims
 
 
 # -- small dense systems ---------------------------------------------------

@@ -58,16 +58,12 @@ __all__ = [
     "CriticalPoint",
     "FiberPoint",
     "HessianReport",
-    "SymmetryVerdict",
     "MorseCountVerdict",
     "DegenerateRootWarning",
     "critical_points",
     "hessian",
     "build_toric_potential",
-    "fiber_potential",
     "u_of_c",
-    "root_of_unity",
-    "zeta_symmetry_check",
     "morse_count_check",
 ]
 
@@ -318,20 +314,6 @@ class NovikovLaurentPolynomial:
                     term = term * power(j, k)
             entries.append((a, term))
         return field, cutoff, entries
-
-    def evaluate(self, point) -> NovikovScalar:
-        """Value at a tuple of Novikov scalars, one per variable."""
-        return _weighted_sum(self.monomial_values(point), lambda a: 1)
-
-    def rescale(self, shifts) -> "NovikovLaurentPolynomial":
-        """Substitute y_i -> T^{s_i} y_i; energies move by <a, s>."""
-        shifts = tuple(Fraction(s) for s in shifts)
-        if len(shifts) != self.nvars:
-            raise StructureError("one shift per variable")
-        entries = []
-        for e, a, c in self.terms():
-            entries.append((e + sum(s * k for s, k in zip(shifts, a)), a, c))
-        return NovikovLaurentPolynomial.make(self.field, self.variables, entries)
 
     def change_of_variables(self, matrix) -> "NovikovLaurentPolynomial":
         """Monomial substitution y_i = prod_j z_j^{M[i][j]}, M in GL(n, Z)."""
@@ -1339,28 +1321,6 @@ def _potential_of(obj) -> NovikovLaurentPolynomial:
     return obj
 
 
-def fiber_potential(toric: ToricPotential, u) -> NovikovLaurentPolynomial:
-    """Potential of the torus fiber over an interior point u.
-
-    Substitutes y_i -> T^{l_i(u)} y_i for the designated basis rays; every
-    monomial then enters at the energy given by its own support number, so
-    interiority of u makes all energies strictly positive.
-    """
-    poly = toric.polytope
-    u = tuple(Fraction(x) for x in u)
-    if len(u) != poly.dim:
-        raise StructureError("fiber point dimension mismatch")
-    for i in range(len(poly.rays)):
-        s = poly.support(u, i)
-        if s <= 0:
-            raise StructureError(
-                f"point {u} is not interior: ray {poly.rays[i]} has "
-                f"support {s}"
-            )
-    shifts = [poly.support(u, i) for i in poly.basis]
-    return toric.potential.rescale(shifts)
-
-
 @dataclass(frozen=True, eq=False)
 class FiberPoint:
     """Moment-map position of a critical point and its unit coordinates."""
@@ -1413,83 +1373,7 @@ def u_of_c(toric, point) -> FiberPoint:
     return FiberPoint(moment_point=u, coordinates=tuple(units))
 
 
-# -- symmetry and counting checks ------------------------------------------
-
-
-def root_of_unity(field, r: int):
-    """A primitive r-th root of unity in the field, if one exists there.
-
-    Exact fields carry the orders whose cyclotomic field is rational or
-    quadratic (1, 2, 3, 4, 6); anything else needs the float field.
-    """
-    r = int(r)
-    if r < 1:
-        raise StructureError("the order of a root of unity is positive")
-    if hasattr(field, "eps"):
-        import cmath
-
-        return field.coerce(cmath.exp(2j * math.pi / r))
-    if r == 1:
-        return field.one
-    if r == 2:
-        return -field.one
-    half = Fraction(1, 2)
-    if r in (3, 6) and isinstance(field, QuadraticField) and field.d == -3:
-        re = -half if r == 3 else half
-        return field.coerce(re) + field.coerce(half) * field.root
-    if r == 4 and isinstance(field, QuadraticField) and field.d == -1:
-        return field.root
-    raise NotRepresentable(
-        f"no primitive root of unity of order {r} in {field!r}; use the "
-        "quadratic field with the matching discriminant or the float field"
-    )
-
-
-@dataclass(frozen=True, eq=False)
-class SymmetryVerdict:
-    holds: bool
-    order: int
-    violating_term: tuple | None
-    message: str
-
-
-def zeta_symmetry_check(pot, r: int, k, zeta=None) -> SymmetryVerdict:
-    """Check W(zeta^{k_1} y_1, ...) = zeta * W(y) termwise.
-
-    ``k`` is the integer weight vector; ``zeta`` defaults to a primitive
-    r-th root of unity in the coefficient field.  The verdict carries the
-    first violating term in the sorted term order.
-    """
-    field = pot.field
-    k = tuple(int(x) for x in k)
-    if len(k) != pot.nvars:
-        raise StructureError("one weight per variable")
-    if zeta is None:
-        zeta = root_of_unity(field, r)
-    else:
-        zeta = field.coerce(zeta)
-    if not field.eq(field_power(field, zeta, int(r)), field.one):
-        raise StructureError(f"supplied zeta is not an {r}-th root of unity")
-    for e, a, c in pot.terms():
-        w = sum(ki * ai for ki, ai in zip(k, a)) % int(r)
-        lhs = field_power(field, zeta, w) * c
-        rhs = zeta * c
-        if not field.eq(lhs, rhs):
-            return SymmetryVerdict(
-                holds=False,
-                order=int(r),
-                violating_term=(e, a),
-                message=(
-                    f"symmetry fails at the term with energy {e} and "
-                    f"exponents {a}: weight {w} is not 1 mod {r}"
-                ),
-            )
-    return SymmetryVerdict(
-        holds=True,
-        order=int(r),
-        violating_term=None,
-        message=f"symmetry of order {r} holds",
-    )
+# -- counting checks ------------------------------------------------------
 
 
 @dataclass(frozen=True, eq=False)

@@ -40,7 +40,7 @@ from ainfbench.hochschild import (
     word_parity,
     words_up_to,
 )
-from ainfbench.linalg import solve_combination
+from ainfbench.linalg import Eliminator, solve_combination
 from ainfbench.models import (
     clifford_model,
     direct_sum_category,
@@ -1005,3 +1005,24 @@ def test_homology_builds_each_column_once(monkeypatch, name, side,
     else:
         expected = list(iter_elementaries(cat, top))
     assert calls == Counter(expected)
+
+
+@pytest.mark.parametrize("side,limit", [("chains", 1000),
+                                        ("cochains", 2000)])
+def test_class_basis_inserts_only_blocks_it_needs(monkeypatch, side, limit):
+    # the class basis eliminates only the row blocks holding a kernel
+    # vector; one unblocked elimination inserted 1,902 rows on chains and
+    # 2,926 on cochains; the dimensions alone insert 386 either way
+    inserts = Counter()
+    real_insert = Eliminator.insert
+
+    def insert(self, row):
+        inserts[side] += 1
+        return real_insert(self, row)
+
+    monkeypatch.setattr(Eliminator, "insert", insert)
+    homology(cl2(), 4, side=side)
+    assert inserts[side] == 386
+    inserts.clear()
+    homology(cl2(), 4, side=side, want_basis=True)
+    assert inserts[side] < limit

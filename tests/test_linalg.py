@@ -16,7 +16,12 @@ from ainfbench.linalg import (
     quotient_representatives,
     solve_combination,
 )
-from ainfbench.novikov import NovikovScalar, Rationals, parse_scalar
+from ainfbench.novikov import (
+    NovikovScalar,
+    Rationals,
+    format_scalar,
+    parse_scalar,
+)
 
 E = 8
 Q = Rationals()
@@ -88,14 +93,15 @@ def test_kernel_coefficients_exact_relation():
     v1 = vec(a="1", b="1")
     v2 = vec(a="2", b="2")
     v3 = vec(a="1")
-    rels = kernel_coefficients([v1, v2, v3], Q, E)
+    vectors = [v1, v2, v3]
+    rels = kernel_coefficients(vectors, Q, E)
     assert len(rels) == 1
     c = rels[0]
     # relation c0*v1 + c1*v2 + c2*v3 = 0 with c1 = 1 by construction
     assert c[1] == NovikovScalar.one(Q, c[1].cutoff)
     total = {}
-    for coeff, v in zip(c, [v1, v2, v3]):
-        for k, x in v.items():
+    for i, coeff in c.items():
+        for k, x in vectors[i].items():
             cur = total.get(k)
             y = coeff * x
             total[k] = y if cur is None else cur + y
@@ -120,8 +126,8 @@ def test_kernel_random_matrix_rank_nullity(seed=3):
     assert len(rels) == len(vectors) - r
     for c in rels:
         total = {}
-        for coeff, v in zip(c, vectors):
-            for k, x in v.items():
+        for i, coeff in c.items():
+            for k, x in vectors[i].items():
                 cur = total.get(k)
                 y = coeff * x
                 total[k] = y if cur is None else cur + y
@@ -131,10 +137,10 @@ def test_kernel_random_matrix_rank_nullity(seed=3):
 def test_quotient_representatives():
     dens = [vec(a="1", b="1")]
     nums = [vec(a="1"), vec(b="-1"), vec(a="2", b="2")]
-    reps, elim = quotient_representatives(nums, dens)
+    reps, elims = quotient_representatives(nums, dens)
     # modulo (a+b): a and -b agree, a+b dies; one survivor
     assert len(reps) == 1
-    assert elim.rank == 2
+    assert sum(el.rank for el in elims) == 2
 
 
 def test_augkey_never_pivots():
@@ -219,3 +225,107 @@ def test_blocked_rank_adds_up(seed=17):
     blocks = blocked_rank([dict(r) for r in rows])
     assert len(blocks) >= 2
     assert sum(el.rank for el in blocks) == whole
+
+
+# -- blocked class-basis eliminations against one unblocked elimination ----
+
+def unblocked_kernel(vectors, field, cutoff):
+    """Relations from a single Eliminator over every augmented vector."""
+    elim = Eliminator()
+    one = NovikovScalar.one(field, cutoff)
+    out = []
+    for i, v in enumerate(vectors):
+        row = dict(v)
+        row[AugKey(i)] = one
+        key, res = elim.insert(row)
+        if key is None:
+            out.append({j: res[AugKey(j)] for j in range(len(vectors))
+                        if AugKey(j) in res})
+    return out
+
+
+def unblocked_quotient(numerators, denominators):
+    """Survivors from a single Eliminator fed every denominator first."""
+    elim = Eliminator()
+    for row in denominators:
+        elim.insert(row)
+    reps = []
+    for row in numerators:
+        key, res = elim.insert(dict(row))
+        if key is not None:
+            reps.append(res)
+    return reps, elim
+
+
+def texts(row):
+    return [(k, format_scalar(c), c.cutoff) for k, c in row.items()]
+
+
+def random_scalar(rng, t_adic):
+    if not t_adic:
+        return NovikovScalar.constant(Q, E, rng.randint(-2, 2))
+    pairs = [(rng.randint(0, 3), rng.randint(-2, 2))
+             for _ in range(rng.randint(1, 2))]
+    return NovikovScalar.make(Q, E, pairs)
+
+
+def random_blocked_rows(rng, nblocks, count, t_adic):
+    """Rows supported inside one of ``nblocks`` column blocks, some empty;
+    later rows are often combinations of earlier ones in their block."""
+    rows, by_block = [], {}
+    for _ in range(count):
+        b = rng.randrange(nblocks)
+        if rng.random() < 0.1:
+            rows.append({})
+            continue
+        earlier = by_block.setdefault(b, [])
+        row = {}
+        if len(earlier) >= 2 and rng.random() < 0.4:
+            for other in rng.sample(earlier, 2):
+                c = random_scalar(rng, t_adic)
+                for k, x in other.items():
+                    row[k] = row[k] + c * x if k in row else c * x
+        else:
+            for j in range(4):
+                if rng.random() < 0.6:
+                    row[f"b{b}c{j}"] = random_scalar(rng, t_adic)
+        row = {k: x for k, x in row.items() if not x.is_zero()}
+        earlier.append(row)
+        rows.append(row)
+    return rows
+
+
+def min_margin(elims):
+    margins = [el.min_margin(E) for el in elims]
+    margins = [m for m in margins if m is not None]
+    return min(margins) if margins else E
+
+
+@pytest.mark.parametrize("t_adic", [False, True])
+@pytest.mark.parametrize("seed", range(8))
+def test_blocked_kernel_matches_unblocked(seed, t_adic):
+    rng = random.Random(seed)
+    vectors = random_blocked_rows(rng, 4, 16, t_adic)
+    got = kernel_coefficients(vectors, Q, E)
+    want = unblocked_kernel(vectors, Q, E)
+    assert [texts(r) for r in got] == [texts(r) for r in want]
+    assert [max(r) for r in got] == sorted(max(r) for r in got)
+
+
+@pytest.mark.parametrize("t_adic", [False, True])
+@pytest.mark.parametrize("seed", range(8))
+def test_blocked_quotient_matches_unblocked(seed, t_adic):
+    rng = random.Random(100 + seed)
+    # block 4 only ever holds denominators; numerators may be empty
+    dens = random_blocked_rows(rng, 5, 14, t_adic)
+    nums = random_blocked_rows(rng, 4, rng.choice([0, 3, 8]), t_adic)
+    if nums and rng.random() < 0.5:
+        nums.append(nums[0])
+        dens.append(nums[-1])
+    reps, elims = quotient_representatives(nums, dens)
+    want, ref = unblocked_quotient(nums, dens)
+    assert [texts(r) for r in reps] == [texts(r) for r in want]
+    assert min_margin(elims) >= min_margin([ref])
+    held = {k for row in nums for k in row}
+    for el in elims:
+        assert any(k in held for row in el.rows for k in row)
