@@ -21,12 +21,14 @@ builds one table, a column per basis element up to the largest window it
 needs, and every window and the class basis read length slices of it.  One
 formula counts the boundaries landing in the small window: the rank of the
 differential on the build window minus the rank of its part sticking out.
-Reports carry the comparison with the previous window and a certification
-flag for the T-adic margins of the eliminations.
+One elimination per parity per call; every window reads ranks of its
+length prefixes.  Reports carry the comparison with the previous window and
+a certification flag for the T-adic margins of the eliminations.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 
@@ -137,7 +139,9 @@ class HCochain:
     s+1 objects and s argument labels; length-0 entries are the per-object
     elements phi_X.  ``truncated`` records that some construction dropped
     entries beyond ``max_length``, i.e. the stored data is the image in the
-    length-truncated quotient rather than an honestly finite cochain.
+    length-truncated quotient rather than an honestly finite cochain.  The
+    differential sets it whenever a term leaves the window, even one whose
+    product would truncate to 0 in T; only ``cap``'s error message reads it.
     """
 
     __slots__ = ("cat", "parity", "max_length", "table", "truncated")
@@ -382,21 +386,15 @@ def _op_index(cat):
     return index
 
 
-def cochain_differential(phi: HCochain) -> HCochain:
-    """The Hochschild differential of a cochain.
+def _structure_index(cat):
+    """The structure maps indexed for ``cochain_differential``.
 
-    Two families of terms: the cochain inserted as an argument of a
-    structure map, signed by its reduced degree times the reduced prefix of
-    the assembled word, and a structure map inserted as an argument of the
-    cochain, signed by the full degree plus the reduced prefix.
+    Returns ``(slots, ops)``: ``slots`` maps (X_i, X_{i+1}, label of slot i)
+    to every structure map entry taking that letter in slot i, as (chain,
+    args, i, reduced prefix before slot i, outputs); ``ops`` is
+    ``_op_index``.  Curvature is excluded from both.
     """
-    cat = phi.cat
-    _require_flat(cat)
-    out = HCochain(cat, phi.parity + 1, phi.max_length,
-                   truncated=phi.truncated)
-    rphi = reduced(phi.parity)
-
-    index = _cochain_index(phi)
+    slots = {}
     for chainM, mop in cat.ops.items():
         a = len(chainM) - 1
         if a == 0:
@@ -404,30 +402,69 @@ def cochain_differential(phi: HCochain) -> HCochain:
         for argsM, outsM in mop.table.items():
             pref = _arg_reduced_prefix(cat, chainM, argsM)
             for i in range(a):
-                hits = index.get((chainM[i], chainM[i + 1], argsM[i]))
-                if not hits:
-                    continue
-                sgn = sign_of(rphi * pref[i])
-                for chainP, argsP, c in hits:
-                    new_chain = chainM[:i + 1] + chainP[1:] + chainM[i + 2:]
-                    new_args = argsM[:i] + argsP + argsM[i + 1:]
-                    for o, v in outsM.items():
-                        out.add(new_chain, new_args, o, _signed(c * v, sgn))
+                slots.setdefault((chainM[i], chainM[i + 1], argsM[i]),
+                                 []).append((chainM, argsM, i, pref[i], outsM))
+    return slots, _op_index(cat)
 
-    ops = _op_index(cat)
+
+def cochain_differential(phi: HCochain, index=None) -> HCochain:
+    """The Hochschild differential of a cochain.
+
+    Two families of terms: the cochain inserted as an argument of a
+    structure map, signed by its reduced degree times the reduced prefix of
+    the assembled word, and a structure map inserted as an argument of the
+    cochain, signed by the full degree plus the reduced prefix.  Terms
+    longer than ``phi.max_length`` are never formed; skipping one sets
+    ``truncated``.  ``index`` is ``_structure_index(phi.cat)``, built here
+    when not given.
+    """
+    cat = phi.cat
+    _require_flat(cat)
+    top = phi.max_length
+    out = HCochain(cat, phi.parity + 1, top, truncated=phi.truncated)
+    rphi = reduced(phi.parity)
+    slots, ops = _structure_index(cat) if index is None else index
+
+    for (chainP, argsP), outsP in phi.table.items():
+        grow = len(argsP) - 1
+        for o, c in outsP.items():
+            for chainM, argsM, i, pre, outsM in slots.get(
+                    (chainP[0], chainP[-1], o), ()):
+                if len(argsM) + grow > top:
+                    out.truncated = True
+                    continue
+                sgn = sign_of(rphi * pre)
+                new_chain = chainM[:i + 1] + chainP[1:] + chainM[i + 2:]
+                new_args = argsM[:i] + argsP + argsM[i + 1:]
+                for o2, v in outsM.items():
+                    out.add(new_chain, new_args, o2, _signed(c * v, sgn))
+
     for (chainP, argsP), outsP in phi.table.items():
         pref = _arg_reduced_prefix(cat, chainP, argsP)
+        grow = len(argsP) - 1
         for i in range(len(argsP)):
             hits = ops.get((chainP[i], chainP[i + 1], argsP[i]))
             if not hits:
                 continue
             sgn = sign_of(phi.parity + pref[i])
             for chainM, argsM, v in hits:
+                if len(argsM) + grow > top:
+                    out.truncated = True
+                    continue
                 new_chain = chainP[:i + 1] + chainM[1:] + chainP[i + 2:]
                 new_args = argsP[:i] + argsM + argsP[i + 1:]
                 for o, w in outsP.items():
                     out.add(new_chain, new_args, o, _signed(v * w, sgn))
     return out
+
+
+def _elementary_columns(cat, elems, max_length):
+    """Differential of each elementary cochain in the ``max_length`` window,
+    as a vector, with one structure index for all of them."""
+    index = _structure_index(cat)
+    return [cochain_differential(elementary_cochain(cat, f, max_length),
+                                 index).as_vector()
+            for f in elems]
 
 
 def cochain_m2(phi: HCochain, psi: HCochain) -> HCochain:
@@ -719,39 +756,52 @@ def _columns(cat, top, side):
             cols[w] = b_word(cat, w)
     else:
         for p in (0, 1):
-            for f in iter_elementaries(cat, top, p):
-                basis[p].append(f)
-                cols[f] = cochain_differential(
-                    elementary_cochain(cat, f, top)).as_vector()
+            basis[p] = list(iter_elementaries(cat, top, p))
+        elems = basis[0] + basis[1]
+        cols = dict(zip(elems, _elementary_columns(cat, elems, top)))
     return basis, cols
 
 
-def _stable_dims(basis, diff, of_len, length, build):
-    """Per-parity dimension of the window-stable homology.
+def _stable_dims(basis, diff, of_len, windows, drop):
+    """Per-parity dimension of the window-stable homology at each window.
 
-    Cycles of the small window m = length - 2, minus the boundaries of the
-    build window that land inside it: the rank of the differential on the
-    build window minus the rank of its part sticking out of the small
-    window.  With arity-1 structure maps the build window is ``length``;
-    without them it is ``length - 1``, the differential strictly lowers
-    length and nothing sticks out.
+    At window N: cycles of the small window m = N - 2, minus the boundaries
+    of the build window that land inside it: the rank of the differential
+    on the build window minus the rank of its part sticking out of the
+    small window.  With arity-1 structure maps the build window is N;
+    without them (``drop`` = 1) it is N - 1, the differential strictly
+    lowers length and nothing sticks out.
+
+    One elimination per parity per call; every window reads ranks of its
+    length prefixes.  ``basis[p]`` is in length order, so the rows of every
+    small and build window are a prefix of the rows of the largest build
+    window, and one blocked elimination of those rows gives the rank of
+    each prefix.  Only the parts sticking out get eliminations of their own.
+    Returns ``({window: dims}, eliminators)``.
     """
-    m = length - 2
-    elims = []
-
-    def rank(rows):
-        blocks = blocked_rank(rows)
-        elims.extend(blocks)
-        return sum(el.rank for el in blocks)
-
-    cycles, bounds = {}, {}
+    top = max(windows) - drop
+    elims, rows, lens, pivots = [], {}, {}, {}
     for p in (0, 1):
-        small = [diff(e) for e in basis[p] if of_len(e) <= m]
-        full = [diff(e) for e in basis[p] if of_len(e) <= build]
-        cycles[p] = len(small) - rank(small)
-        bounds[p] = rank(full) - rank(
-            [{k: v for k, v in row.items() if of_len(k) > m} for row in full])
-    return {p: cycles[p] - bounds[1 - p] for p in (0, 1)}, elims
+        lens[p] = [x for x in map(of_len, basis[p]) if x <= top]
+        rows[p] = [diff(e) for e in basis[p][:len(lens[p])]]
+        blocks, pivots[p] = blocked_rank(rows[p])
+        elims.extend(blocks)
+
+    dims = {}
+    for n in windows:
+        m = n - 2
+        cycles, bounds = {}, {}
+        for p in (0, 1):
+            small = bisect.bisect_right(lens[p], m)
+            full = bisect.bisect_right(lens[p], n - drop)
+            cycles[p] = small - bisect.bisect_left(pivots[p], small)
+            blocks, out = blocked_rank(
+                [{k: v for k, v in row.items() if of_len(k) > m}
+                 for row in rows[p][:full]])
+            elims.extend(blocks)
+            bounds[p] = bisect.bisect_left(pivots[p], full) - len(out)
+        dims[n] = {p: cycles[p] - bounds[1 - p] for p in (0, 1)}
+    return dims, elims
 
 
 def _class_basis(cat, cols, sources, images, keep):
@@ -799,12 +849,9 @@ def homology(cat, length, side="chains", slack=0, want_basis=False
             for e, c in col.items():
                 rows.setdefault(e, {})[f] = c
         diff = lambda e: rows.get(e, {})
-    dims, elims = _stable_dims(basis, diff, of_len, length, length - drop)
-    previous = None
-    if length >= 4:
-        previous, prev_elims = _stable_dims(basis, diff, of_len, length - 2,
-                                            length - 2 - drop)
-        elims.extend(prev_elims)
+    windows = (length, length - 2) if length >= 4 else (length,)
+    at, elims = _stable_dims(basis, diff, of_len, windows, drop)
+    dims, previous = at[length], at.get(length - 2)
     stabilized = previous is not None and previous == dims
     representatives = None
     if want_basis:
@@ -893,9 +940,7 @@ def raise_length(phi: HCochain, target_length: int):
         target = cur - cup(cur, cur)
         if elems is None:
             elems = list(iter_elementaries(cat, budget, odd))
-            cols = [cochain_differential(
-                elementary_cochain(cat, f, budget)).as_vector()
-                for f in elems]
+            cols = _elementary_columns(cat, elems, budget)
         sol = solve_combination(cols, target.as_vector(),
                                 cat.field, cat.cutoff)
         if sol is None:

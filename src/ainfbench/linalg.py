@@ -16,7 +16,9 @@ so each block runs its own ``Eliminator`` and every residual is the one a
 single elimination over all rows would give.  A quotient eliminates only
 the blocks holding a numerator; blocks of denominators alone cannot touch
 a representative and are skipped, so the margins it reports cover only
-the blocks its answer depends on.
+the blocks its answer depends on.  A blocked rank also reports which
+rows installed a pivot, so one elimination gives the rank of every prefix
+of its rows.
 """
 
 from __future__ import annotations
@@ -87,11 +89,13 @@ class Eliminator:
             if c is None or c.is_zero():
                 row.pop(key, None)
                 continue
+            # subtract c * piv: negate once per pivot row, add per entry
+            c = -c
             piv = self.rows[i]
             for k, x in piv.items():
                 y = c * x
                 cur = row.get(k)
-                s = -y if cur is None else cur - y
+                s = y if cur is None else cur + y
                 if s.is_zero():
                     row.pop(k, None)
                 else:
@@ -195,8 +199,28 @@ def partition_rows(rows):
 
 
 def blocked_rank(rows):
-    """One Eliminator per support-connected cluster; ranks add up."""
-    return [matrix_rank(grp) for grp in partition_rows(rows)]
+    """One Eliminator per support-connected cluster; ranks add up.
+
+    Returns ``(eliminators, pivot_rows)``, where ``pivot_rows`` lists in
+    ascending order the positions of the rows that installed a pivot.
+    Each cluster meets its rows in input order, so the rows before
+    position k install exactly the pivots an elimination of ``rows[:k]``
+    alone would: its rank is the number of entries of ``pivot_rows``
+    below k, and one elimination gives the rank of every prefix.
+    """
+    # fresh copies, so identity marks a position even when the same row
+    # object is passed twice
+    rows = [dict(row) for row in rows]
+    where = {id(row): i for i, row in enumerate(rows)}
+    elims, pivot_rows = [], []
+    for grp in partition_rows(rows):
+        elim = Eliminator()
+        for row in grp:
+            if elim.insert(row)[0] is not None:
+                pivot_rows.append(where[id(row)])
+        elims.append(elim)
+    pivot_rows.sort()
+    return elims, pivot_rows
 
 
 def solve_combination(vectors, target, field, cutoff):

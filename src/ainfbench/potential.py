@@ -1085,7 +1085,7 @@ def _critical_points_impl(pot, cutoff, slack, root):
                 coords = ", ".join(root.format(c) for c in z0)
                 warnings.warn(
                     f"degenerate leading root ({coords}) at valuation "
-                    f"{tuple(u)} (multiplicity hint {hint}); not lifted",
+                    f"{_vec(u)} (multiplicity hint {hint}); not lifted",
                     DegenerateRootWarning,
                     stacklevel=3,
                 )

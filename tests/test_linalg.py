@@ -222,9 +222,20 @@ def test_blocked_rank_adds_up(seed=17):
                    if rng.random() < 0.8}
             rows.append({k: v for k, v in row.items() if not v.is_zero()})
     whole = matrix_rank([dict(r) for r in rows]).rank
-    blocks = blocked_rank([dict(r) for r in rows])
+    blocks, pivot_rows = blocked_rank([dict(r) for r in rows])
     assert len(blocks) >= 2
-    assert sum(el.rank for el in blocks) == whole
+    assert sum(el.rank for el in blocks) == whole == len(pivot_rows)
+    # every prefix's rank is read off the one elimination
+    for k in range(len(rows) + 1):
+        assert sum(1 for i in pivot_rows if i < k) == \
+            matrix_rank([dict(r) for r in rows[:k]]).rank
+
+
+def test_blocked_rank_marks_repeated_rows_apart():
+    row = vec(a="1", b="2")
+    blocks, pivot_rows = blocked_rank([row, vec(c="1"), row, vec(a="2")])
+    assert pivot_rows == [0, 1, 3]
+    assert [el.rank for el in blocks] == [2, 1]
 
 
 # -- blocked class-basis eliminations against one unblocked elimination ----

@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from ainfbench.novikov import (
     format_scalar,
 )
 from ainfbench.potential import (
+    DegenerateRootWarning,
     MomentPolytope,
     NovikovLaurentPolynomial,
     build_toric_potential,
@@ -363,6 +365,23 @@ def test_coordinate_invisible_below_cutoff_is_named():
         (Fraction(5, 3), (1, 1), 2), (Fraction(7, 2), (2, 0), -1)])
     with pytest.raises(InsufficientCutoff, match=r"coordinate y2 .*\(-7/2, 19/6\)"):
         critical_points(w, 3)
+
+
+def test_degenerate_cubic_is_skipped_and_not_morse():
+    # W = y^3/3 - y^2 + y has y dW/dy = y (y - 1)^2: one double root at
+    # y = 1, valuation 0, with singular Jacobian, and nothing to lift
+    w = NovikovLaurentPolynomial.make(Rationals(), 1, [
+        (0, (3,), Fraction(1, 3)), (0, (2,), -1), (0, (1,), 1)])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert critical_points(w, 4) == []
+    assert [c.category for c in caught] == [DegenerateRootWarning]
+    assert "degenerate leading root (1) at valuation (0) " \
+        in str(caught[0].message)
+    verdict = morse_count_check(w, 1, 4)
+    assert not verdict.matches
+    assert verdict.total == 1 and verdict.nondegenerate_count == 0
+    assert "not Morse" in verdict.message
 
 
 def test_morse_count_excludes_exterior_points():

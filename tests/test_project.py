@@ -1,6 +1,11 @@
-"""Every console script that pyproject.toml declares resolves to a callable."""
+"""pyproject.toml agrees with the package: every declared console script
+resolves to a callable, and the declared dependencies are exactly the
+third-party imports."""
 
+import ast
 import importlib
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,3 +22,26 @@ def test_console_scripts_import_to_callables():
         for part in attr.split("."):
             obj = getattr(obj, part)
         assert callable(obj), f"console script {name!r} -> {target}"
+
+
+def _third_party_imports():
+    """Top-level names imported by the package that are neither its own
+    nor in the standard library."""
+    names = set()
+    for path in (PYPROJECT.parent / "src" / "ainfbench").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names.update(a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+    return {n for n in names
+            if n != "ainfbench" and n not in sys.stdlib_module_names}
+
+
+def test_declared_dependencies_match_imports():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads(PYPROJECT.read_text())["project"]
+    declared = {re.split(r"[\s\[<>=!~;]", dep, maxsplit=1)[0]
+                .lower().replace("-", "_")
+                for dep in project.get("dependencies", [])}
+    assert _third_party_imports() == declared
