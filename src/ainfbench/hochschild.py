@@ -426,11 +426,11 @@ def cochain_differential(phi: HCochain, index=None) -> HCochain:
     slots, ops = _structure_index(cat) if index is None else index
 
     for (chainP, argsP), outsP in phi.table.items():
-        grow = len(argsP) - 1
+        s = len(argsP)
         for o, c in outsP.items():
             for chainM, argsM, i, pre, outsM in slots.get(
                     (chainP[0], chainP[-1], o), ()):
-                if len(argsM) + grow > top:
+                if len(argsM) + s - 1 > top:
                     out.truncated = True
                     continue
                 sgn = sign_of(rphi * pre)
@@ -441,14 +441,14 @@ def cochain_differential(phi: HCochain, index=None) -> HCochain:
 
     for (chainP, argsP), outsP in phi.table.items():
         pref = _arg_reduced_prefix(cat, chainP, argsP)
-        grow = len(argsP) - 1
-        for i in range(len(argsP)):
+        s = len(argsP)
+        for i in range(s):
             hits = ops.get((chainP[i], chainP[i + 1], argsP[i]))
             if not hits:
                 continue
             sgn = sign_of(phi.parity + pref[i])
             for chainM, argsM, v in hits:
-                if len(argsM) + grow > top:
+                if len(argsM) + s - 1 > top:
                     out.truncated = True
                     continue
                 new_chain = chainP[:i + 1] + chainM[1:] + chainP[i + 2:]
