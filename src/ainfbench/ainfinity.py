@@ -815,7 +815,6 @@ def deform_by_mc(alg: EnergyGradedAlgebra, rho, b_plus, object_name="L",
     w = _solve_unit_multiple(alg, curv)
     if w is None:
         raise StructureError("not weakly unobstructed at this b")
-    pairing = _floer_pairing_table(alg, object_name)
     cat = AInfCategory(
         alg.field,
         alg.cutoff,
@@ -823,7 +822,7 @@ def deform_by_mc(alg: EnergyGradedAlgebra, rho, b_plus, object_name="L",
         {(object_name, object_name): sp},
         ops,
         units={object_name: {alg.unit_label: alg.one()}},
-        pairing=pairing,
+        pairing={(object_name, object_name): _floer_pairing_table(alg)},
         cyclic_degree=alg.dimension,
         name=alg.name,
     )
@@ -840,14 +839,15 @@ def _solve_unit_multiple(alg, vec):
     return w
 
 
-def _floer_pairing_table(alg, object_name):
+def _floer_pairing_table(alg):
+    """The signed pairing of ``alg`` as a table {(la, lb): scalar}."""
     table = {}
     for la in alg.space.labels:
         for lb in alg.space.labels:
             c = alg.signed_pairing(la, lb)
             if not c.is_zero():
                 table[(la, lb)] = c
-    return {(object_name, object_name): table}
+    return table
 
 
 def divisor_element(alg: EnergyGradedAlgebra, rho, b_plus, eta_pairings):
@@ -912,18 +912,9 @@ def mc_family_category(alg: EnergyGradedAlgebra, rho, elements, names=None,
             if not m.is_zero():
                 ops[chain] = m
     units = {n: {alg.unit_label: alg.one()} for n in names}
-    pairing = {}
-    for a in names:
-        for b in names:
-            if hom[(a, b)].dim == 0 or hom[(b, a)].dim == 0:
-                continue
-            table = {}
-            for la in sp.labels:
-                for lb in sp.labels:
-                    c = alg.signed_pairing(la, lb)
-                    if not c.is_zero():
-                        table[(la, lb)] = c
-            pairing[(a, b)] = table
+    table = _floer_pairing_table(alg)
+    pairing = {(a, b): table for a in names for b in names
+               if hom[(a, b)].dim and hom[(b, a)].dim}
     return AInfCategory(
         alg.field, alg.cutoff, names, hom, ops,
         units=units, pairing=pairing, cyclic_degree=alg.dimension,

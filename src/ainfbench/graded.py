@@ -125,17 +125,24 @@ def koszul_sign(parities, permutation, use_reduced: bool = True) -> int:
 
 # -- sparse vectors --------------------------------------------------------
 
+def _acc(vec: dict, key, scalar):
+    """vec[key] += scalar, in place, dropping the entry if it cancels.
+
+    The one sparse accumulator: every sum of sparse entries goes through it
+    (``Eliminator`` rows keep their own in-place loop).
+    """
+    cur = vec.get(key)
+    cur = scalar if cur is None else cur + scalar
+    if cur.is_zero():
+        vec.pop(key, None)
+    else:
+        vec[key] = cur
+
+
 def vadd(a: dict, b: dict) -> dict:
     out = dict(a)
     for k, v in b.items():
-        if k in out:
-            s = out[k] + v
-            if s.is_zero():
-                del out[k]
-            else:
-                out[k] = s
-        else:
-            out[k] = v
+        _acc(out, k, v)
     return out
 
 
@@ -151,25 +158,7 @@ def vscale(c, v: dict) -> dict:
 def vacc(dst: dict, coeff, src: dict) -> None:
     """dst += coeff * src, in place."""
     for k, x in src.items():
-        y = coeff * x
-        if k in dst:
-            s = dst[k] + y
-            if s.is_zero():
-                del dst[k]
-            else:
-                dst[k] = s
-        elif not y.is_zero():
-            dst[k] = y
-
-
-def _acc(vec: dict, key, scalar):
-    """vec[key] += scalar, in place, dropping the entry if it cancels."""
-    cur = vec.get(key)
-    cur = scalar if cur is None else cur + scalar
-    if cur.is_zero():
-        vec.pop(key, None)
-    else:
-        vec[key] = cur
+        _acc(dst, k, coeff * x)
 
 
 def _signed(scalar, sgn: int):
@@ -218,14 +207,9 @@ class MultilinearMap:
     def add_entry(self, args, out, scalar) -> None:
         args = tuple(args)
         row = self.table.setdefault(args, {})
-        cur = row.get(out)
-        new = scalar if cur is None else cur + scalar
-        if new.is_zero():
-            row.pop(out, None)
-            if not row:
-                del self.table[args]
-        else:
-            row[out] = new
+        _acc(row, out, scalar)
+        if not row:
+            del self.table[args]
 
     def apply(self, args) -> dict:
         return dict(self.table.get(tuple(args), {}))
@@ -234,21 +218,13 @@ class MultilinearMap:
         """Multilinear extension to sparse vectors."""
         if len(vectors) != self.arity:
             raise StructureError("arity mismatch")
+        if not vectors:
+            return self.apply(())
         out: dict = {}
         def rec(k, prefix, coeff):
             if k == len(vectors):
                 row = self.table.get(tuple(prefix))
-                if not row:
-                    return
-                if coeff is None:
-                    for o, x in row.items():
-                        cur = out.get(o)
-                        s = x if cur is None else cur + x
-                        if s.is_zero():
-                            out.pop(o, None)
-                        else:
-                            out[o] = s
-                else:
+                if row:
                     vacc(out, coeff, row)
                 return
             for label, c in vectors[k].items():

@@ -164,18 +164,10 @@ class HCochain:
             self.truncated = True
             return
         key = (tuple(chain), tuple(args))
-        row = self.table.get(key)
-        if row is None:
-            row = {}
-            self.table[key] = row
-        cur = row.get(out)
-        cur = coeff if cur is None else cur + coeff
-        if cur.is_zero():
-            row.pop(out, None)
-            if not row:
-                del self.table[key]
-        else:
-            row[out] = cur
+        row = self.table.setdefault(key, {})
+        _acc(row, out, coeff)
+        if not row:
+            del self.table[key]
 
     def entry(self, chain, args) -> dict:
         return self.table.get((tuple(chain), tuple(args)), {})

@@ -117,7 +117,7 @@ def clifford_model(field, cutoff, q, name="clifford", object_name="T"):
             raise FixtureError("quadratic form matrix must be square")
     for i in range(n):
         for j in range(n):
-            if not field.eq(q[i][j], q[j][i]):
+            if q[i][j] != q[j][i]:
                 raise FixtureError("quadratic form matrix must be symmetric")
     words, sp = _clifford_space(n)
     cutoff = Fraction(cutoff)

@@ -1,4 +1,4 @@
-"""Truncated Novikov scalars over an exact (or float) coefficient field.
+"""Truncated Novikov scalars over an exact coefficient field.
 
 A scalar is a finite sum  sum_i  a_i * T^{e_i}  with strictly increasing
 rational exponents e_i and coefficients a_i in a coefficient field K.  Every
@@ -17,8 +17,7 @@ Coefficient fields:
 
 * ``Rationals``          -- exact Q, elements are ``fractions.Fraction``;
 * ``QuadraticField(d)``  -- exact Q(sqrt d) for a square-free integer d
-                            (d may be negative), elements are ``QuadExt``;
-* ``FloatComplex(eps)``  -- complex floats, equality means ``abs(x-y) < eps``.
+                            (d may be negative), elements are ``QuadExt``.
 
 The valuation ``val`` of a nonzero scalar is its least exponent; ``val(0)`` is
 ``math.inf``.  It obeys  val(a*b) = val(a)+val(b)  and
@@ -31,7 +30,6 @@ precision is preserved; the result records that as its own cutoff).
 
 from __future__ import annotations
 
-import cmath
 import math
 import re
 from dataclasses import dataclass
@@ -43,7 +41,6 @@ __all__ = [
     "QuadExt",
     "Rationals",
     "QuadraticField",
-    "FloatComplex",
     "NovikovScalar",
     "parse_scalar",
     "format_scalar",
@@ -208,8 +205,6 @@ def _squarefree_decompose(n: int) -> tuple[int, int]:
 class Rationals:
     """Exact rational coefficient field; elements are Fraction."""
 
-    kind = "q"
-
     def __repr__(self):
         return "Rationals()"
 
@@ -234,9 +229,6 @@ class Rationals:
     def is_zero(self, x) -> bool:
         return x == 0
 
-    def eq(self, x, y) -> bool:
-        return x == y
-
     def invert(self, x):
         if x == 0:
             raise ZeroDivisionError("inverting 0 in Q")
@@ -245,17 +237,12 @@ class Rationals:
     def sqrt(self, x):
         return _fraction_sqrt(Fraction(x))
 
-    def embed_complex(self, x) -> complex:
-        return complex(float(x))
-
     def format(self, x) -> str:
         return str(x)
 
 
 class QuadraticField:
     """Q adjoin sqrt(d), d a square-free integer (possibly negative)."""
-
-    kind = "q-sqrt"
 
     def __init__(self, d: int):
         s, k = _squarefree_decompose(d)
@@ -297,9 +284,6 @@ class QuadraticField:
     def is_zero(self, x) -> bool:
         return not x
 
-    def eq(self, x, y) -> bool:
-        return self.coerce(x) == self.coerce(y)
-
     def invert(self, x):
         return self.coerce(x).inverse()
 
@@ -332,9 +316,6 @@ class QuadraticField:
                     return QuadExt(p, q, d)
         return None
 
-    def embed_complex(self, x) -> complex:
-        return complex(self.coerce(x))
-
     def format(self, x) -> str:
         x = self.coerce(x)
         tok = f"s{self.d}"
@@ -346,66 +327,6 @@ class QuadraticField:
         sign = " + " if x.b > 0 else " - "
         mag = bpart.lstrip("-") if x.b < 0 else bpart
         return f"({x.a}{sign}{mag})"
-
-
-class FloatComplex:
-    """Complex floats with an explicit equality tolerance eps."""
-
-    kind = "float"
-
-    def __init__(self, eps: float = 1e-9):
-        if eps <= 0:
-            raise ValueError("eps must be positive")
-        self.eps = eps
-
-    def __repr__(self):
-        return f"FloatComplex(eps={self.eps})"
-
-    def __eq__(self, other):
-        return isinstance(other, FloatComplex) and other.eps == self.eps
-
-    def __hash__(self):
-        return hash(("float", self.eps))
-
-    @property
-    def zero(self):
-        return complex(0.0)
-
-    @property
-    def one(self):
-        return complex(1.0)
-
-    def coerce(self, x):
-        if isinstance(x, complex):
-            return x
-        if isinstance(x, (int, float, Fraction)):
-            return complex(float(x))
-        if isinstance(x, QuadExt):
-            return complex(x)
-        raise NotRepresentable(f"cannot coerce {x!r} into C")
-
-    def is_zero(self, x) -> bool:
-        return abs(x) < self.eps
-
-    def eq(self, x, y) -> bool:
-        return abs(self.coerce(x) - self.coerce(y)) < self.eps
-
-    def invert(self, x):
-        if self.is_zero(x):
-            raise ZeroDivisionError("inverting ~0 in float field")
-        return 1.0 / x
-
-    def sqrt(self, x):
-        return cmath.sqrt(self.coerce(x))
-
-    def embed_complex(self, x) -> complex:
-        return self.coerce(x)
-
-    def format(self, x) -> str:
-        x = self.coerce(x)
-        if x.imag == 0:
-            return repr(x.real)
-        return "(" + repr(x).strip("()") + ")"
 
 
 class NovikovScalar:
@@ -681,8 +602,7 @@ class NovikovScalar:
         o = self._coerce_other(other)
         if o is None:
             return NotImplemented
-        diff = self - o
-        return all(self.field.is_zero(c) for _, c in diff.terms)
+        return not (self - o).terms
 
     def __ne__(self, other):
         r = self.__eq__(other)
@@ -707,7 +627,7 @@ class NovikovScalar:
 # --------------------------------------------------------------------------
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<sq>s-?\d+)|(?P<num>\d+(?:\.\d+)?(?:[eE]-?\d+)?j?)"
+    r"\s*(?:(?P<sq>s-?\d+)|(?P<num>\d+(?:\.\d+)?(?:[eE]-?\d+)?)"
     r"|(?P<T>T)|(?P<op>[()+\-*/^]))"
 )
 
@@ -830,25 +750,21 @@ class _Parser:
             self.next()
             sign = -1
         k, v = self.next()
-        if k != "num" or "j" in v or "." in v:
+        if k != "num" or "." in v:
             raise ValueError("exponents must be rational")
         num = int(v)
         k, vv = self.peek()
         if k == "op" and vv == "/":
             self.next()
             k2, v2 = self.next()
-            if k2 != "num" or "j" in v2 or "." in v2:
+            if k2 != "num" or "." in v2:
                 raise ValueError("exponents must be rational")
             return Fraction(sign * num, int(v2))
         return Fraction(sign * num)
 
     def _num(self, text: str):
-        if text.endswith("j"):
-            return self.field.coerce(complex(0.0, float(text[:-1])))
-        if "." in text or "e" in text or "E" in text:
-            return self.field.coerce(Fraction(text) if not isinstance(self.field, FloatComplex) else float(text))
-        # integer; a following '/' is consumed by parse_term as division
-        return self.field.coerce(int(text))
+        # decimals stay exact; a following '/' is consumed by parse_term
+        return self.field.coerce(Fraction(text))
 
 
 def parse_scalar(text: str, field, cutoff) -> NovikovScalar:

@@ -249,10 +249,7 @@ class NovikovLaurentPolynomial:
             return NotImplemented
         if self.field != other.field or self.nvars != other.nvars:
             return False
-        if set(self._terms) != set(other._terms):
-            return False
-        eq = self.field.eq
-        return all(eq(c, other._terms[k]) for k, c in self._terms.items())
+        return self._terms == other._terms
 
     def __hash__(self):
         raise TypeError("NovikovLaurentPolynomial is unhashable")
@@ -492,7 +489,7 @@ class _Poly:
 
     def embed(self):
         """Coefficients as complex numbers, constant term first."""
-        return [self.field.embed_complex(c) for c in self.coeffs]
+        return [complex(c) for c in self.coeffs]
 
     def __repr__(self):
         return f"<poly deg {self.degree}>"
@@ -670,26 +667,6 @@ def _roots_exact_tail(p: _Poly):
     return found
 
 
-def _float_roots(p: _Poly):
-    # float field: cluster numeric roots; cluster size doubles as multiplicity
-    field = p.field
-    rts = _numeric_roots(p)
-    out = []
-    used = [False] * len(rts)
-    for i, z in enumerate(rts):
-        if used[i]:
-            continue
-        cluster = [z]
-        used[i] = True
-        for j in range(i + 1, len(rts)):
-            if not used[j] and abs(rts[j] - z) < 1e-6 * (1 + abs(z)):
-                cluster.append(rts[j])
-                used[j] = True
-        mean = sum(cluster) / len(cluster)
-        out.append((field.coerce(mean), len(cluster)))
-    return out
-
-
 def _exact_roots(p: _Poly):
     """All roots of p in the coefficient field, with multiplicities.
 
@@ -699,19 +676,13 @@ def _exact_roots(p: _Poly):
     field = p.field
     if p.degree <= 0:
         return []
-    if not hasattr(field, "eps"):
-        if p.degree == 1:
-            return _roots_linear(p)
-        if p.degree == 2:
-            return _roots_quadratic(p)
-        radical, _ = p.divmod(_poly_gcd(p, p.derivative()))
-        roots = _roots_exact_tail(radical.monic())
-        out = []
-        for root in roots:
-            _, m = _multiplicity(p, root)
-            out.append((root, m))
-    else:
-        out = _float_roots(p)
+    if p.degree == 1:
+        return _roots_linear(p)
+    if p.degree == 2:
+        return _roots_quadratic(p)
+    radical, _ = p.divmod(_poly_gcd(p, p.derivative()))
+    out = [(root, _multiplicity(p, root)[1])
+           for root in _roots_exact_tail(radical.monic())]
     out.sort(key=lambda rm: field.format(rm[0]))
     return out
 
@@ -1244,9 +1215,6 @@ class MomentPolytope:
 
     def supports(self, u):
         return tuple(self.support(u, i) for i in range(len(self.rays)))
-
-    def contains(self, u) -> bool:
-        return all(s >= 0 for s in self.supports(u))
 
     def __repr__(self):
         return (

@@ -13,6 +13,7 @@ from ainfbench.graded import (
     reduced_sum,
     sign_of,
     v_is_zero,
+    vacc,
     vadd,
     vector_parity,
     vscale,
@@ -132,6 +133,9 @@ def test_vector_helpers():
     s = vadd(v, w)
     assert "a" not in s and s["b"] == sc("T")
     assert v_is_zero(vadd(v, vscale(sc("-1"), v)))
+    u = {"a": sc("1"), "b": sc("T")}
+    vacc(u, sc("-2"), {"a": sc("1/2"), "c": sc("T^2")})
+    assert set(u) == {"b", "c"} and u["c"] == sc("-2*T^2")
     sp = GradedSpace(("a", "b"), (0, 0))
     assert vector_parity(sp, v) == 0
     sp2 = GradedSpace(("a", "b"), (0, 1))

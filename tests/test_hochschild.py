@@ -173,6 +173,21 @@ def class_coordinates(cat, reps, vec, length):
     return None if sol is None else sol[:len(reps)]
 
 
+def test_hcochain_add_prunes_cancelled_and_overlong_entries():
+    cat = cl1()
+    x = cat.objects[0]
+    u, v = cat.hom_space(x, x).labels[:2]
+    phi = HCochain(cat, 0, 1)
+    phi.add((x, x), (v,), u, const(2))
+    phi.add((x, x), (v,), v, const(1))
+    phi.add((x, x), (v,), u, const(-2))
+    assert phi.entry((x, x), (v,)) == {v: const(1)}
+    phi.add((x, x), (v,), v, const(-1))
+    assert phi.table == {} and not phi.truncated
+    phi.add((x, x, x), (v, v), u, const(1))
+    assert phi.is_zero() and phi.truncated
+
+
 # -- differentials ---------------------------------------------------------
 
 def test_unit_cochain_is_closed():

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from ainfbench.errors import FieldMismatch, InsufficientCutoff, NotRepresentable
 from ainfbench.novikov import (
-    FloatComplex,
     NovikovScalar,
     QuadExt,
     QuadraticField,
@@ -255,17 +254,15 @@ def test_quadraticfield_rejects_bad_d():
         QuadraticField(1)
 
 
-# -- float field -----------------------------------------------------------
+# -- float operands --------------------------------------------------------
 
-def test_float_field_eps_equality():
-    F = FloatComplex(eps=1e-9)
-    a = NovikovScalar.make(F, E, [(0, 1.0), (1, 2.0)])
-    b = NovikovScalar.make(F, E, [(0, 1.0 + 1e-12), (1, 2.0)])
-    assert a == b
-    inv = a.invert()
-    assert a * inv == NovikovScalar.one(F, E)
-    c = NovikovScalar.make(F, E, [(0, complex(0, 1))])
-    assert c * c == NovikovScalar.constant(F, E, -1.0)
+@pytest.mark.parametrize("field", [Q, Q5])
+def test_float_operands_are_not_representable(field):
+    x = NovikovScalar.monomial(field, E, 1)
+    with pytest.raises(NotRepresentable):
+        x + 0.5
+    with pytest.raises(NotRepresentable):
+        x * 1j
 
 
 # -- literal syntax --------------------------------------------------------
@@ -304,11 +301,10 @@ def test_format_parse_round_trip(x):
     assert parse_scalar(format_scalar(x), Q, E) == x
 
 
-def test_literal_float_complex():
-    F = FloatComplex(1e-9)
-    x = parse_scalar("(1.5+2j)*T^2", F, E)
-    assert x.coefficient(2) == complex(1.5, 2)
-    assert parse_scalar(format_scalar(x), F, E) == x
+def test_decimal_literals_are_exact():
+    assert format_scalar(parse_scalar("1.5*T", Q, E)) == "3/2*T"
+    assert parse_scalar("2.5e-1", Q, E) == nov([(0, Fraction(1, 4))])
+    assert format_scalar(parse_scalar("0.5*s5", Q5, E)) == "1/2*s5"
 
 
 def test_literal_errors():
@@ -316,6 +312,8 @@ def test_literal_errors():
         parse_scalar("s5*T", Q, E)
     with pytest.raises(ValueError):
         parse_scalar("T^^2", Q, E)
+    with pytest.raises(ValueError):
+        parse_scalar("2j", Q, E)
     with pytest.raises(ValueError):
         parse_scalar("1 + ", Q, E)
 

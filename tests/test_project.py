@@ -1,14 +1,17 @@
 """pyproject.toml agrees with the package: every declared console script
-resolves to a callable, and the declared dependencies are exactly the
-third-party imports."""
+resolves to a callable, the declared dependencies are exactly the
+third-party imports, and every name a module exports exists."""
 
 import ast
 import importlib
+import pkgutil
 import re
 import sys
 from pathlib import Path
 
 import pytest
+
+import ainfbench
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
@@ -45,3 +48,11 @@ def test_declared_dependencies_match_imports():
                 .lower().replace("-", "_")
                 for dep in project.get("dependencies", [])}
     assert _third_party_imports() == declared
+
+
+def test_module_exports_resolve():
+    for info in pkgutil.iter_modules(ainfbench.__path__):
+        module = importlib.import_module(f"ainfbench.{info.name}")
+        missing = [n for n in getattr(module, "__all__", ())
+                   if not hasattr(module, n)]
+        assert not missing, f"{module.__name__}.__all__ names {missing}"
