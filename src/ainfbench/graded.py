@@ -30,9 +30,7 @@ __all__ = [
     "MultilinearMap",
     "sign_of",
     "reduced",
-    "reduced_sum",
     "koszul_sign",
-    "contract",
     "vadd",
     "vscale",
     "vacc",
@@ -94,14 +92,6 @@ class GradedSpace:
         if self.zdegrees is None:
             raise StructureError("space carries no integer degrees")
         return self.zdegrees[self.labels.index(label)]
-
-
-def reduced_sum(space_parities) -> int:
-    """Sum of reduced parities of a list of (unreduced) parities, mod 2."""
-    s = 0
-    for p in space_parities:
-        s += reduced(p)
-    return s & 1
 
 
 def koszul_sign(parities, permutation, use_reduced: bool = True) -> int:
@@ -249,67 +239,9 @@ class MultilinearMap:
     def is_zero(self) -> bool:
         return all(all(x.is_zero() for x in row.values()) for row in self.table.values())
 
-    def __add__(self, other):
-        if (self.sources, self.target, self.parity) != (
-            other.sources, other.target, other.parity
-        ):
-            raise StructureError("adding incompatible multilinear maps")
-        out = MultilinearMap(self.sources, self.target, self.parity)
-        for args, row in self.table.items():
-            for o, x in row.items():
-                out.add_entry(args, o, x)
-        for args, row in other.table.items():
-            for o, x in row.items():
-                out.add_entry(args, o, x)
-        return out
-
-    def scale(self, c) -> "MultilinearMap":
-        out = MultilinearMap(self.sources, self.target, self.parity)
-        for args, row in self.table.items():
-            for o, x in row.items():
-                y = c * x
-                if not y.is_zero():
-                    out.add_entry(args, o, y)
-        return out
-
     def __repr__(self):
         return (
             f"MultilinearMap(arity={self.arity}, parity={self.parity}, "
             f"entries={sum(len(r) for r in self.table.values())})"
         )
 
-
-def contract(f: MultilinearMap, position: int, g: MultilinearMap) -> MultilinearMap:
-    """Insert g into slot ``position`` of f with the structural prefix sign.
-
-    The result evaluates as
-        (x_1,...,x_n) |-> (-1)^{|x_1|'+...+|x_p|'} f(x_1,...,x_p, g(...), ...)
-    where p = ``position``, matching the sign convention of the structural
-    relations (the inserted operation is weighed by the reduced parities of
-    the arguments standing before it).
-    """
-    if not 0 <= position < f.arity:
-        raise StructureError("contract position out of range")
-    if f.sources[position] is not g.target and f.sources[position] != g.target:
-        raise StructureError("slot space does not match g.target")
-    sources = f.sources[:position] + g.sources + f.sources[position + 1:]
-    h = MultilinearMap(sources, f.target, (f.parity + g.parity) & 1)
-    for fargs, frow in f.table.items():
-        slot = fargs[position]
-        prefix = fargs[:position]
-        e = 0
-        for a, sp in zip(prefix, f.sources[:position]):
-            e += reduced(sp.parity(a))
-        sgn = sign_of(e)
-        for gargs, grow in g.table.items():
-            c = grow.get(slot)
-            if c is None or c.is_zero():
-                continue
-            new_args = prefix + gargs + fargs[position + 1:]
-            for out, x in frow.items():
-                val = x * c
-                if sgn < 0:
-                    val = -val
-                if not val.is_zero():
-                    h.add_entry(new_args, out, val)
-    return h

@@ -6,6 +6,9 @@ is as small as possible, and every pivot valuation is recorded so a rank can
 be *certified*: if all pivots sit well below the cutoff, the computed rank is
 stable under refining the truncation.
 
+One engine, ``Eliminator``, does every rank, kernel, quotient and square
+solve of the package.
+
 Rows are sparse dicts ``{column key: NovikovScalar}``.  Column keys are
 arbitrary hashable objects; keys eligible as pivots must be mutually
 comparable (used only to break valuation ties deterministically).
@@ -26,7 +29,6 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .errors import StructureError
 from .novikov import NovikovScalar
 
 __all__ = [
@@ -38,8 +40,6 @@ __all__ = [
     "solve_combination",
     "kernel_coefficients",
     "quotient_representatives",
-    "dense_solve",
-    "dense_inverse",
 ]
 
 
@@ -50,10 +50,6 @@ class AugKey:
     i: int
 
 
-def _default_pivotable(key) -> bool:
-    return not isinstance(key, AugKey)
-
-
 class Eliminator:
     """Incremental Gaussian elimination in echelon form.
 
@@ -62,8 +58,7 @@ class Eliminator:
     worklist pass in installation order.
     """
 
-    def __init__(self, pivotable=None):
-        self.pivotable = pivotable if pivotable is not None else _default_pivotable
+    def __init__(self):
         self.rows: list[dict] = []
         self.pivot_keys: list = []
         self.pivot_valuations: list = []
@@ -112,12 +107,12 @@ class Eliminator:
 
         Returns ``(pivot_key, residual)``; ``pivot_key`` is None when the
         residual has no usable pivot column (it may still be nonzero on
-        non-pivotable keys).
+        ``AugKey`` columns, which never pivot).
         """
         res = self.reduce(row)
         best = None
         for k, v in res.items():
-            if v.is_zero() or not self.pivotable(k):
+            if v.is_zero() or isinstance(k, AugKey):
                 continue
             cand = (v.valuation(), k)
             if best is None or cand < best:
@@ -151,8 +146,8 @@ class Eliminator:
         return m is None or m > slack
 
 
-def matrix_rank(rows, pivotable=None) -> Eliminator:
-    elim = Eliminator(pivotable)
+def matrix_rank(rows) -> Eliminator:
+    elim = Eliminator()
     for row in rows:
         elim.insert(row)
     return elim
@@ -227,7 +222,10 @@ def solve_combination(vectors, target, field, cutoff):
     """Coefficients c with sum(c_i * vectors_i) = target, or None.
 
     Works over the truncated scalars: equality means equality below the
-    cutoffs that survive the elimination.
+    cutoffs that survive the elimination.  ``cutoff`` only sets the unit
+    of the ``AugKey`` bookkeeping columns.  A consistent system whose
+    vectors are dependent still returns one solution, so a caller that
+    needs it unique (a square solve) checks the rank.
     """
     elim = Eliminator()
     one = NovikovScalar.one(field, cutoff)
@@ -297,55 +295,3 @@ def quotient_representatives(numerators, denominators):
                 found[index[id(row)]] = res
         elims.append(elim)
     return [found[i] for i in sorted(found)], elims
-
-
-# -- small dense systems ---------------------------------------------------
-
-def dense_solve(matrix, rhs):
-    """Solve a small square system by elimination with valuation pivoting.
-
-    ``matrix`` is a list of rows of NovikovScalar, ``rhs`` a list of
-    NovikovScalar (or a list of such lists for several right-hand sides).
-    Raises StructureError when the matrix is singular to working precision.
-    """
-    n = len(matrix)
-    if any(len(r) != n for r in matrix):
-        raise StructureError("dense_solve expects a square matrix")
-    multi = bool(rhs) and isinstance(rhs[0], list)
-    b = [list(r) for r in rhs] if multi else [[x] for x in rhs]
-    if len(b) != n:
-        raise StructureError("right-hand side length mismatch")
-    a = [list(r) for r in matrix]
-    for col in range(n):
-        piv, pval = None, None
-        for r in range(col, n):
-            x = a[r][col]
-            if x.is_zero():
-                continue
-            v = x.valuation()
-            if pval is None or v < pval:
-                piv, pval = r, v
-        if piv is None:
-            raise StructureError("singular matrix (to working precision)")
-        a[col], a[piv] = a[piv], a[col]
-        b[col], b[piv] = b[piv], b[col]
-        inv = a[col][col].invert()
-        a[col] = [inv * x for x in a[col]]
-        b[col] = [inv * x for x in b[col]]
-        for r in range(n):
-            if r == col:
-                continue
-            f = a[r][col]
-            if f.is_zero():
-                continue
-            a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-            b[r] = [x - f * y for x, y in zip(b[r], b[col])]
-    return b if multi else [row[0] for row in b]
-
-
-def dense_inverse(matrix, field, cutoff):
-    n = len(matrix)
-    one = NovikovScalar.one(field, cutoff)
-    zero = NovikovScalar.zero(field, cutoff)
-    eye = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    return dense_solve(matrix, eye)

@@ -19,7 +19,7 @@ from .errors import StructureError
 from .graded import _acc, _signed, reduced, sign_of
 from .hochschild import (HCochain, _word_prefixes, b11, chain_parity,
                          word_parity)
-from .linalg import dense_inverse
+from .linalg import solve_combination
 from .novikov import NovikovScalar
 
 __all__ = [
@@ -101,22 +101,24 @@ class DualBasisTable:
                 raise StructureError(
                     f"singular Gram matrix at ({x!r}, {y!r}): "
                     f"dimensions {basis.dim} and {partner.dim} differ")
+            # row r pairs partner label r against every basis label; the
+            # dual of basis label a is the combination of rows giving e_a
             gram = [
-                [cat.pair(y, x, {row: one}, {col: one})
-                 for col in basis.labels]
+                {col: cat.pair(y, x, {row: one}, {col: one})
+                 for col in basis.labels}
                 for row in partner.labels
             ]
-            try:
-                inv = dense_inverse(gram, cat.field, cat.cutoff)
-            except StructureError as exc:
-                raise StructureError(
-                    f"singular Gram matrix at ({x!r}, {y!r})") from exc
-            self.duals[(x, y)] = [
-                {row: inv[a][r]
-                 for r, row in enumerate(partner.labels)
-                 if not inv[a][r].is_zero()}
-                for a in range(basis.dim)
-            ]
+            duals = []
+            for col in basis.labels:
+                coeffs = solve_combination(
+                    gram, {col: one}, cat.field, cat.cutoff)
+                if coeffs is None:
+                    raise StructureError(
+                        f"singular Gram matrix at ({x!r}, {y!r})")
+                duals.append({row: c
+                              for row, c in zip(partner.labels, coeffs)
+                              if not c.is_zero()})
+            self.duals[(x, y)] = duals
 
     def dual(self, x, y, index: int) -> dict:
         """Dual of the index-th basis element of Hom(x,y), in Hom(y,x)."""

@@ -41,7 +41,7 @@ from .errors import (
     NotRepresentable,
     StructureError,
 )
-from .linalg import dense_solve
+from .linalg import solve_combination
 from .novikov import (
     NovikovScalar,
     QuadraticField,
@@ -122,18 +122,26 @@ def _frac_solve(rows, rhs):
 
 
 def _det(mat):
-    """Determinant by cofactor expansion (the matrices here are tiny)."""
+    """Determinant over a commutative ring, by cofactor expansion.
+
+    The matrices here are tiny.  Exact zeros of the expanded row are
+    skipped, which keeps the sparse Sylvester eliminants cheap; when the
+    whole row is zero its first entry is the determinant.  A Novikov zero
+    is O(T^c), not exact: its piece carries that error into the cutoff.
+    """
     n = len(mat)
     if n == 1:
         return mat[0][0]
     out = None
-    for j in range(n):
+    for j, entry in enumerate(mat[0]):
+        if not entry and not isinstance(entry, NovikovScalar):
+            continue
         minor = [row[:j] + row[j + 1:] for row in mat[1:]]
-        piece = mat[0][j] * _det(minor)
+        piece = entry * _det(minor)
         if j % 2:
             piece = -piece
         out = piece if out is None else out + piece
-    return out
+    return out if out is not None else mat[0][0]
 
 
 # -- Laurent polynomials ---------------------------------------------------
@@ -417,6 +425,9 @@ class _Poly:
     def is_zero(self):
         return not self.coeffs
 
+    def __bool__(self):
+        return bool(self.coeffs)
+
     @property
     def degree(self):
         return len(self.coeffs) - 1
@@ -517,24 +528,6 @@ def _strip_origin(p: _Poly):
     while k < len(coeffs) and field.is_zero(coeffs[k]):
         k += 1
     return _Poly(field, coeffs[k:]), k
-
-
-def _ring_det(mat):
-    """Determinant over a commutative ring, by expansion (tiny sizes)."""
-    n = len(mat)
-    if n == 1:
-        return mat[0][0]
-    out = None
-    for j in range(n):
-        entry = mat[0][j]
-        if entry.is_zero():
-            continue
-        minor = [row[:j] + row[j + 1:] for row in mat[1:]]
-        piece = entry * _ring_det(minor)
-        if j % 2:
-            piece = -piece
-        out = piece if out is None else out + piece
-    return out if out is not None else _Poly.zero(mat[0][0].field)
 
 
 # -- exact root extraction -------------------------------------------------
@@ -836,7 +829,7 @@ def _solve_leading_two(leads, field, root):
             for s, ms in _exact_roots(g):
                 sols.append(((r, s), ms))
         return sols
-    elim = _ring_det(_sylvester(cols1, cols2, field))
+    elim = _det(_sylvester(cols1, cols2, field))
     if elim.is_zero():
         raise StructureError(
             "positive-dimensional leading system: the leading curves share "
@@ -977,7 +970,16 @@ def _lift_point(pot, u, mus, z0, cutoff, slack, field):
             [unshift[i] * derivative(table, i, j) for j in range(n)]
             for i in range(n)
         ]
-        corr = dense_solve(jac, res)
+        # critical_points lifts only roots whose leading Jacobian is
+        # invertible, so a singular Jacobian here is a broken invariant
+        corr = solve_combination(
+            [{i: jac[i][j] for i in range(n)} for j in range(n)],
+            dict(enumerate(res)), field, work)
+        if corr is None:
+            raise StructureError(
+                "Newton step has a singular Jacobian; the leading root "
+                "appears degenerate"
+            )
         z = [z[j] - z[j] * corr[j] for j in range(n)]
     else:
         raise StructureError("Newton lifting did not terminate")

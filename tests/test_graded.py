@@ -1,4 +1,3 @@
-import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,10 +6,8 @@ from ainfbench.errors import StructureError
 from ainfbench.graded import (
     GradedSpace,
     MultilinearMap,
-    contract,
     koszul_sign,
     reduced,
-    reduced_sum,
     sign_of,
     v_is_zero,
     vacc,
@@ -38,8 +35,6 @@ def test_sign_of():
 def test_reduced():
     assert reduced(0) == 1
     assert reduced(1) == 0
-    assert reduced_sum([0, 0, 1]) == 0
-    assert reduced_sum([0, 1, 1]) == 1
 
 
 # -- koszul_sign -----------------------------------------------------------
@@ -188,108 +183,3 @@ def test_apply_to_vectors_arity_zero():
     m = MultilinearMap((), sp, parity=0)
     m.add_entry((), "u", sc("T^2"))
     assert m.apply_to_vectors([]) == {"u": sc("T^2")}
-
-
-def test_map_addition_and_scaling():
-    sp = two_dim_space()
-    a = MultilinearMap((sp,), sp, parity=1)
-    a.add_entry(("u",), "x", sc("1"))
-    b = MultilinearMap((sp,), sp, parity=1)
-    b.add_entry(("u",), "x", sc("2"))
-    b.add_entry(("x",), "u", sc("T"))
-    s = a + b
-    assert s.apply(("u",)) == {"x": sc("3")}
-    assert s.apply(("x",)) == {"u": sc("T")}
-    assert a.scale(sc("-2")).apply(("u",)) == {"x": sc("-2")}
-    with pytest.raises(StructureError):
-        a + MultilinearMap((sp,), sp, parity=0)
-
-
-# -- contract and the differential Leibniz pattern -------------------------
-
-
-def random_map(rng, sp, arity, parity):
-    m = MultilinearMap((sp,) * arity, sp, parity)
-    for args in _tuples(sp.labels, arity):
-        pin = sum(sp.parity(a) for a in args)
-        for out in sp.labels:
-            if sp.parity(out) != (pin + parity) % 2:
-                continue
-            c = rng.randint(-2, 2)
-            if c:
-                m.add_entry(args, out, sc(str(c)))
-    return m
-
-
-def _tuples(labels, arity):
-    if arity == 0:
-        yield ()
-        return
-    for rest in _tuples(labels, arity - 1):
-        for l in labels:
-            yield (l,) + rest
-
-
-def test_contract_prefix_sign_against_direct_sum():
-    # sum_i contract(m2, i, m1) evaluated on basis pairs must equal the
-    # hand-rolled Leibniz expression with reduced prefix weights
-    rng = random.Random(7)
-    sp = two_dim_space()
-    m1 = random_map(rng, sp, 1, 1)
-    m2 = random_map(rng, sp, 2, 1)
-    total = contract(m2, 0, m1) + contract(m2, 1, m1)
-    for a in sp.labels:
-        for b in sp.labels:
-            expect = {}
-            # insert at slot 0: no prefix
-            for o, c in m1.apply((a,)).items():
-                for o2, c2 in m2.apply((o, b)).items():
-                    _acc(expect, o2, c2 * c)
-            # insert at slot 1: prefix is a, weight (-1)^{|a|'}
-            sgn = sign_of(reduced(sp.parity(a)))
-            for o, c in m1.apply((b,)).items():
-                for o2, c2 in m2.apply((a, o)).items():
-                    v = c2 * c
-                    _acc(expect, o2, v if sgn > 0 else -v)
-            got = total.apply((a, b))
-            assert _veq(got, expect), (a, b, got, expect)
-
-
-def _acc(d, k, v):
-    cur = d.get(k)
-    s = v if cur is None else cur + v
-    if s.is_zero():
-        d.pop(k, None)
-    else:
-        d[k] = s
-
-
-def _veq(a, b):
-    return v_is_zero(vadd(a, vscale(sc("-1"), b)))
-
-
-def test_contract_parity_and_sources():
-    sp = two_dim_space()
-    other = GradedSpace(("p",), (0,))
-    f = MultilinearMap((sp, other, sp), sp, parity=1)
-    g = MultilinearMap((sp, sp), other, parity=0)
-    f.add_entry(("x", "p", "u"), "u", sc("1"))
-    g.add_entry(("u", "x"), "p", sc("2"))
-    h = contract(f, 1, g)
-    assert h.sources == (sp, sp, sp, sp)
-    assert h.parity == 1
-    # prefix "x" is odd, reduced even: sign +1
-    assert h.apply(("x", "u", "x", "u")) == {"u": sc("2")}
-    f2 = MultilinearMap((sp, sp), sp, parity=1)
-    f2.add_entry(("u", "x"), "x", sc("1"))
-    # wrong slot space
-    with pytest.raises(StructureError):
-        contract(f2, 0, MultilinearMap((sp,), GradedSpace(("q",), (1,)), 0))
-    with pytest.raises(StructureError):
-        contract(f2, 2, g)
-    # prefix "u" is even, reduced odd: sign -1
-    g2 = MultilinearMap((sp,), sp, parity=0)
-    g2.add_entry(("x",), "x", sc("1"))
-    h3 = contract(f2, 1, g2)
-    assert h3.apply(("u", "x")) == {"x": sc("-1")}
-    assert h3.parity == 1

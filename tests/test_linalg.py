@@ -3,13 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from ainfbench.errors import StructureError
 from ainfbench.linalg import (
     AugKey,
     Eliminator,
     blocked_rank,
-    dense_inverse,
-    dense_solve,
     kernel_coefficients,
     matrix_rank,
     partition_rows,
@@ -151,14 +148,20 @@ def test_augkey_never_pivots():
     assert elim.rank == 0
 
 
+def _columns(matrix):
+    """The columns of a dense square matrix as sparse vectors over rows."""
+    n = len(matrix)
+    return [{i: matrix[i][j] for i in range(n)} for j in range(n)]
+
+
 def test_dense_solve_roundtrip():
     a = [[sc("2"), sc("1")], [sc("1"), sc("1 + T")]]
     x = [sc("3"), sc("T^2")]
-    b = [
-        a[0][0] * x[0] + a[0][1] * x[1],
-        a[1][0] * x[0] + a[1][1] * x[1],
-    ]
-    got = dense_solve(a, b)
+    b = {
+        0: a[0][0] * x[0] + a[0][1] * x[1],
+        1: a[1][0] * x[0] + a[1][1] * x[1],
+    }
+    got = solve_combination(_columns(a), b, Q, E)
     assert got[0] == x[0].truncate(got[0].cutoff)
     assert got[1] == x[1].truncate(got[1].cutoff)
 
@@ -166,23 +169,27 @@ def test_dense_solve_roundtrip():
 def test_dense_solve_needs_valuation_pivoting():
     # naive first-column pivot would invert T^4 and lose most precision
     a = [[sc("T^4"), sc("1")], [sc("1"), sc("0")]]
-    b = [sc("1"), sc("0")]
-    got = dense_solve(a, b)
+    got = solve_combination(_columns(a), {0: sc("1")}, Q, E)
     assert got[0].is_zero()
     assert got[1] == sc("1").truncate(got[1].cutoff)
+    assert got[1].cutoff == E
 
 
 def test_dense_solve_singular():
     a = [[sc("1"), sc("1")], [sc("2"), sc("2")]]
-    with pytest.raises(StructureError):
-        dense_solve(a, [sc("1"), sc("1")])
+    assert solve_combination(_columns(a), {0: sc("1"), 1: sc("1")}, Q, E) \
+        is None
 
 
 def test_dense_inverse():
     a = [[sc("1"), sc("T")], [sc("0"), sc("1")]]
-    inv = dense_inverse(a, Q, E)
-    assert inv[0][1] == sc("-T").truncate(inv[0][1].cutoff)
-    prod00 = a[0][0] * inv[0][0] + a[0][1] * inv[1][0]
+    one = NovikovScalar.one(Q, E)
+    inv = [solve_combination(_columns(a), {i: one}, Q, E) for i in range(2)]
+    # inv[i] is column i of the inverse
+    assert inv[1][0] == sc("-T").truncate(inv[1][0].cutoff)
+    assert inv[1][1] == one.truncate(inv[1][1].cutoff)
+    assert inv[0][1].is_zero()
+    prod00 = a[0][0] * inv[0][0] + a[0][1] * inv[0][1]
     assert prod00 == NovikovScalar.one(Q, prod00.cutoff)
 
 

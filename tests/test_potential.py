@@ -20,6 +20,7 @@ from ainfbench.potential import (
     hessian,
     morse_count_check,
     u_of_c,
+    _lift_point,
 )
 
 SQUARE_RAYS = [(1, 0), (0, 1), (-1, 0), (0, -1)]
@@ -382,6 +383,17 @@ def test_degenerate_cubic_is_skipped_and_not_morse():
     assert not verdict.matches
     assert verdict.total == 1 and verdict.nondegenerate_count == 0
     assert "not Morse" in verdict.message
+
+
+def test_newton_step_with_singular_jacobian_is_named():
+    # W = y^3/3 - y^2 + y + T (y^3/3 - 3y^2/2 + 3y): at y = 1 the residual
+    # y dW/dy is T and its derivative y d/dy (y dW/dy) vanishes exactly
+    w = NovikovLaurentPolynomial.make(Rationals(), 1, [
+        (0, (3,), Fraction(1, 3)), (0, (2,), -1), (0, (1,), 1),
+        (1, (3,), Fraction(1, 3)), (1, (2,), Fraction(-3, 2)), (1, (1,), 3)])
+    with pytest.raises(StructureError, match="singular Jacobian"):
+        _lift_point(w, (Fraction(0),), (Fraction(0),), (Fraction(1),), 6,
+                    Fraction(0), Rationals())
 
 
 def test_morse_count_excludes_exterior_points():

@@ -1,6 +1,7 @@
 """pyproject.toml agrees with the package: every declared console script
 resolves to a callable, the declared dependencies are exactly the
-third-party imports, and every name a module exports exists."""
+third-party imports, every name a module exports exists and every name
+a module imports is used."""
 
 import ast
 import importlib
@@ -56,3 +57,32 @@ def test_module_exports_resolve():
         missing = [n for n in getattr(module, "__all__", ())
                    if not hasattr(module, n)]
         assert not missing, f"{module.__name__}.__all__ names {missing}"
+
+
+def _unused_imports(path):
+    """Names a module imports (other than from ``__future__``) that it
+    neither references nor lists in ``__all__``."""
+    tree = ast.parse(path.read_text(), str(path))
+    imported, used = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                imported[a.asname or a.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            if node.module != "__future__":
+                for a in node.names:
+                    imported[a.asname or a.name] = node.lineno
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return sorted(f"{name} (line {line})" for name, line in imported.items()
+                  if name not in used)
+
+
+def test_src_imports_are_used():
+    for path in sorted((PYPROJECT.parent / "src" / "ainfbench").rglob("*.py")):
+        unused = _unused_imports(path)
+        assert not unused, f"{path.name} imports unused {unused}"
