@@ -37,8 +37,8 @@ from .graded import (
     vscale,
 )
 from .linalg import (
+    inverse,
     kernel_coefficients,
-    matrix_rank,
     quotient_representatives,
     solve_combination,
 )
@@ -354,8 +354,9 @@ def check_cyclic(cat: AInfCategory, max_arity=None) -> CheckReport:
             if len(rows) != len(rows[0]):
                 report.add("gram", (x, y), (), "pairing matrix not square")
                 continue
-            elim = matrix_rank([dict(enumerate(r)) for r in rows])
-            if elim.rank < len(rows):
+            square = [dict(enumerate(r)) for r in rows]
+            if inverse(square, range(len(rows)), cat.field,
+                       cat.cutoff) is None:
                 report.add("gram", (x, y), (), "pairing matrix singular")
     # graded symmetry of the pairing itself
     for (x, y) in itertools.product(cat.objects, repeat=2):

@@ -4,10 +4,11 @@ Sign discipline
 ---------------
 
 Every sign in this package is produced by this module; nothing else writes a
-``(-1)**...`` literal.  The two primitives are:
-
-* ``sign_of(e)``      -- (-1)^e for an integer parity exponent e;
-* ``koszul_sign(...)``-- the sign of a permutation of homogeneous elements.
+``(-1)**...`` literal.  The structural formulas use one primitive,
+``sign_of(e)``, which is (-1)^e for an integer parity exponent e.
+``koszul_sign(...)`` gives the sign of a permutation of homogeneous elements:
+it states the Koszul rule that those exponents follow, and only the tests
+call it, against a brute-force count.
 
 Degree conventions.  An element x of parity |x| (0 even, 1 odd) has *reduced*
 parity |x|' = |x| - 1 mod 2, computed by ``reduced``.  All the structural

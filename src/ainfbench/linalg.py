@@ -7,7 +7,8 @@ be *certified*: if all pivots sit well below the cutoff, the computed rank is
 stable under refining the truncation.
 
 One engine, ``Eliminator``, does every rank, kernel, quotient and square
-solve of the package.
+solve of the package; ``inverse`` adds the precision check that a square
+solve needs before it calls a matrix invertible.
 
 Rows are sparse dicts ``{column key: NovikovScalar}``.  Column keys are
 arbitrary hashable objects; keys eligible as pivots must be mutually
@@ -38,6 +39,7 @@ __all__ = [
     "partition_rows",
     "blocked_rank",
     "solve_combination",
+    "inverse",
     "kernel_coefficients",
     "quotient_representatives",
 ]
@@ -225,7 +227,7 @@ def solve_combination(vectors, target, field, cutoff):
     cutoffs that survive the elimination.  ``cutoff`` only sets the unit
     of the ``AugKey`` bookkeeping columns.  A consistent system whose
     vectors are dependent still returns one solution, so a caller that
-    needs it unique (a square solve) checks the rank.
+    needs it unique checks the rank.
     """
     elim = Eliminator()
     one = NovikovScalar.one(field, cutoff)
@@ -243,6 +245,58 @@ def solve_combination(vectors, target, field, cutoff):
         c = res.get(AugKey(i))
         out.append(zero if c is None else -c)
     return out
+
+
+def inverse(rows, keys, field, cutoff):
+    """Rows of the inverse of a square matrix, or None if it is singular.
+
+    ``rows`` are n sparse rows over the n column keys; entry a of the
+    result lists the coefficients c with sum(c_r * rows_r) = e_a for the
+    a-th key.  Elimination drops entries that are zero only to their
+    cutoff, so neither a full rank nor the cutoffs of a solution X can be
+    trusted on their own.  The residual R = 1 - X A, formed entry by
+    entry with every entry's cutoff, settles both: the inverse of every
+    matrix agreeing with A below its cutoffs is (1 - R)^-1 X.  Unless
+    each entry of R is O(T^r) with r > 0, A counts as singular to working
+    precision; otherwise the result keeps X below min_b (r_ab + v(X_bi)),
+    the valuation of the first correction R X.
+    """
+    one = NovikovScalar.one(field, cutoff)
+    zero = NovikovScalar.zero(field, cutoff)
+    # solve one exact lift of A, at twice the cutoff so that the solve's
+    # own truncation stays below the uncertainty of the entries
+    work = 2 * cutoff
+    lift = [{k: NovikovScalar.make(field, work, x.terms)
+             for k, x in row.items()}
+            for row in rows]
+    inv = []
+    for k in keys:
+        coeffs = solve_combination(
+            lift, {k: NovikovScalar.one(field, work)}, field, work)
+        if coeffs is None:
+            return None
+        inv.append(coeffs)
+    # size[a][b]: R_ab is O(T^size)
+    size = []
+    for a, coeffs in enumerate(inv):
+        sizes = []
+        for b, k in enumerate(keys):
+            r = one if a == b else zero
+            for c, row in zip(coeffs, rows):
+                x = row.get(k)
+                if x is not None:
+                    r = r - c * x
+            s = r.cutoff if r.is_zero() else r.valuation()
+            if s <= 0:
+                return None
+            sizes.append(s)
+        size.append(sizes)
+    return [
+        [c.truncate(min(size[a][b] + inv[b][i].valuation()
+                        for b in range(len(inv)) if not inv[b][i].is_zero()))
+         for i, c in enumerate(coeffs)]
+        for a, coeffs in enumerate(inv)
+    ]
 
 
 def kernel_coefficients(vectors, field, cutoff):

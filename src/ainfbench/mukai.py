@@ -19,7 +19,7 @@ from .errors import StructureError
 from .graded import _acc, _signed, reduced, sign_of
 from .hochschild import (HCochain, _word_prefixes, b11, chain_parity,
                          word_parity)
-from .linalg import solve_combination
+from .linalg import inverse
 from .novikov import NovikovScalar
 
 __all__ = [
@@ -108,17 +108,15 @@ class DualBasisTable:
                  for col in basis.labels}
                 for row in partner.labels
             ]
-            duals = []
-            for col in basis.labels:
-                coeffs = solve_combination(
-                    gram, {col: one}, cat.field, cat.cutoff)
-                if coeffs is None:
-                    raise StructureError(
-                        f"singular Gram matrix at ({x!r}, {y!r})")
-                duals.append({row: c
-                              for row, c in zip(partner.labels, coeffs)
-                              if not c.is_zero()})
-            self.duals[(x, y)] = duals
+            inv = inverse(gram, basis.labels, cat.field, cat.cutoff)
+            if inv is None:
+                raise StructureError(
+                    f"singular Gram matrix at ({x!r}, {y!r})")
+            self.duals[(x, y)] = [
+                {row: c for row, c in zip(partner.labels, coeffs)
+                 if not c.is_zero()}
+                for coeffs in inv
+            ]
 
     def dual(self, x, y, index: int) -> dict:
         """Dual of the index-th basis element of Hom(x,y), in Hom(y,x)."""

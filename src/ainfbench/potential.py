@@ -41,7 +41,7 @@ from .errors import (
     NotRepresentable,
     StructureError,
 )
-from .linalg import solve_combination
+from .linalg import matrix_rank, solve_combination
 from .novikov import (
     NovikovScalar,
     QuadraticField,
@@ -971,15 +971,15 @@ def _lift_point(pot, u, mus, z0, cutoff, slack, field):
             for i in range(n)
         ]
         # critical_points lifts only roots whose leading Jacobian is
-        # invertible, so a singular Jacobian here is a broken invariant
-        corr = solve_combination(
-            [{i: jac[i][j] for i in range(n)} for j in range(n)],
-            dict(enumerate(res)), field, work)
-        if corr is None:
+        # invertible, so a singular Jacobian here is a broken invariant;
+        # at full rank the square solve is consistent and unique
+        cols = [{i: jac[i][j] for i in range(n)} for j in range(n)]
+        if matrix_rank(cols).rank < n:
             raise StructureError(
                 "Newton step has a singular Jacobian; the leading root "
                 "appears degenerate"
             )
+        corr = solve_combination(cols, dict(enumerate(res)), field, work)
         z = [z[j] - z[j] * corr[j] for j in range(n)]
     else:
         raise StructureError("Newton lifting did not terminate")

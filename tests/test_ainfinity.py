@@ -157,6 +157,19 @@ def test_degenerate_pairing_detected():
     assert any(v.kind == "gram" for v in report.violations)
 
 
+def test_pairing_singular_to_working_precision_detected():
+    # Gram rows (T^3, 0), (3 - 2T^2, 3T^2): full rank at cutoff 4, but an
+    # O(T^4) change of the zero entry makes the pairing singular
+    cat = sphere_model(Q, 4, 0, 2)
+    cat.pairing[("S", "S")] = {
+        ("1", "1"): parse_scalar("T^3", Q, 4),
+        ("p", "1"): parse_scalar("3 - 2*T^2", Q, 4),
+        ("p", "p"): parse_scalar("3*T^2", Q, 4)}
+    report = check_cyclic(cat)
+    assert ("gram", ("S", "S"), (), "pairing matrix singular") in [
+        (v.kind, v.chain, v.args, v.detail) for v in report.violations]
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 def test_sphere_model_checks(dim):
     cat = sphere_model(Q, E, sc("T^2"), dim)

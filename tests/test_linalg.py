@@ -7,6 +7,7 @@ from ainfbench.linalg import (
     AugKey,
     Eliminator,
     blocked_rank,
+    inverse,
     kernel_coefficients,
     matrix_rank,
     partition_rows,
@@ -191,6 +192,50 @@ def test_dense_inverse():
     assert inv[0][1].is_zero()
     prod00 = a[0][0] * inv[0][0] + a[0][1] * inv[0][1]
     assert prod00 == NovikovScalar.one(Q, prod00.cutoff)
+
+
+def _rows_at(cutoff, *entries):
+    return [{j: parse_scalar(x, Q, cutoff) for j, x in enumerate(row)}
+            for row in entries]
+
+
+def test_inverse_rejects_a_matrix_singular_to_working_precision():
+    # full rank, but the inverse has valuation -5: moving the zero entry
+    # by 3 T^5, which cutoff 4 cannot see, makes the determinant vanish
+    rows = _rows_at(4, ["T^3", "0"], ["3 - 2*T^2", "3*T^2"])
+    assert matrix_rank(rows).rank == 2
+    assert inverse(rows, [0, 1], Q, 4) is None
+
+
+def test_inverse_rejects_a_triangular_matrix_with_a_singular_lift():
+    # the inverse has the corner -T^-6: the zero moved by T^6 is singular
+    rows = _rows_at(4, ["T^3", "1"], ["0", "T^3"])
+    assert inverse(rows, [0, 1], Q, 4) is None
+
+
+def test_inverse_keeps_a_matrix_whose_every_lift_is_invertible():
+    # the determinant T^6 lies past the cutoff, but the inverse only
+    # reaches valuation -3, so every O(T^4) change stays invertible
+    rows = _rows_at(4, ["T^3", "0"], ["0", "T^3"])
+    inv = inverse(rows, [0, 1], Q, 4)
+    assert format_scalar(inv[0][0]) == "T^-3" and inv[0][0].cutoff == -2
+    assert inv[0][1].is_zero() and inv[1][0].is_zero()
+    assert format_scalar(inv[1][1]) == "T^-3"
+
+
+def test_inverse_recovers_what_elimination_drops():
+    # the exact inverse of these rows starts -1/3 T^-2 at (0, 0); an
+    # elimination at the entries' cutoff drops a truncated zero on the
+    # way and claims 0 + O(T^4) there
+    rows = _rows_at(4, ["3*T^3", "-3*T^3"], ["1 - T^(1/2)", "-T"])
+    one = NovikovScalar.one(Q, 4)
+    short = solve_combination(rows, {0: one}, Q, 4)[0]
+    assert short.is_zero() and short.cutoff == 4
+    inv = inverse(rows, [0, 1], Q, 4)
+    assert format_scalar(inv[0][0]) == "-1/3*T^-2 - 1/3*T^(-3/2)"
+    assert inv[0][0].cutoff == -1
+    assert format_scalar(inv[1][0]) == "-1/3*T^-3"
+    assert format_scalar(inv[1][1]) == "1 + T^(1/2)"
 
 
 def test_elimination_cascading_reduction():

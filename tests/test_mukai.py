@@ -37,7 +37,7 @@ from ainfbench.mukai import (
     z_map,
     z_x,
 )
-from ainfbench.novikov import NovikovScalar, Rationals
+from ainfbench.novikov import NovikovScalar, Rationals, parse_scalar
 
 E = 6
 Q = Rationals()
@@ -250,6 +250,22 @@ def test_dual_basis_requires_a_pairing():
 def test_dual_basis_rejects_a_degenerate_pairing():
     with pytest.raises(StructureError, match="singular Gram matrix"):
         DualBasisTable(scaled_point(0))
+
+
+def near_singular_sphere():
+    # Gram rows (T^3, 0), (3 - 2T^2, 3T^2) at cutoff 4: full rank, but an
+    # O(T^4) change of the zero entry makes the pairing singular
+    cat = sphere_model(Q, 4, 0, 2)
+    cat.pairing[("S", "S")] = {
+        ("1", "1"): parse_scalar("T^3", Q, 4),
+        ("p", "1"): parse_scalar("3 - 2*T^2", Q, 4),
+        ("p", "p"): parse_scalar("3*T^2", Q, 4)}
+    return cat
+
+
+def test_dual_basis_rejects_a_pairing_singular_to_working_precision():
+    with pytest.raises(StructureError, match="singular Gram matrix"):
+        DualBasisTable(near_singular_sphere())
 
 
 def test_dual_basis_rejects_mismatched_hom_dimensions():

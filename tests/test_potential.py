@@ -396,6 +396,19 @@ def test_newton_step_with_singular_jacobian_is_named():
                     Fraction(0), Rationals())
 
 
+def test_newton_step_with_dependent_jacobian_is_named():
+    # W = y1 + 1/y1 + T y1 + y2^3/3 - y2^2 + y2 at (1, 1): the residual
+    # (T, 0) lies in the span of the Jacobian diag(2 + T, 0), so the solve
+    # is consistent, but the correction is not unique
+    w = NovikovLaurentPolynomial.make(Rationals(), 2, [
+        (0, (1, 0), 1), (0, (-1, 0), 1), (1, (1, 0), 1),
+        (0, (0, 3), Fraction(1, 3)), (0, (0, 2), -1), (0, (0, 1), 1)])
+    zero = (Fraction(0), Fraction(0))
+    with pytest.raises(StructureError, match="singular Jacobian"):
+        _lift_point(w, zero, zero, (Fraction(1), Fraction(1)), 6,
+                    Fraction(0), Rationals())
+
+
 def test_morse_count_excludes_exterior_points():
     toric = build_toric_potential(
         MomentPolytope([(1, 0), (0, 1), (-1, 0), (-1, -1)], [0, 0, 2, 1]))
