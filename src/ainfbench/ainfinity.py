@@ -146,8 +146,12 @@ class AInfCategory:
     def is_flat(self) -> bool:
         return all(v_is_zero(self.curvature(x)) for x in self.objects)
 
+    def arities(self) -> set:
+        """Arities of the structure maps: an op on chain c eats len(c) - 1."""
+        return {len(c) - 1 for c in self.ops}
+
     def max_op_arity(self) -> int:
-        return max((len(c) - 1 for c in self.ops), default=0)
+        return max(self.arities(), default=0)
 
     def pair(self, x, y, v, w):
         """Bilinear extension of the pairing on Hom(x,y) (x) Hom(y,x)."""

@@ -4,11 +4,9 @@ Sign discipline
 ---------------
 
 Every sign in this package is produced by this module; nothing else writes a
-``(-1)**...`` literal.  The structural formulas use one primitive,
-``sign_of(e)``, which is (-1)^e for an integer parity exponent e.
-``koszul_sign(...)`` gives the sign of a permutation of homogeneous elements:
-it states the Koszul rule that those exponents follow, and only the tests
-call it, against a brute-force count.
+``(-1)**...`` literal.  There is one sign primitive, ``sign_of(e)``, which is
+(-1)^e for an integer parity exponent e.  Each structural formula states its
+Koszul rule as that exponent.
 
 Degree conventions.  An element x of parity |x| (0 even, 1 odd) has *reduced*
 parity |x|' = |x| - 1 mod 2, computed by ``reduced``.  All the structural
@@ -31,7 +29,6 @@ __all__ = [
     "MultilinearMap",
     "sign_of",
     "reduced",
-    "koszul_sign",
     "vadd",
     "vscale",
     "vacc",
@@ -93,25 +90,6 @@ class GradedSpace:
         if self.zdegrees is None:
             raise StructureError("space carries no integer degrees")
         return self.zdegrees[self.labels.index(label)]
-
-
-def koszul_sign(parities, permutation, use_reduced: bool = True) -> int:
-    """Sign acquired by reordering homogeneous elements.
-
-    ``permutation[k]`` is the original position of the element now at slot k;
-    each inverted pair contributes (-1)^{|x|'|y|'} (reduced parities unless
-    ``use_reduced`` is False).
-    """
-    if sorted(permutation) != list(range(len(parities))):
-        raise StructureError("not a permutation")
-    ps = [reduced(p) for p in parities] if use_reduced else list(parities)
-    e = 0
-    n = len(permutation)
-    for k in range(n):
-        for l in range(k + 1, n):
-            if permutation[k] > permutation[l]:
-                e += ps[permutation[k]] * ps[permutation[l]]
-    return sign_of(e)
 
 
 # -- sparse vectors --------------------------------------------------------

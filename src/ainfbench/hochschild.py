@@ -515,10 +515,6 @@ def cup(phi: HCochain, psi: HCochain) -> HCochain:
 
 # -- chain differential ----------------------------------------------------
 
-def _op_arities(cat):
-    return {len(c) - 1 for c in cat.ops}
-
-
 def b_word(cat, word) -> dict:
     """Boundary of a single basis word, as a chain."""
     objects, labels = word
@@ -526,7 +522,7 @@ def b_word(cat, word) -> dict:
     s = n - 1
     pre = _word_prefixes(cat, word)
     total = pre[n]
-    arities = _op_arities(cat)
+    arities = cat.arities()
     out: dict = {}
 
     # a structure map eats a window of letters not touching x0
@@ -827,7 +823,7 @@ def homology(cat, length, side="chains", slack=0, want_basis=False
         raise StructureError(f"unknown side {side!r}")
     if length < 2:
         raise StructureError("homology needs a window of length at least 2")
-    drop = 0 if 1 in _op_arities(cat) else 1
+    drop = 0 if 1 in cat.arities() else 1
     basis, cols = _columns(cat, length if want_basis else length - drop, side)
     if side == "chains":
         of_len, diff = word_length, cols.__getitem__

@@ -212,7 +212,7 @@ def mukai(cat, left: dict, right: dict) -> NovikovScalar:
     window of each word, the outer one the rest, and the diagonal
     coefficient is accumulated with the sign of the splitting.
     """
-    arities = {len(c) - 1 for c in cat.ops}
+    arities = cat.arities()
     total = NovikovScalar.zero(cat.field, cat.cutoff)
     for wl, cl in left.items():
         if cl.is_zero():
@@ -247,7 +247,7 @@ def z_map(cat, vec: dict, max_length: int,
     par = chain_parity(cat, vec)
     if par is None:
         return HCochain(cat, 0, max_length)
-    arities = {len(c) - 1 for c in cat.ops}
+    arities = cat.arities()
     out = HCochain(cat, (par + cat.cyclic_degree) & 1, max_length)
     for u in range(max_length + 1):
         for chain in cat.chains(u):
@@ -288,7 +288,7 @@ def comparison_element(cat, vec: dict, target,
     matching basis letter closes the tail.  Keys are (object chain, labels)
     with the labels running head hom, middle letters, tail hom.
     """
-    arities = {len(c) - 1 for c in cat.ops}
+    arities = cat.arities()
     one = NovikovScalar.one(cat.field, cat.cutoff)
     out: dict = {}
     for (objs, labels), c in vec.items():
@@ -331,7 +331,7 @@ def comparison_element(cat, vec: dict, target,
 
 def contract_element(cat, target, elem: dict) -> dict:
     """One structure map across each tensor of a bar element, into Hom(K,K)."""
-    arities = {len(c) - 1 for c in cat.ops}
+    arities = cat.arities()
     out: dict = {}
     for (chain, labels), c in elem.items():
         if c.is_zero() or len(chain) + 1 not in arities:

@@ -18,12 +18,14 @@ Two rules keep the solve from computing anything twice:
   a_i*a_j - delta_ij*a_i).  Each Newton iterate builds one table for its
   residuals and Jacobian, and the lifted point one more for its value
   and Hessian.
-* The potential keeps its own field through a base change.  When leading
-  roots need sqrt(d), the solve reruns with the root field Q(sqrt d): the
-  leading systems and their Sylvester eliminants stay over the field of
-  the potential, and only the eliminant, the columns evaluated at its
-  roots and the lifted coordinates live in the root field.  Evaluation
-  coerces coefficients into the field of the point.
+* One pass over the tropical candidates, whatever the field.  The first
+  leading root that needs sqrt(d) switches the root field to Q(sqrt d) in
+  place: that candidate is solved again, the rational points lifted so
+  far are lifted again, and later candidates are solved in Q(sqrt d)
+  directly.  The leading systems and their Sylvester eliminants stay over
+  the field of the potential; only the eliminant, the columns evaluated
+  at its roots and the lifted coordinates live in the root field.
+  Evaluation coerces coefficients into the field of the point.
 """
 
 from __future__ import annotations
@@ -413,10 +415,6 @@ class _Poly:
             cut -= 1
         self.field = field
         self.coeffs = list(coeffs[:cut])
-
-    @classmethod
-    def const(cls, field, c):
-        return cls(field, [c])
 
     @classmethod
     def zero(cls, field):
@@ -892,7 +890,6 @@ class CriticalPoint:
     value: NovikovScalar
     hessian: tuple
     hessian_det: NovikovScalar
-    nondegenerate: bool
     residual_valuation: Fraction
     lift_schedule: tuple
 
@@ -922,7 +919,7 @@ def _leading_jacobian(leads, z0, field, n):
     return rows
 
 
-def _lift_point(pot, u, mus, z0, cutoff, slack, field):
+def _lift_point(pot, u, mus, z0, cutoff, field):
     """Newton-lift a nondegenerate leading solution to the requested cutoff.
 
     ``field`` holds z0 and the coordinates.  Each iterate reads residuals
@@ -989,7 +986,7 @@ def _lift_point(pot, u, mus, z0, cutoff, slack, field):
         mus[i] + (res[i].cutoff if res[i].is_zero() else res[i].valuation())
         for i in range(n)
     )
-    if res_val < Fraction(cutoff) - Fraction(slack):
+    if res_val < cutoff:
         raise StructureError(
             f"lifted point misses the residual bound: valuation {res_val}"
         )
@@ -1023,13 +1020,27 @@ def _lift_point(pot, u, mus, z0, cutoff, slack, field):
         value=value,
         hessian=hess,
         hessian_det=det,
-        nondegenerate=True,
         residual_valuation=res_val,
         lift_schedule=tuple(schedule),
     )
 
 
-def _critical_points_impl(pot, cutoff, slack, root):
+def critical_points(pot, cutoff):
+    """All torus critical points of a potential, exact below the cutoff.
+
+    Tropicalization proposes valuation vectors, the leading system is
+    solved exactly in the coefficient field, and nondegenerate leading
+    roots are Newton-lifted, one candidate at a time.  Over the rationals
+    the first quadratic irrationality in the leading roots switches the
+    root field to the matching quadratic field: that candidate is solved
+    again, the rational points lifted so far are lifted again in the new
+    field, and every later candidate is solved there directly, so the
+    returned scalars may live in an extension.  Degenerate leading roots
+    are reported as warnings, once each, never lifted.
+    """
+    cutoff = Fraction(cutoff)
+    if cutoff <= 0:
+        raise StructureError("cutoff must be positive")
     field = pot.field
     n = pot.nvars
     eqs = [pot.log_derivative(i) for i in range(n)]
@@ -1040,17 +1051,26 @@ def _critical_points_impl(pot, cutoff, slack, root):
                 f"not move in {pot.variables[i]}"
             )
     cands, flat = _tropical_candidates(eqs)
-    if not cands:
-        if flat:
-            raise StructureError(
-                "positive-dimensional leading system: tropical balancing "
-                "admits a continuum of valuation vectors"
-            )
-        return []
+    if not cands and flat:
+        raise StructureError(
+            "positive-dimensional leading system: tropical balancing "
+            "admits a continuum of valuation vectors"
+        )
+    root = field
+    lifted = []     # (u, mus, z0) of every point, to lift again on a switch
     points = []
     for u in cands:
         mus, leads = _leading_parts(eqs, u)
-        sols = _solve_leading(leads, field, root, n)
+        try:
+            sols = _solve_leading(leads, field, root, n)
+        except _ExtensionNeeded as need:
+            root = QuadraticField(need.d)
+            sols = _solve_leading(leads, field, root, n)
+            points = [
+                _lift_point(pot, v, m, tuple(map(root.coerce, z)), cutoff,
+                            root)
+                for v, m, z in lifted
+            ]
         sols.sort(key=lambda sm: tuple(root.format(c) for c in sm[0]))
         for z0, hint in sols:
             jac0 = _leading_jacobian(leads, z0, root, n)
@@ -1060,10 +1080,11 @@ def _critical_points_impl(pot, cutoff, slack, root):
                     f"degenerate leading root ({coords}) at valuation "
                     f"{_vec(u)} (multiplicity hint {hint}); not lifted",
                     DegenerateRootWarning,
-                    stacklevel=3,
+                    stacklevel=2,
                 )
                 continue
-            points.append(_lift_point(pot, u, mus, z0, cutoff, slack, root))
+            lifted.append((u, mus, z0))
+            points.append(_lift_point(pot, u, mus, z0, cutoff, root))
     points.sort(
         key=lambda p: (
             p.valuations,
@@ -1073,43 +1094,11 @@ def _critical_points_impl(pot, cutoff, slack, root):
     return points
 
 
-def critical_points(pot, cutoff, *, slack=Fraction(0)):
-    """All torus critical points of a potential, exact below the cutoff.
-
-    Tropicalization proposes valuation vectors, the leading system is
-    solved exactly in the coefficient field, and nondegenerate leading
-    roots are Newton-lifted.  Over the rationals a quadratic irrationality
-    in the leading roots restarts the computation over the matching
-    quadratic field, so the returned scalars may live in an extension.
-    Degenerate leading roots are reported as warnings, never lifted.
-    """
-    cutoff = Fraction(cutoff)
-    if cutoff <= 0:
-        raise StructureError("cutoff must be positive")
-    try:
-        return _critical_points_impl(pot, cutoff, slack, pot.field)
-    except _ExtensionNeeded as need:
-        if not isinstance(pot.field, Rationals):
-            raise NotRepresentable(
-                "leading roots escape the coefficient field"
-            ) from need
-        ext = QuadraticField(need.d)
-        try:
-            return _critical_points_impl(pot, cutoff, slack, ext)
-        except _ExtensionNeeded as again:
-            raise NotRepresentable(
-                "leading roots span more than one quadratic extension "
-                f"(sqrt({need.d}) and sqrt({again.d}))"
-            ) from again
-
-
-def hessian(pot, point, *, certify_below=None):
+def hessian(pot, point):
     """Logarithmic Hessian of a potential at a point, with a Morse verdict.
 
     ``point`` is a CriticalPoint or a tuple of Novikov scalars.  When the
-    determinant vanishes below its window the verdict is degenerate; pass
-    ``certify_below`` to instead demand visibility below that exponent and
-    fail loudly when the window is too short.
+    determinant vanishes below its window the verdict is degenerate.
     """
     if isinstance(point, CriticalPoint):
         coords = point.coordinates
@@ -1117,14 +1106,8 @@ def hessian(pot, point, *, certify_below=None):
         coords = tuple(point)
     mat = _log_hessian(pot.monomial_values(coords), pot.nvars)
     det = _det(mat)
-    if det.is_zero():
-        if certify_below is not None and det.cutoff < Fraction(certify_below):
-            raise InsufficientCutoff(
-                f"Hessian determinant only known below T^{det.cutoff}, "
-                f"cannot certify below T^{certify_below}"
-            )
-        return HessianReport(matrix=mat, determinant=det, nondegenerate=False)
-    return HessianReport(matrix=mat, determinant=det, nondegenerate=True)
+    return HessianReport(matrix=mat, determinant=det,
+                         nondegenerate=not det.is_zero())
 
 
 # -- moment polytopes and toric potentials ---------------------------------
@@ -1226,17 +1209,10 @@ class MomentPolytope:
 
 @dataclass(frozen=True, eq=False)
 class ToricPotential:
-    """A toric potential with its ray bookkeeping.
-
-    ``exponents[i]`` expands ray i in the designated basis rays and
-    ``energies[i]`` is its energy offset, so the potential is the sum of
-    T^energies[i] * y^exponents[i] over all rays.
-    """
+    """A toric potential with the polytope it was built from."""
 
     polytope: MomentPolytope
     potential: NovikovLaurentPolynomial
-    exponents: tuple
-    energies: tuple
 
 
 def build_toric_potential(polytope: MomentPolytope, field=None) -> ToricPotential:
@@ -1251,7 +1227,7 @@ def build_toric_potential(polytope: MomentPolytope, field=None) -> ToricPotentia
     n = polytope.dim
     bmat = [[Fraction(polytope.rays[i][k]) for i in polytope.basis]
             for k in range(n)]
-    exps, energies, entries = [], [], []
+    entries = []
     for i, ray in enumerate(polytope.rays):
         res = _frac_solve(bmat, [Fraction(x) for x in ray])
         if res[0] != "unique":
@@ -1273,16 +1249,9 @@ def build_toric_potential(polytope: MomentPolytope, field=None) -> ToricPotentia
                 f"ray {ray} gets negative energy {omega}: the designated "
                 "basis rays do not meet the polytope at a vertex"
             )
-        exps.append(a)
-        energies.append(omega)
         entries.append((omega, a, field.one))
     pot = NovikovLaurentPolynomial.make(field, n, entries)
-    return ToricPotential(
-        polytope=polytope,
-        potential=pot,
-        exponents=tuple(exps),
-        energies=tuple(energies),
-    )
+    return ToricPotential(polytope=polytope, potential=pot)
 
 
 def _potential_of(obj) -> NovikovLaurentPolynomial:
@@ -1356,7 +1325,7 @@ class MorseCountVerdict:
     points: tuple
 
 
-def morse_count_check(pot, expected_dim: int, cutoff, *, slack=Fraction(0)):
+def morse_count_check(pot, expected_dim: int, cutoff):
     """Compare the nondegenerate critical count with an expected dimension.
 
     Given a ToricPotential, every point is recentered with ``u_of_c`` and
@@ -1366,7 +1335,7 @@ def morse_count_check(pot, expected_dim: int, cutoff, *, slack=Fraction(0)):
     poly = _potential_of(pot)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", DegenerateRootWarning)
-        points = critical_points(poly, cutoff, slack=slack)
+        points = critical_points(poly, cutoff)
     degenerate = sum(
         1 for w in caught if issubclass(w.category, DegenerateRootWarning)
     )
@@ -1381,13 +1350,13 @@ def morse_count_check(pot, expected_dim: int, cutoff, *, slack=Fraction(0)):
             else:
                 interior.append(p)
         points = interior
-    nondeg = sum(1 for p in points if p.nondegenerate)
-    total = len(points) + degenerate
+    nondeg = len(points)
+    total = nondeg + degenerate
     expected = int(expected_dim)
-    if degenerate == 0 and nondeg == total and nondeg == expected:
+    if degenerate == 0 and nondeg == expected:
         msg = "split-generation count matches"
         ok = True
-    elif degenerate or nondeg != total:
+    elif degenerate:
         msg = (
             f"potential is not Morse: {degenerate} degenerate leading "
             f"roots alongside {nondeg} nondegenerate points"

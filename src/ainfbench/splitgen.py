@@ -47,7 +47,7 @@ class BarComplex:
         self.band = band
         self.target = target
         self.max_length = max_length
-        self.arities = {len(c) - 1 for c in cat.ops}
+        self.arities = cat.arities()
 
     def basis(self, s):
         """Keys with s middle letters and nonzero outer homs."""

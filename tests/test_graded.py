@@ -1,12 +1,10 @@
 
 import pytest
-from hypothesis import given, strategies as st
 
 from ainfbench.errors import StructureError
 from ainfbench.graded import (
     GradedSpace,
     MultilinearMap,
-    koszul_sign,
     reduced,
     sign_of,
     v_is_zero,
@@ -35,71 +33,6 @@ def test_sign_of():
 def test_reduced():
     assert reduced(0) == 1
     assert reduced(1) == 0
-
-
-# -- koszul_sign -----------------------------------------------------------
-
-
-def brute_koszul(parities, perm, use_reduced):
-    ps = [reduced(p) for p in parities] if use_reduced else list(parities)
-    e = 0
-    for k in range(len(perm)):
-        for l in range(k + 1, len(perm)):
-            if perm[k] > perm[l]:
-                e += ps[perm[k]] * ps[perm[l]]
-    return -1 if e % 2 else 1
-
-
-def test_swap_two_evens_is_minus_one():
-    # even elements have odd reduced parity, so transposing them costs a sign
-    assert koszul_sign([0, 0], [1, 0]) == -1
-
-
-def test_three_cycle_of_odds_is_plus_one():
-    # odd elements have even reduced parity: every crossing is free
-    assert koszul_sign([1, 1, 1], [2, 0, 1]) == 1
-
-
-def test_unreduced_swap_of_odds():
-    assert koszul_sign([1, 1], [1, 0], use_reduced=False) == -1
-    assert koszul_sign([0, 1], [1, 0], use_reduced=False) == 1
-
-
-def test_identity_permutation():
-    assert koszul_sign([0, 1, 0, 1], [0, 1, 2, 3]) == 1
-
-
-def test_not_a_permutation_rejected():
-    with pytest.raises(StructureError):
-        koszul_sign([0, 0], [0, 0])
-
-
-@given(
-    st.lists(st.integers(0, 1), min_size=0, max_size=6),
-    st.randoms(use_true_random=False),
-    st.booleans(),
-)
-def test_koszul_matches_brute_force(parities, rng, use_reduced):
-    perm = list(range(len(parities)))
-    rng.shuffle(perm)
-    assert koszul_sign(parities, perm, use_reduced) == brute_koszul(
-        parities, perm, use_reduced
-    )
-
-
-@given(st.lists(st.integers(0, 1), min_size=2, max_size=6), st.randoms(use_true_random=False))
-def test_koszul_is_multiplicative_under_composition(parities, rng):
-    # sign(sigma o tau) = sign-after-tau * sign-of-sigma-on-permuted-data
-    n = len(parities)
-    tau = list(range(n))
-    rng.shuffle(tau)
-    sigma = list(range(n))
-    rng.shuffle(sigma)
-    composed = [tau[sigma[k]] for k in range(n)]
-    s1 = koszul_sign(parities, tau)
-    permuted = [parities[tau[k]] for k in range(n)]
-    s2 = koszul_sign(permuted, sigma)
-    assert koszul_sign(parities, composed) == s1 * s2
 
 
 # -- spaces and vectors ----------------------------------------------------

@@ -624,26 +624,10 @@ def dense_window_dims(cat, length):
             for ww, c in b_word(cat, w).items():
                 row[ti[ww]] = constant_part(c)
             rows.append(row)
-        ncols, nr = len(tgt), len(rows)
-        aug = [rows[i] + [Fraction(int(i == j)) for j in range(nr)]
-               for i in range(nr)]
-        rank = 0
-        for col in range(ncols):
-            piv = next((i for i in range(rank, nr) if aug[i][col]), None)
-            if piv is None:
-                continue
-            aug[rank], aug[piv] = aug[piv], aug[rank]
-            inv = Fraction(1) / aug[rank][col]
-            aug[rank] = [c * inv for c in aug[rank]]
-            for i in range(nr):
-                if i != rank and aug[i][col]:
-                    f = aug[i][col]
-                    aug[i] = [a - f * b for a, b in zip(aug[i], aug[rank])]
-            rank += 1
         kernel = []
-        for i in range(rank, nr):
+        for rel in null_rows(rows):
             vec = [Fraction(0)] * len(words[p])
-            for j, cf in enumerate(aug[i][ncols:]):
+            for j, cf in enumerate(rel):
                 if cf:
                     vec[idx[p][small[j]]] += cf
             kernel.append(vec)

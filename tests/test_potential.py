@@ -3,7 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from ainfbench.errors import InsufficientCutoff, StructureError
+from ainfbench import potential
+from ainfbench.errors import (
+    InsufficientCutoff,
+    NotRepresentable,
+    StructureError,
+)
 from ainfbench.novikov import (
     NovikovScalar,
     QuadExt,
@@ -385,6 +390,70 @@ def test_degenerate_cubic_is_skipped_and_not_morse():
     assert "not Morse" in verdict.message
 
 
+def test_hessian_at_degenerate_point():
+    # the same cubic: y d/dy (y dW/dy) = y - 4y^2 + 3y^3 vanishes at y = 1
+    w = NovikovLaurentPolynomial.make(Rationals(), 1, [
+        (0, (3,), Fraction(1, 3)), (0, (2,), -1), (0, (1,), 1)])
+    report = hessian(w, (NovikovScalar.constant(Rationals(), 4, 1),))
+    assert not report.nondegenerate
+    assert report.determinant.is_zero()
+
+
+def _degenerate_then_sqrt2():
+    # y dW/dy = y (y - 1)^2 - T/y + 2T^5/y^3: a double root at valuation 0,
+    # rational roots +-1 at valuation 1/2 and roots +-sqrt(2) at valuation 2
+    return NovikovLaurentPolynomial.make(Rationals(), 1, [
+        (0, (1,), 1), (0, (2,), -1), (0, (3,), Fraction(1, 3)),
+        (1, (-1,), 1), (5, (-3,), Fraction(-2, 3))])
+
+
+def test_degenerate_root_is_warned_once_across_a_base_change():
+    w = _degenerate_then_sqrt2()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        points = critical_points(w, 8)
+    assert [c.category for c in caught] == [DegenerateRootWarning]
+    assert caught[0].filename == __file__
+    assert "degenerate leading root (1) at valuation (0) " \
+        in str(caught[0].message)
+    assert [p.valuations for p in points] == \
+        [(Fraction(1, 2),)] * 2 + [(Fraction(2),)] * 2
+    assert all(c.field == QuadraticField(2)
+               for p in points for c in p.coordinates)
+    verdict = morse_count_check(w, 4, 8)
+    assert verdict.total == 5 and verdict.nondegenerate_count == 4
+    assert "1 degenerate leading roots" in verdict.message
+
+
+def test_critical_points_is_one_pass(monkeypatch):
+    calls = {"_tropical_candidates": 0, "_solve_leading": 0}
+    for name in calls:
+        def counted(*args, _orig=getattr(potential, name), _name=name):
+            calls[_name] += 1
+            return _orig(*args)
+
+        monkeypatch.setattr(potential, name, counted)
+    with pytest.warns(DegenerateRootWarning):
+        critical_points(_degenerate_then_sqrt2(), 8)
+    # three candidates, plus one solve again at the switch to Q(sqrt 2)
+    assert calls == {"_tropical_candidates": 1, "_solve_leading": 4}
+    calls["_tropical_candidates"] = 0
+    pot, cutoff = _case("p2_moved")
+    critical_points(pot, cutoff)
+    assert calls["_tropical_candidates"] == 1
+
+
+def test_two_square_roots_are_not_representable():
+    # y dW/dy = y^3 - 3y - T/y + 2T^5/y^3: the roots +-sqrt(3) at
+    # valuation 0 switch to Q(sqrt 3), and the roots +-sqrt(-1/3) at
+    # valuation 1/2 lie outside it
+    w = NovikovLaurentPolynomial.make(Rationals(), 1, [
+        (0, (3,), Fraction(1, 3)), (0, (1,), -3),
+        (1, (-1,), 1), (5, (-3,), Fraction(-2, 3))])
+    with pytest.raises(NotRepresentable, match="no tower"):
+        critical_points(w, 6)
+
+
 def test_newton_step_with_singular_jacobian_is_named():
     # W = y^3/3 - y^2 + y + T (y^3/3 - 3y^2/2 + 3y): at y = 1 the residual
     # y dW/dy is T and its derivative y d/dy (y dW/dy) vanishes exactly
@@ -393,7 +462,7 @@ def test_newton_step_with_singular_jacobian_is_named():
         (1, (3,), Fraction(1, 3)), (1, (2,), Fraction(-3, 2)), (1, (1,), 3)])
     with pytest.raises(StructureError, match="singular Jacobian"):
         _lift_point(w, (Fraction(0),), (Fraction(0),), (Fraction(1),), 6,
-                    Fraction(0), Rationals())
+                    Rationals())
 
 
 def test_newton_step_with_dependent_jacobian_is_named():
@@ -406,7 +475,7 @@ def test_newton_step_with_dependent_jacobian_is_named():
     zero = (Fraction(0), Fraction(0))
     with pytest.raises(StructureError, match="singular Jacobian"):
         _lift_point(w, zero, zero, (Fraction(1), Fraction(1)), 6,
-                    Fraction(0), Rationals())
+                    Rationals())
 
 
 def test_morse_count_excludes_exterior_points():
