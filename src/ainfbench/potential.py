@@ -18,13 +18,14 @@ Two rules keep the solve from computing anything twice:
   a_i*a_j - delta_ij*a_i).  Each Newton iterate builds one table for its
   residuals and Jacobian, and the lifted point one more for its value
   and Hessian.
-* One pass over the tropical candidates, whatever the field.  The first
-  leading root that needs sqrt(d) switches the root field to Q(sqrt d) in
-  place: that candidate is solved again, the rational points lifted so
-  far are lifted again, and later candidates are solved in Q(sqrt d)
-  directly.  The leading systems and their Sylvester eliminants stay over
-  the field of the potential; only the eliminant, the columns evaluated
-  at its roots and the lifted coordinates live in the root field.
+* One pass over the tropical candidates, whatever the field, and one
+  leading system per candidate.  The system (its eliminant and the
+  columns that back-substitute) is built once over the field of the
+  potential; only its roots and the lifted coordinates live in the root
+  field.  The first leading root that needs sqrt(d) switches the root
+  field to Q(sqrt d) in place: the roots of that candidate are extracted
+  again from the same eliminant, the rational points lifted so far are
+  lifted again, and later candidates are solved in Q(sqrt d) directly.
   Evaluation coerces coefficients into the field of the point.
 """
 
@@ -796,50 +797,47 @@ def _sylvester(cols_a, cols_b, field):
     return rows
 
 
-def _solve_leading_two(leads, field, root):
-    """Solve a two-variable leading system exactly; (r, s) pairs plus hints.
+def _leading_system(leads, field, n):
+    """Eliminant in z1 and back-substitution columns of a leading system.
 
-    The eliminant is computed over ``field``, then moved with the columns
-    into ``root``, the field of the roots.
+    Built once per candidate over ``field``.  In two variables the
+    eliminant is the Sylvester resultant of the z2-columns, or the single
+    column of a leading part without z2; in one variable it is the leading
+    part itself and nothing is back-substituted.
     """
-    cols1 = _bicols(leads[0], field)
-    cols2 = _bicols(leads[1], field)
-    d1, d2 = len(cols1) - 1, len(cols2) - 1
-    if d1 == 0 and d2 == 0:
+    if n == 1:
+        return _univar_from_lead(leads[0], field), ()
+    if n != 2:
+        raise StructureError(
+            "leading-order solving is implemented for at most two variables"
+        )
+    cols = (_bicols(leads[0], field), _bicols(leads[1], field))
+    single = [c for c in cols if len(c) == 1]
+    if len(single) == 2:
         raise StructureError(
             "positive-dimensional leading system: "
             "no leading equation constrains the second variable"
         )
-    if d1 == 0 or d2 == 0:
-        # one equation already univariate in z1
-        uni_cols, other = (cols1, cols2) if d1 == 0 else (cols2, cols1)
-        base, _ = _strip_origin(_in_field(uni_cols[0], root))
-        other = [_in_field(col, root) for col in other]
-        sols = []
-        for r, _m in _exact_roots(base):
-            g = _col_eval(other, r, root)
-            g, _ = _strip_origin(g)
-            if g.is_zero():
-                raise StructureError(
-                    "positive-dimensional leading system: a coordinate line "
-                    "of leading solutions"
-                )
-            for s, ms in _exact_roots(g):
-                sols.append(((r, s), ms))
-        return sols
-    elim = _det(_sylvester(cols1, cols2, field))
+    elim = single[0][0] if single else _det(_sylvester(*cols, field))
     if elim.is_zero():
         raise StructureError(
             "positive-dimensional leading system: the leading curves share "
             "a component"
         )
-    elim, _ = _strip_origin(_in_field(elim, root))
-    cols1 = [_in_field(col, root) for col in cols1]
-    cols2 = [_in_field(col, root) for col in cols2]
+    return _strip_origin(elim)[0], cols
+
+
+def _leading_roots(system, root):
+    """Leading roots in the field ``root``, each with a multiplicity hint."""
+    elim, cols = system
+    elim = _in_field(elim, root)
+    if not cols:
+        return [((r,), m) for r, m in _exact_roots(elim)]
+    cols = [[_in_field(col, root) for col in c] for c in cols]
     sols = []
     for r, _m in _exact_roots(elim):
-        g1 = _col_eval(cols1, r, root)
-        g2 = _col_eval(cols2, r, root)
+        # a leading part whose single column is the eliminant vanishes here
+        g1, g2 = (_col_eval(c, r, root) for c in cols)
         if g1.is_zero() and g2.is_zero():
             raise StructureError(
                 "positive-dimensional leading system: a coordinate line of "
@@ -857,17 +855,6 @@ def _solve_leading_two(leads, field, root):
         for s, ms in _exact_roots(h):
             sols.append(((r, s), ms))
     return sols
-
-
-def _solve_leading(leads, field, root, n):
-    if n == 1:
-        p = _in_field(_univar_from_lead(leads[0], field), root)
-        return [((r,), m) for r, m in _exact_roots(p)]
-    if n == 2:
-        return _solve_leading_two(leads, field, root)
-    raise StructureError(
-        "leading-order solving is implemented for at most two variables"
-    )
 
 
 # -- critical points -------------------------------------------------------
@@ -1028,16 +1015,19 @@ def _lift_point(pot, u, mus, z0, cutoff, field):
 def critical_points(pot, cutoff):
     """All torus critical points of a potential, exact below the cutoff.
 
-    Tropicalization proposes valuation vectors, the leading system is
-    solved exactly in the coefficient field, and nondegenerate leading
-    roots are Newton-lifted, one candidate at a time.  Over the rationals
-    the first quadratic irrationality in the leading roots switches the
-    root field to the matching quadratic field: that candidate is solved
-    again, the rational points lifted so far are lifted again in the new
-    field, and every later candidate is solved there directly, so the
+    ``pot`` is a Laurent potential or a ToricPotential.  Tropicalization
+    proposes valuation vectors, each candidate's leading system is built
+    once over the coefficient field and its roots are extracted exactly,
+    and nondegenerate leading roots are Newton-lifted, one candidate at a
+    time.  Over the rationals the first quadratic irrationality in the
+    leading roots switches the root field to the matching quadratic
+    field: the roots of that candidate are extracted again from the same
+    eliminant, the rational points lifted so far are lifted again in the
+    new field, and every later candidate is solved there directly, so the
     returned scalars may live in an extension.  Degenerate leading roots
     are reported as warnings, once each, never lifted.
     """
+    pot = _potential_of(pot)
     cutoff = Fraction(cutoff)
     if cutoff <= 0:
         raise StructureError("cutoff must be positive")
@@ -1061,11 +1051,12 @@ def critical_points(pot, cutoff):
     points = []
     for u in cands:
         mus, leads = _leading_parts(eqs, u)
+        system = _leading_system(leads, field, n)
         try:
-            sols = _solve_leading(leads, field, root, n)
+            sols = _leading_roots(system, root)
         except _ExtensionNeeded as need:
             root = QuadraticField(need.d)
-            sols = _solve_leading(leads, field, root, n)
+            sols = _leading_roots(system, root)
             points = [
                 _lift_point(pot, v, m, tuple(map(root.coerce, z)), cutoff,
                             root)
@@ -1097,9 +1088,11 @@ def critical_points(pot, cutoff):
 def hessian(pot, point):
     """Logarithmic Hessian of a potential at a point, with a Morse verdict.
 
-    ``point`` is a CriticalPoint or a tuple of Novikov scalars.  When the
-    determinant vanishes below its window the verdict is degenerate.
+    ``pot`` is a Laurent potential or a ToricPotential; ``point`` is a
+    CriticalPoint or a tuple of Novikov scalars.  When the determinant
+    vanishes below its window the verdict is degenerate.
     """
+    pot = _potential_of(pot)
     if isinstance(point, CriticalPoint):
         coords = point.coordinates
     else:
@@ -1332,10 +1325,9 @@ def morse_count_check(pot, expected_dim: int, cutoff):
     only points over the interior of the polytope count; the message names
     each excluded point.
     """
-    poly = _potential_of(pot)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", DegenerateRootWarning)
-        points = critical_points(poly, cutoff)
+        points = critical_points(pot, cutoff)
     degenerate = sum(
         1 for w in caught if issubclass(w.category, DegenerateRootWarning)
     )

@@ -425,22 +425,82 @@ def test_degenerate_root_is_warned_once_across_a_base_change():
     assert "1 degenerate leading roots" in verdict.message
 
 
-def test_critical_points_is_one_pass(monkeypatch):
-    calls = {"_tropical_candidates": 0, "_solve_leading": 0}
-    for name in calls:
+def _count_calls(monkeypatch, *names):
+    calls = dict.fromkeys(names, 0)
+    for name in names:
         def counted(*args, _orig=getattr(potential, name), _name=name):
             calls[_name] += 1
             return _orig(*args)
 
         monkeypatch.setattr(potential, name, counted)
+    return calls
+
+
+def test_critical_points_is_one_pass(monkeypatch):
+    calls = _count_calls(monkeypatch, "_tropical_candidates",
+                         "_leading_system", "_leading_roots", "_sylvester")
     with pytest.warns(DegenerateRootWarning):
         critical_points(_degenerate_then_sqrt2(), 8)
-    # three candidates, plus one solve again at the switch to Q(sqrt 2)
-    assert calls == {"_tropical_candidates": 1, "_solve_leading": 4}
-    calls["_tropical_candidates"] = 0
+    # one system per candidate; only the roots are extracted again at the
+    # switch to Q(sqrt 2)
+    assert calls == {"_tropical_candidates": 1, "_leading_system": 3,
+                     "_leading_roots": 4, "_sylvester": 0}
+    calls.update(dict.fromkeys(calls, 0))
     pot, cutoff = _case("p2_moved")
     critical_points(pot, cutoff)
-    assert calls["_tropical_candidates"] == 1
+    # one two-variable candidate, whose roots need Q(sqrt -3)
+    assert calls == {"_tropical_candidates": 1, "_leading_system": 1,
+                     "_leading_roots": 2, "_sylvester": 1}
+
+
+def test_toric_potential_is_unwrapped():
+    toric = build_toric_potential(MomentPolytope(P2_RAYS, [0, 0, 1]))
+    points = critical_points(toric, 6)
+    bare = critical_points(toric.potential, 6)
+    assert [_record(p) for p in points] == [_record(p) for p in bare]
+    assert len(points) == 3
+    for p, q in zip(points, bare):
+        assert [_pin(h) for row in hessian(toric, p).matrix for h in row] \
+            == [_pin(h) for row in hessian(toric.potential, q).matrix
+                for h in row]
+
+
+LEADING_ERRORS = {
+    "no leading equation constrains the second variable": [
+        (1, (2, 2), 1), (0, (1, 2), -1), (2, (0, 1), 1), (1, (0, 2), 1)],
+    "share a component": [
+        (0, (2, 2), -1), (1, (2, 2), -1), (0, (-1, 2), 1), (0, (-1, -1), 1)],
+    # W = (y1 - 1)^2 (y2 + y2^2)
+    "coordinate line": [
+        (0, (2, 1), 1), (0, (1, 1), -2), (0, (0, 1), 1),
+        (0, (2, 2), 1), (0, (1, 2), -2), (0, (0, 2), 1)],
+    "continuum of valuation vectors": [
+        (2, (0, 0), 1), (0, (2, 2), -1), (1, (2, 1), 1)],
+    "at most two variables": [
+        (0, (1, 0, 0), 1), (0, (0, 1, 0), 1), (0, (0, 0, 1), 1),
+        (1, (-1, -1, -1), 1)],
+}
+
+
+@pytest.mark.parametrize("message", sorted(LEADING_ERRORS))
+def test_leading_system_errors_are_named(message):
+    entries = LEADING_ERRORS[message]
+    w = NovikovLaurentPolynomial.make(Rationals(), len(entries[0][1]), entries)
+    with pytest.raises(StructureError, match=message):
+        critical_points(w, 4)
+
+
+def test_coordinate_line_from_a_leading_part_without_z2(monkeypatch):
+    # W = y1^2/2 - y1 + T (y1 - 1)^2 / y2: at valuation (0, 1) the leading
+    # part of y2 dW/dy2 is -(z1 - 1)^2 / z2, one column whose root z1 = 1
+    # also kills the leading part of y1 dW/dy1
+    w = NovikovLaurentPolynomial.make(Rationals(), 2, [
+        (0, (2, 0), Fraction(1, 2)), (0, (1, 0), -1),
+        (1, (2, -1), 1), (1, (1, -1), -2), (1, (0, -1), 1)])
+    calls = _count_calls(monkeypatch, "_sylvester")
+    with pytest.raises(StructureError, match="coordinate line"):
+        critical_points(w, 4)
+    assert calls == {"_sylvester": 0}
 
 
 def test_two_square_roots_are_not_representable():
