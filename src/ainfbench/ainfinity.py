@@ -58,7 +58,6 @@ __all__ = [
     "check_energy_cyclic",
     "local_system_value",
     "deform_by_mc",
-    "mc_curvature",
     "divisor_element",
     "mc_family_category",
 ]
@@ -198,6 +197,8 @@ class AInfCategory:
     # -- validation ------------------------------------------------------
 
     def validate(self):
+        if len(set(self.objects)) != len(self.objects):
+            raise StructureError(f"repeated object in {self.objects}")
         for (x, y) in itertools.product(self.objects, repeat=2):
             if (x, y) not in self.hom:
                 self.hom[(x, y)] = EMPTY
@@ -428,7 +429,7 @@ class CohomologyCategory:
     composition carries the extra sign making units literal identities.
     """
 
-    def __init__(self, cat: AInfCategory, slack=0):
+    def __init__(self, cat: AInfCategory):
         if not cat.is_flat():
             raise StructureError("cohomology needs a flat category")
         self.cat = cat
@@ -456,7 +457,7 @@ class CohomologyCategory:
                 reps, elims = quotient_representatives(
                     cocycles, images_into_p
                 )
-                if not all(el.certified(cat.cutoff, slack) for el in elims):
+                if not all(el.certified(cat.cutoff) for el in elims):
                     raise InsufficientCutoff(
                         f"insufficient cutoff for cohomology at {(x, y)}"
                     )
@@ -522,8 +523,8 @@ def _veq_mod(h: CohomologyCategory, x, y, a, b):
     return all((p - q).is_zero() for p, q in zip(ca, cb))
 
 
-def cohomology_category(cat: AInfCategory, slack=0) -> CohomologyCategory:
-    h = CohomologyCategory(cat, slack)
+def cohomology_category(cat: AInfCategory) -> CohomologyCategory:
+    h = CohomologyCategory(cat)
     h.assert_unital()
     return h
 
@@ -783,54 +784,19 @@ def _rho_tables(alg: EnergyGradedAlgebra, rho, eta_pairings=None):
     return tables
 
 
-def _deformed_op(alg, tables, b_plus, s):
-    return _gap_inserted_op(alg, tables, [b_plus] * (s + 1), s)
-
-
-def mc_curvature(alg: EnergyGradedAlgebra, rho, b_plus) -> dict:
-    """Full insertion sum with no visible arguments."""
-    _check_convergent(alg, b_plus)
-    tables = _rho_tables(alg, rho)
-    return _deformed_op(alg, tables, b_plus, 0).apply(())
-
-
 def deform_by_mc(alg: EnergyGradedAlgebra, rho, b_plus, object_name="L",
                  max_arity=None):
     """Deform the energy-graded data by a weak Maurer-Cartan element.
 
-    Returns ``(category, W)`` where the category is curved with curvature
-    W * unit.  Raises StructureError("not weakly unobstructed at this b")
-    when the curvature is not a multiple of the unit.  ``max_arity`` caps
-    the arity of the assembled operations (the input data stays finite, the
-    deformed tower does not).
+    The one-object case of ``mc_family_category``.  Returns
+    ``(category, W)`` where the category is curved with curvature W * unit.
+    Raises StructureError("not weakly unobstructed at this b") when the
+    curvature is not a multiple of the unit.  ``max_arity`` caps the arity
+    of the assembled operations (the input data stays finite, the deformed
+    tower does not).
     """
-    _check_convergent(alg, b_plus)
-    tables = _rho_tables(alg, rho)
-    max_s = max(tables, default=0)
-    if max_arity is not None:
-        max_s = min(max_s, max_arity)
-    sp = alg.space
-    ops = {}
-    for s in range(max_s + 1):
-        m = _deformed_op(alg, tables, b_plus, s)
-        if not m.is_zero():
-            ops[(object_name,) * (s + 1)] = m
-    curv = ops.get((object_name,), MultilinearMap((), sp, 0)).apply(())
-    w = _solve_unit_multiple(alg, curv)
-    if w is None:
-        raise StructureError("not weakly unobstructed at this b")
-    cat = AInfCategory(
-        alg.field,
-        alg.cutoff,
-        (object_name,),
-        {(object_name, object_name): sp},
-        ops,
-        units={object_name: {alg.unit_label: alg.one()}},
-        pairing={(object_name, object_name): _floer_pairing_table(alg)},
-        cyclic_degree=alg.dimension,
-        name=alg.name,
-    )
-    return cat, w
+    cat, wvals = _mc_category(alg, rho, {object_name: b_plus}, max_arity)
+    return cat, wvals[object_name]
 
 
 def _solve_unit_multiple(alg, vec):
@@ -865,7 +831,7 @@ def divisor_element(alg: EnergyGradedAlgebra, rho, b_plus, eta_pairings):
     eta_tables = _rho_tables(alg, rho, eta_pairings)
     total = _gap_inserted_op(alg, eta_tables, [b_plus], 0).apply(())
     tables = _rho_tables(alg, rho)
-    d1 = _deformed_op(alg, tables, b_plus, 1)
+    d1 = _gap_inserted_op(alg, tables, [b_plus] * 2, 1)
     image = d1.apply_to_vectors([total]) if total else {}
     if not v_is_zero(image):
         raise StructureError("divisor element is not closed")
@@ -876,43 +842,55 @@ def mc_family_category(alg: EnergyGradedAlgebra, rho, elements, names=None,
                        max_arity=None):
     """Several Maurer-Cartan elements of one fixture as a category.
 
-    Hom spaces across distinct potential values are zero; operations insert
-    the deformation element of the object at each gap.
+    Returns ``(category, {name: W})``.  Objects default to ``b0``, ``b1``,
+    ...; names must be distinct.  Hom spaces across distinct potential
+    values are zero; operations insert the deformation element of the
+    object at each gap.  ``max_arity`` is as in ``deform_by_mc``.
     """
-    for b in elements:
-        _check_convergent(alg, b)
     names = tuple(names) if names else tuple(
         f"b{i}" for i in range(len(elements))
     )
     if len(names) != len(elements):
         raise StructureError("names do not match elements")
+    if len(set(names)) != len(names):
+        raise StructureError(f"repeated object name in {names}")
+    return _mc_category(alg, rho, dict(zip(names, elements)), max_arity)
+
+
+def _mc_category(alg, rho, elements, max_arity):
+    """The category of the MC elements ``{name: b}``, and ``{name: W}``.
+
+    Each object's arity-0 operation is built once: it is the curvature
+    entry of the table and gives W.
+    """
+    if max_arity is not None and max_arity < 0:
+        raise StructureError(f"max_arity must be nonnegative, got {max_arity}")
+    for b in elements.values():
+        _check_convergent(alg, b)
     tables = _rho_tables(alg, rho)
-    values = []
-    for b in elements:
-        curv = _deformed_op(alg, tables, b, 0).apply(())
-        w = _solve_unit_multiple(alg, curv)
+    ops, wvals = {}, {}
+    for name, b in elements.items():
+        m = _gap_inserted_op(alg, tables, [b], 0)
+        w = _solve_unit_multiple(alg, m.apply(()))
         if w is None:
             raise StructureError("not weakly unobstructed at this b")
-        values.append(w)
+        wvals[name] = w
+        if not m.is_zero():
+            ops[(name,)] = m
     sp = alg.space
-    by_name = dict(zip(names, elements))
-    wvals = dict(zip(names, values))
-    hom = {}
-    for a in names:
-        for b in names:
-            same = (wvals[a] - wvals[b]).is_zero()
-            hom[(a, b)] = sp if same else EMPTY
+    names = tuple(elements)
+    hom = {
+        (a, b): sp if a == b or (wvals[a] - wvals[b]).is_zero() else EMPTY
+        for a in names for b in names
+    }
     max_s = max(tables, default=0)
     if max_arity is not None:
         max_s = min(max_s, max_arity)
-    ops = {}
-    for s in range(max_s + 1):
+    for s in range(1, max_s + 1):
         for chain in itertools.product(names, repeat=s + 1):
             if any(hom[(chain[i], chain[i + 1])].dim == 0 for i in range(s)):
                 continue
-            if any(not (wvals[chain[0]] - wvals[o]).is_zero() for o in chain):
-                continue
-            m = _gap_inserted_op(alg, tables, [by_name[o] for o in chain], s)
+            m = _gap_inserted_op(alg, tables, [elements[o] for o in chain], s)
             if not m.is_zero():
                 ops[chain] = m
     units = {n: {alg.unit_label: alg.one()} for n in names}

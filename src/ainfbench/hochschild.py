@@ -711,11 +711,11 @@ class HomologyReport:
     def total(self) -> int:
         return sum(self.dims.values())
 
-    def require(self, *, stabilized=True, certified=True) -> "HomologyReport":
-        if certified and not self.certified:
+    def require(self, *, stabilized=True) -> "HomologyReport":
+        if not self.certified:
             raise InsufficientCutoff(
                 f"insufficient cutoff: elimination margin {self.margin} "
-                f"does not clear the configured slack")
+                "is not positive")
         if stabilized and not self.stabilized:
             raise NotStabilized(
                 f"{self.side} homology not stabilized at N={self.length}")
@@ -809,8 +809,7 @@ def _class_basis(cat, cols, sources, images, keep):
     return quotient_representatives(kernel, bounds)
 
 
-def homology(cat, length, side="chains", slack=0, want_basis=False
-             ) -> HomologyReport:
+def homology(cat, length, side="chains", want_basis=False) -> HomologyReport:
     """Stable truncated homology of the chain or cochain complex.
 
     ``side`` is "chains" for the boundary complex and "cochains" for the
@@ -868,7 +867,7 @@ def homology(cat, length, side="chains", slack=0, want_basis=False
     margins = [el.min_margin(cat.cutoff) for el in elims]
     margins = [g for g in margins if g is not None]
     margin = min(margins) if margins else None
-    certified = all(el.certified(cat.cutoff, slack) for el in elims)
+    certified = all(el.certified(cat.cutoff) for el in elims)
     return HomologyReport(side, length, dims, previous, stabilized,
                           certified, margin, representatives)
 

@@ -142,10 +142,10 @@ class Eliminator:
             return None
         return min(cutoff - v for v in self.pivot_valuations)
 
-    def certified(self, cutoff, slack) -> bool:
-        """True when every pivot clears the cutoff by more than ``slack``."""
+    def certified(self, cutoff) -> bool:
+        """True when every pivot valuation lies below the cutoff."""
         m = self.min_margin(cutoff)
-        return m is None or m > slack
+        return m is None or m > 0
 
 
 def matrix_rank(rows) -> Eliminator:

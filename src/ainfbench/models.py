@@ -302,9 +302,6 @@ def direct_sum_category(a: AInfCategory, b: AInfCategory, name="direct-sum"):
         raise StructureError("summands live over different scalars")
     if a.cyclic_degree != b.cyclic_degree:
         raise StructureError("summands have different pairing degrees")
-    overlap = set(a.objects) & set(b.objects)
-    if overlap:
-        raise StructureError(f"object names collide: {sorted(overlap)}")
     objects = a.objects + b.objects
     hom = {}
     hom.update(a.hom)

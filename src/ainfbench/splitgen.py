@@ -181,7 +181,7 @@ class SplitGenCertificate:
         return "\n".join(lines)
 
 
-def split_generation_check(cat, band, target, length, slack=0,
+def split_generation_check(cat, band, target, length,
                            duals: DualBasisTable | None = None,
                            classes=None) -> SplitGenCertificate:
     """Decide whether the band split generates the target object.
@@ -200,9 +200,8 @@ def split_generation_check(cat, band, target, length, slack=0,
     dims = None
     if classes is None:
         sub = subcategory(cat, band)
-        report = homology(sub, length, side="chains", slack=slack,
-                          want_basis=True)
-        report.require(stabilized=True, certified=slack > 0)
+        report = homology(sub, length, side="chains", want_basis=True)
+        report.require()
         classes = [vec for p in (0, 1) for vec in report.representatives[p]]
         dims = dict(report.dims)
     columns = [z_x(cat, include_chain(cat, vec), target, duals)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from ainfbench import ainfinity as ainf
 from ainfbench.ainfinity import (
     AInfCategory,
     _gap_inserted_op,
@@ -15,7 +16,6 @@ from ainfbench.ainfinity import (
     cohomology_category,
     deform_by_mc,
     divisor_element,
-    mc_curvature,
     mc_family_category,
 )
 from ainfbench.errors import InsufficientCutoff, StructureError
@@ -32,7 +32,12 @@ from ainfbench.models import (
     torus_surface_algebra,
     word_label,
 )
-from ainfbench.novikov import NovikovScalar, Rationals, parse_scalar
+from ainfbench.novikov import (
+    NovikovScalar,
+    Rationals,
+    format_scalar,
+    parse_scalar,
+)
 
 E = 6
 Q = Rationals()
@@ -244,11 +249,11 @@ def test_cohomology_sphere_ring():
     assert (uc[idx["1"]] - sc("1")).is_zero()
 
 
-def acyclic_toy(valuation):
+def acyclic_toy(m1_coeff):
     sp = GradedSpace(("u", "x"), (0, 1), (0, 1))
     one = NovikovScalar.one(Q, Fraction(E))
     m1 = MultilinearMap((sp,), sp, parity=1)
-    m1.add_entry(("x",), "u", parse_scalar(f"T^{valuation}", Q, E))
+    m1.add_entry(("x",), "u", m1_coeff)
     m2 = MultilinearMap((sp, sp), sp, parity=0)
     m2.add_entry(("u", "u"), "u", one)
     m2.add_entry(("u", "x"), "x", one)
@@ -261,7 +266,7 @@ def acyclic_toy(valuation):
 
 
 def test_cohomology_acyclic_toy():
-    cat = acyclic_toy(1)
+    cat = acyclic_toy(sc("T"))
     assert check_ainf(cat).passed
     assert check_unital(cat).passed
     h = cohomology_category(cat)
@@ -269,9 +274,11 @@ def test_cohomology_acyclic_toy():
 
 
 def test_cohomology_insufficient_cutoff():
-    cat = acyclic_toy(E - 1)
+    # an entry carrying precision beyond the category's cutoff: its pivot
+    # valuation 7 lies past the cutoff 6
+    cat = acyclic_toy(NovikovScalar.monomial(Q, 12, 7))
     with pytest.raises(InsufficientCutoff):
-        cohomology_category(cat, slack=1)
+        cohomology_category(cat)
 
 
 def test_cohomology_needs_flat():
@@ -340,7 +347,7 @@ def test_curvature_and_derivative_identity():
     got = cat.apply_vectors(("L", "L"), [{"x": sc("1")}])
     assert set(got) <= {"1"}
     assert (got.get("1", sc("0")) - want).is_zero()
-    curv = mc_curvature(alg, rho, {"x": c})
+    curv = cat.curvature("L")
     assert set(curv) <= {"1"}
     assert (curv.get("1", sc("0")) - w).is_zero()
 
@@ -402,6 +409,83 @@ def test_mc_family_build_multiplication_count(monkeypatch):
     monkeypatch.setattr(NovikovScalar, "__mul__", counting_mul)
     mc_family_category(alg, rho, elements, names=("a", "b", "c"), max_arity=5)
     assert 0 < calls < 100_000
+
+
+DEFORMED_CIRCLE_GOLDEN = {
+    ("L",): {(): {"1": "2*T^(1/2) + T^(3/2) + 1/12*T^(5/2) + 1/360*T^(7/2)"
+                        " + 1/20160*T^(9/2) + 1/1814400*T^(11/2) + O(T^6)"}},
+    ("L", "L"): {("x",): {"1": "2*T + 1/3*T^2 + 1/60*T^3 + 1/2520*T^4"
+                                " + 1/181440*T^5 + O(T^6)"}},
+    ("L", "L", "L"): {
+        ("1", "1"): {"1": "1 + O(T^6)"},
+        ("1", "x"): {"x": "1 + O(T^6)"},
+        ("x", "1"): {"x": "-1 + O(T^6)"},
+        ("x", "x"): {"1": "T^(1/2) + 1/2*T^(3/2) + 1/24*T^(5/2)"
+                          " + 1/720*T^(7/2) + 1/40320*T^(9/2)"
+                          " + 1/3628800*T^(11/2) + O(T^6)"},
+    },
+    ("L",) * 4: {("x",) * 3: {"1": "1/3*T + 1/18*T^2 + 1/360*T^3"
+                                    " + 1/15120*T^4 + 1/1088640*T^5"
+                                    " + O(T^(13/2))"}},
+    ("L",) * 5: {("x",) * 4: {"1": "1/12*T^(1/2) + 1/24*T^(3/2)"
+                                    " + 1/288*T^(5/2) + 1/8640*T^(7/2)"
+                                    " + 1/483840*T^(9/2) + O(T^6)"}},
+}
+
+
+def test_deformed_circle_tables_golden():
+    # every entry of the circle fiber deformed by b = T^(1/2) x at arity 4,
+    # as text with its carried cutoff
+    cat, w = deform_by_mc(bare_circle(), (Fraction(1),),
+                          {"x": sc("T^(1/2)")}, max_arity=4)
+    got = {
+        chain: {args: {o: format_scalar(c, show_order=True)
+                       for o, c in row.items()}
+                for args, row in m.table.items()}
+        for chain, m in cat.ops.items()
+    }
+    assert got == DEFORMED_CIRCLE_GOLDEN
+    assert format_scalar(w, show_order=True) == (
+        DEFORMED_CIRCLE_GOLDEN[("L",)][()]["1"])
+
+
+def test_mc_builders_build_each_operation_once(monkeypatch):
+    # one arity-0 operation per object gives both W and the curvature entry;
+    # the family has W_a = W_b != W_c, so 3 + (1 + 4) + (1 + 8) chains
+    runs = 0
+    inner = ainf._gap_inserted_op
+
+    def counting(*args):
+        nonlocal runs
+        runs += 1
+        return inner(*args)
+
+    monkeypatch.setattr(ainf, "_gap_inserted_op", counting)
+    alg = bare_circle()
+    c = sc("2*T^(1/2)")
+    elements = [{"x": c}, {"x": -c}, {"x": sc("T")}]
+    mc_family_category(alg, (Fraction(1),), elements, names=("a", "b", "c"),
+                       max_arity=2)
+    assert runs == 17
+    runs = 0
+    deform_by_mc(alg, (Fraction(1),), {"x": sc("T^(1/2)")}, max_arity=4)
+    assert runs == 5
+
+
+def test_mc_builders_reject_negative_arity():
+    alg = bare_circle()
+    b = {"x": sc("T")}
+    with pytest.raises(StructureError, match="max_arity"):
+        deform_by_mc(alg, (Fraction(1),), b, max_arity=-1)
+    with pytest.raises(StructureError, match="max_arity"):
+        mc_family_category(alg, (Fraction(1),), [b], max_arity=-1)
+
+
+def test_mc_family_rejects_repeated_names():
+    alg = bare_circle()
+    with pytest.raises(StructureError, match="repeated object name"):
+        mc_family_category(alg, (Fraction(1),), [{"x": sc("T")}, {}],
+                           names=("a", "a"), max_arity=2)
 
 
 def gap_insertion_reference(alg, tables, gap_elements, s):

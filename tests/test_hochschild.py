@@ -109,11 +109,11 @@ def acyclic_toy(object_name="P"):
                         units={o: {"1": one()}}, name="acyclic-toy")
 
 
-def energy_clifford(exponent):
+def energy_clifford(exponent, beta_cutoff=E):
     # odd generator squaring to a pure power of the formal parameter, so
     # every pivot of the elimination sits at that valuation
     sp = GradedSpace(("1", "p"), (0, 1), (0, 1))
-    beta = NovikovScalar.monomial(Q, E, Fraction(exponent), Q.one)
+    beta = NovikovScalar.monomial(Q, beta_cutoff, Fraction(exponent), Q.one)
     m2 = MultilinearMap((sp, sp), sp, parity=0)
     m2.add_entry(("1", "1"), "1", one())
     m2.add_entry(("1", "p"), "p", one())
@@ -438,7 +438,10 @@ def test_homology_certification_margin():
     assert rep.dims == {0: 0, 1: 1}
     assert rep.margin == 4
     assert rep.certified
-    tight = homology(ec, 4, slack=4)
+    # an entry carrying precision beyond the category's cutoff: the pivot
+    # at valuation 7 does not clear the cutoff 6
+    tight = homology(energy_clifford(7, beta_cutoff=12), 4)
+    assert tight.margin == -1
     assert not tight.certified
     with pytest.raises(InsufficientCutoff, match="insufficient cutoff"):
         tight.require()
@@ -508,6 +511,8 @@ def test_transport_rejects_unknown_objects():
         restrict_to_object(unit_cochain(big, 3), "C")
     with pytest.raises(StructureError, match="not in category"):
         subcategory(big, ("A", "Z"))
+    with pytest.raises(StructureError, match="repeated object"):
+        subcategory(big, ("A", "A"))
     with pytest.raises(StructureError):
         include_chain(cl1(), {(("A",), ("1",)): one()})
 

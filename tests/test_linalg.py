@@ -39,7 +39,6 @@ def test_rank_of_identity_like():
     assert elim.rank == 2
     assert elim.pivot_valuations == [0, 0]
     assert elim.min_margin(E) == E
-    assert elim.certified(E, 2)
 
 
 def test_rank_detects_dependence_with_valuations():
@@ -56,8 +55,6 @@ def test_pivot_prefers_low_valuation():
     assert key == "b"
     assert elim.pivot_valuations == [Fraction(1)]
     assert elim.min_margin(E) == 7
-    assert not elim.certified(E, 7)
-    assert elim.certified(E, 6)
 
 
 def test_reduce_returns_residual_without_install():

@@ -291,6 +291,11 @@ def test_certificate_rejects_unknown_targets():
         split_generation_check(cl1(), ("T",), "X", 3)
 
 
+def test_certificate_rejects_a_repeated_band_object():
+    with pytest.raises(StructureError, match="repeated object"):
+        split_generation_check(cl1(beta=2), ("T", "T"), "T", 4)
+
+
 def test_certificate_description_is_replayable_text():
     cert = split_generation_check(cl1(beta=2), ("T",), "T", 4)
     text = cert.describe()
