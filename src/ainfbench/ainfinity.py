@@ -15,6 +15,11 @@ The module also hosts the energy-graded input data (structure constants
 m_{s,beta} indexed by disk classes over the coefficient field) and the
 Maurer-Cartan machinery that deforms them into honest categories over the
 Novikov scalars.
+
+A category with a cyclic pairing carries its dual bases: ``dual_bases()``
+inverts each Gram matrix once, on first use, and keeps the result.  The
+cache is not invalidated, so a category must not be patched (hom spaces,
+pairing, cyclic degree) after that first read.
 """
 
 from __future__ import annotations
@@ -118,6 +123,7 @@ class AInfCategory:
         self.pairing = dict(pairing) if pairing else {}
         self.cyclic_degree = cyclic_degree
         self.name = name
+        self._duals = None
         self.validate()
 
     # -- access ----------------------------------------------------------
@@ -163,12 +169,21 @@ class AInfCategory:
                     total = total + c * a * b
         return total
 
-    def gram(self, x, y):
-        rows = self.hom_space(x, y).labels
-        cols = self.hom_space(y, x).labels
-        table = self.pairing.get((x, y), {})
-        zero = NovikovScalar.zero(self.field, self.cutoff)
-        return [[table.get((a, b), zero) for b in cols] for a in rows]
+    def dual_bases(self) -> dict:
+        """Pairing duals of every hom basis, built on first use and kept.
+
+        ``[(x, y)]`` lists, for each basis label of Hom(x,y) in order, the
+        vector in Hom(y,x) pairing to one against it and to zero against
+        the rest; pairs with both hom spaces zero are absent.
+        """
+        if self._duals is None:
+            _require_cyclic(self)
+            self._duals = {
+                (x, y): _pairing_duals(self, x, y)
+                for x, y in itertools.product(self.objects, repeat=2)
+                if self.hom_space(x, y).dim or self.hom_space(y, x).dim
+            }
+        return self._duals
 
     def chains(self, s):
         """Object chains of length s+1 with no zero hom space along them."""
@@ -239,6 +254,38 @@ class AInfCategory:
                         f"pairing entry ({la},{lb}) at ({x},{y}) "
                         "violates the declared degree"
                     )
+
+
+# -- dual bases -------------------------------------------------------------
+
+
+def _require_cyclic(cat):
+    if cat.cyclic_degree is None or not cat.pairing:
+        raise StructureError("no cyclic pairing declared")
+
+
+def _pairing_duals(cat, x, y) -> list:
+    """Duals in Hom(y,x) of the basis of Hom(x,y): one Gram inversion."""
+    basis = cat.hom_space(x, y)
+    partner = cat.hom_space(y, x)
+    if basis.dim != partner.dim:
+        raise StructureError(
+            f"singular Gram matrix at ({x!r}, {y!r}): "
+            f"dimensions {basis.dim} and {partner.dim} differ")
+    # row r pairs partner label r against every basis label; the dual of
+    # basis label a is the combination of rows giving e_a
+    one = NovikovScalar.one(cat.field, cat.cutoff)
+    gram = [
+        {col: cat.pair(y, x, {row: one}, {col: one}) for col in basis.labels}
+        for row in partner.labels
+    ]
+    inv = inverse(gram, basis.labels, cat.field, cat.cutoff)
+    if inv is None:
+        raise StructureError(f"singular Gram matrix at ({x!r}, {y!r})")
+    return [
+        {row: c for row, c in zip(partner.labels, coeffs) if not c.is_zero()}
+        for coeffs in inv
+    ]
 
 
 # -- axiom checkers --------------------------------------------------------
@@ -349,20 +396,16 @@ def check_cyclic(cat: AInfCategory, max_arity=None) -> CheckReport:
     if cat.cyclic_degree is None:
         report.add("cyclic", (), (), "no pairing declared")
         return report
-    # nondegeneracy per object pair
-    for x in cat.objects:
-        for y in cat.objects:
-            rows = cat.gram(x, y)
-            if not rows:
-                continue
-            report.checked += 1
-            if len(rows) != len(rows[0]):
-                report.add("gram", (x, y), (), "pairing matrix not square")
-                continue
-            square = [dict(enumerate(r)) for r in rows]
-            if inverse(square, range(len(rows)), cat.field,
-                       cat.cutoff) is None:
-                report.add("gram", (x, y), (), "pairing matrix singular")
+    # nondegeneracy per object pair: the Gram matrix of the pairing on
+    # Hom(x,y) (x) Hom(y,x) is the one the duals of Hom(y,x) invert
+    for x, y in itertools.product(cat.objects, repeat=2):
+        if cat.hom_space(x, y).dim == 0:
+            continue
+        report.checked += 1
+        try:
+            _pairing_duals(cat, y, x)
+        except StructureError as err:
+            report.add("gram", (x, y), (), str(err))
     # graded symmetry of the pairing itself
     for (x, y) in itertools.product(cat.objects, repeat=2):
         spa, spb = cat.hom_space(x, y), cat.hom_space(y, x)

@@ -711,12 +711,12 @@ class HomologyReport:
     def total(self) -> int:
         return sum(self.dims.values())
 
-    def require(self, *, stabilized=True) -> "HomologyReport":
+    def require(self) -> "HomologyReport":
         if not self.certified:
             raise InsufficientCutoff(
                 f"insufficient cutoff: elimination margin {self.margin} "
                 "is not positive")
-        if stabilized and not self.stabilized:
+        if not self.stabilized:
             raise NotStabilized(
                 f"{self.side} homology not stabilized at N={self.length}")
         return self

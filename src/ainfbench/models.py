@@ -195,23 +195,9 @@ def sphere_model(field, cutoff, beta, dim, name="sphere", object_name="S"):
 
 
 def point_category(field, cutoff, object_name="pt", name="point"):
-    """One object, one even morphism, trivial product."""
-    cutoff = Fraction(cutoff)
-    sp = GradedSpace(("1",), (0,), (0,))
-    one = NovikovScalar.one(field, cutoff)
-    m2 = MultilinearMap((sp, sp), sp, parity=0)
-    m2.add_entry(("1", "1"), "1", one)
-    return AInfCategory(
-        field,
-        cutoff,
-        (object_name,),
-        {(object_name, object_name): sp},
-        {(object_name,) * 3: m2},
-        units={object_name: {"1": one}},
-        pairing={(object_name, object_name): {("1", "1"): one}},
-        cyclic_degree=0,
-        name=name,
-    )
+    """One object, one even morphism, trivial product: Clifford of rank 0."""
+    return clifford_model(field, cutoff, [], object_name=object_name,
+                          name=name)
 
 
 def lambda_pair_algebra(field, cutoff, object_name="U", name="two-idempotents"):

@@ -8,22 +8,21 @@ structure at all: it is a finite double sum over splittings of both
 words, tracing a basis element through one operation nested inside
 another.  Solving the pairing identity against dual bases turns a chain
 into a cochain whose object components also admit a closed formula; that
-comparison map drives the split-generation certificate.
+comparison map drives the split-generation certificate.  The dual bases
+are the category's own (``AInfCategory.dual_bases``), read from its cache,
+so a category must not be patched after its first comparison.
 """
 
 from __future__ import annotations
 
-import itertools
-
+from .ainfinity import _require_cyclic
 from .errors import StructureError
 from .graded import _acc, _signed, reduced, sign_of
 from .hochschild import (HCochain, _word_prefixes, b11, chain_parity,
                          word_parity)
-from .linalg import inverse
 from .novikov import NovikovScalar
 
 __all__ = [
-    "DualBasisTable",
     "trace",
     "cyc_pair",
     "mukai",
@@ -32,11 +31,6 @@ __all__ = [
     "contract_element",
     "z_x",
 ]
-
-
-def _require_cyclic(cat):
-    if cat.cyclic_degree is None or not cat.pairing:
-        raise StructureError("no cyclic pairing declared")
 
 
 def _segment(objects, n, lo, hi):
@@ -74,68 +68,6 @@ def cyc_pair(phi: HCochain, vec: dict) -> NovikovScalar:
     entries up to the length of the chain.
     """
     return trace(phi.cat, b11(phi, vec))
-
-
-# -- dual bases -------------------------------------------------------------
-
-
-class DualBasisTable:
-    """Bases of every hom pair together with their pairing duals.
-
-    ``duals[(x, y)]`` lists, for each basis label of Hom(x,y) in order,
-    the vector in Hom(y,x) pairing to one against it and to zero against
-    the rest.  Built once per category and shared read-only.
-    """
-
-    def __init__(self, cat):
-        _require_cyclic(cat)
-        self.cat = cat
-        self.duals: dict = {}
-        one = NovikovScalar.one(cat.field, cat.cutoff)
-        for x, y in itertools.product(cat.objects, repeat=2):
-            basis = cat.hom_space(x, y)
-            partner = cat.hom_space(y, x)
-            if basis.dim == 0 and partner.dim == 0:
-                continue
-            if basis.dim != partner.dim:
-                raise StructureError(
-                    f"singular Gram matrix at ({x!r}, {y!r}): "
-                    f"dimensions {basis.dim} and {partner.dim} differ")
-            # row r pairs partner label r against every basis label; the
-            # dual of basis label a is the combination of rows giving e_a
-            gram = [
-                {col: cat.pair(y, x, {row: one}, {col: one})
-                 for col in basis.labels}
-                for row in partner.labels
-            ]
-            inv = inverse(gram, basis.labels, cat.field, cat.cutoff)
-            if inv is None:
-                raise StructureError(
-                    f"singular Gram matrix at ({x!r}, {y!r})")
-            self.duals[(x, y)] = [
-                {row: c for row, c in zip(partner.labels, coeffs)
-                 if not c.is_zero()}
-                for coeffs in inv
-            ]
-
-    def dual(self, x, y, index: int) -> dict:
-        """Dual of the index-th basis element of Hom(x,y), in Hom(y,x)."""
-        return self.duals[(x, y)][index]
-
-    def check(self) -> bool:
-        """Exactness of the Gram identity <e^a, e_b> = delta to cutoff."""
-        cat = self.cat
-        one = NovikovScalar.one(cat.field, cat.cutoff)
-        for (x, y), duals in self.duals.items():
-            labels = cat.hom_space(x, y).labels
-            for a, dual in enumerate(duals):
-                for b, col in enumerate(labels):
-                    val = cat.pair(y, x, dual, {col: one})
-                    if a == b:
-                        val = val - one
-                    if not val.is_zero():
-                        return False
-        return True
 
 
 # -- Mukai pairing ----------------------------------------------------------
@@ -232,8 +164,7 @@ def mukai(cat, left: dict, right: dict) -> NovikovScalar:
 # -- the comparison map -----------------------------------------------------
 
 
-def z_map(cat, vec: dict, max_length: int,
-          duals: DualBasisTable | None = None) -> HCochain:
+def z_map(cat, vec: dict, max_length: int) -> HCochain:
     """Cochain whose pairing against any chain is the Mukai pairing.
 
     Entries are recovered length by length: closing an argument tuple
@@ -241,9 +172,7 @@ def z_map(cat, vec: dict, max_length: int,
     that word is a coordinate, and the dual basis converts coordinates
     into the output vector.
     """
-    _require_cyclic(cat)
-    if duals is None:
-        duals = DualBasisTable(cat)
+    duals = cat.dual_bases()
     par = chain_parity(cat, vec)
     if par is None:
         return HCochain(cat, 0, max_length)
@@ -254,7 +183,7 @@ def z_map(cat, vec: dict, max_length: int,
             closing = cat.hom_space(chain[-1], chain[0])
             if closing.dim == 0 or cat.hom_space(chain[0], chain[-1]).dim == 0:
                 continue
-            table = duals.duals[(chain[-1], chain[0])]
+            table = duals[(chain[-1], chain[0])]
             word_objs = (chain[-1],) + chain[:-1]
             for args in cat.basis_tuples(chain):
                 apar = 0
@@ -279,8 +208,7 @@ def z_map(cat, vec: dict, max_length: int,
     return out
 
 
-def comparison_element(cat, vec: dict, target,
-                       duals: DualBasisTable) -> dict:
+def comparison_element(cat, vec: dict, target) -> dict:
     """Bar element Hom(K,X0) (x) letters (x) Hom(Xs,K) of a chain.
 
     Each splitting of a word sends the wrap through one operation led by a
@@ -288,6 +216,7 @@ def comparison_element(cat, vec: dict, target,
     matching basis letter closes the tail.  Keys are (object chain, labels)
     with the labels running head hom, middle letters, tail hom.
     """
+    duals = cat.dual_bases()
     arities = cat.arities()
     one = NovikovScalar.one(cat.field, cat.cutoff)
     out: dict = {}
@@ -304,7 +233,7 @@ def comparison_element(cat, vec: dict, target,
             basis = cat.hom_space(mark, target)
             if basis.dim == 0 or cat.hom_space(target, mark).dim == 0:
                 continue
-            table = duals.duals[(mark, target)]
+            table = duals[(mark, target)]
             for j in range(i + 1):
                 if (s - i) + j + 2 not in arities:
                     continue
@@ -342,7 +271,7 @@ def contract_element(cat, target, elem: dict) -> dict:
     return out
 
 
-def z_x(cat, vec: dict, target, duals: DualBasisTable | None = None) -> dict:
+def z_x(cat, vec: dict, target) -> dict:
     """Object component of the comparison cochain at the target.
 
     The comparison element of the chain, contracted by one structure map;
@@ -350,8 +279,5 @@ def z_x(cat, vec: dict, target, duals: DualBasisTable | None = None) -> dict:
     """
     if target not in cat.objects:
         raise StructureError(f"object {target!r} not in category")
-    _require_cyclic(cat)
-    if duals is None:
-        duals = DualBasisTable(cat)
     return contract_element(
-        cat, target, comparison_element(cat, vec, target, duals))
+        cat, target, comparison_element(cat, vec, target))

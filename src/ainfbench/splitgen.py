@@ -4,9 +4,10 @@ A target object is probed against a band: elements are tensors with a
 hom from the target into the band on the left, letters inside the band
 in the middle, and a hom back on the right.  One structure map contracts
 the whole tensor into the endomorphisms of the target, and chains over
-the band enter through a comparison element built from dual bases.  When
-the unit class of the target lies in the image, the target is split
-generated by the band.
+the band enter through a comparison element built from the dual bases the
+category carries (``AInfCategory.dual_bases``, cached on first read, so the
+category must not be patched afterwards).  When the unit class of the
+target lies in the image, the target is split generated by the band.
 """
 
 from __future__ import annotations
@@ -19,12 +20,11 @@ from .errors import StructureError
 from .graded import _acc, _signed, reduced, sign_of
 from .hochschild import homology, include_chain
 from .linalg import quotient_representatives, solve_combination
-from .mukai import DualBasisTable, comparison_element, contract_element, z_x
+from .mukai import comparison_element, z_x
 
 __all__ = [
     "BarComplex",
     "SplitGenCertificate",
-    "delta_chain",
     "split_generation_check",
 ]
 
@@ -112,15 +112,10 @@ class BarComplex:
                         _acc(out, key, _signed(c * v, sign_of(pre[i])))
         return out
 
-    def contract(self, vec: dict) -> dict:
-        """One structure map across the whole tensor, into Hom(K,K)."""
-        return contract_element(self.cat, self.target, vec)
-
-    def from_chain(self, vec: dict,
-                   duals: DualBasisTable | None = None) -> dict:
+    def from_chain(self, vec: dict) -> dict:
         """Comparison element of a chain supported on the band."""
-        if duals is None:
-            duals = DualBasisTable(self.cat)
+        # a category without a usable pairing fails before the band checks
+        self.cat.dual_bases()
         allowed = set(self.band)
         for (objs, labels), c in vec.items():
             if c.is_zero():
@@ -129,15 +124,7 @@ class BarComplex:
                 raise StructureError("chain leaves the band")
             if len(labels) - 1 > self.max_length:
                 raise StructureError("chain exceeds the bar window")
-        return comparison_element(self.cat, vec, self.target, duals)
-
-
-def delta_chain(cat, vec: dict, band, target,
-                duals: DualBasisTable | None = None) -> dict:
-    """Comparison element of a chain, on a bar window fitting the chain."""
-    longest = max((len(w[1]) - 1 for w in vec), default=0)
-    bar = BarComplex(cat, band, target, longest)
-    return bar.from_chain(vec, duals)
+        return comparison_element(self.cat, vec, self.target)
 
 
 # -- the generation certificate ---------------------------------------------
@@ -181,31 +168,23 @@ class SplitGenCertificate:
         return "\n".join(lines)
 
 
-def split_generation_check(cat, band, target, length,
-                           duals: DualBasisTable | None = None,
-                           classes=None) -> SplitGenCertificate:
+def split_generation_check(cat, band, target, length) -> SplitGenCertificate:
     """Decide whether the band split generates the target object.
 
-    Chain classes of the band are pushed to endomorphisms of the target
-    and the unit is solved for among them modulo exact terms.  ``classes``
-    overrides the stable class basis with an explicit list of chains,
-    bypassing the stabilization requirement.
+    The stable chain classes of the band are pushed to endomorphisms of
+    the target and the unit is solved for among them modulo exact terms.
     """
     band = tuple(band)
     for x in band + (target,):
         if x not in cat.objects:
             raise StructureError(f"object {x!r} not in category")
-    if duals is None:
-        duals = DualBasisTable(cat)
-    dims = None
-    if classes is None:
-        sub = subcategory(cat, band)
-        report = homology(sub, length, side="chains", want_basis=True)
-        report.require()
-        classes = [vec for p in (0, 1) for vec in report.representatives[p]]
-        dims = dict(report.dims)
-    columns = [z_x(cat, include_chain(cat, vec), target, duals)
-               for vec in classes]
+    # pairing errors come before any homology
+    cat.dual_bases()
+    report = homology(subcategory(cat, band), length, side="chains",
+                      want_basis=True)
+    report.require()
+    classes = [vec for p in (0, 1) for vec in report.representatives[p]]
+    columns = [z_x(cat, include_chain(cat, vec), target) for vec in classes]
     end = cat.hom_space(target, target)
     exact = []
     if cat.op((target, target)) is not None:
@@ -222,7 +201,7 @@ def split_generation_check(cat, band, target, length,
         reps, _ = quotient_representatives([unit_vec], exact)
         residual = dict(reps[0]) if reps else {}
         return SplitGenCertificate(target, band, {}, residual,
-                                   False, length, dims or {})
+                                   False, length, dict(report.dims))
     witness: dict = {}
     for coeff, vec in zip(sol, classes):
         if coeff.is_zero():
@@ -232,10 +211,9 @@ def split_generation_check(cat, band, target, length,
     # replay the witness: its comparison endomorphism must be the unit
     # up to exact terms, independently of the solver's bookkeeping
     gap = dict(unit_vec)
-    for lab, c in z_x(cat, include_chain(cat, witness), target,
-                      duals).items():
+    for lab, c in z_x(cat, include_chain(cat, witness), target).items():
         _acc(gap, lab, -c)
     if gap and solve_combination(exact, gap, cat.field, cat.cutoff) is None:
         raise StructureError("witness fails to replay against the unit")
     return SplitGenCertificate(target, band, witness, {},
-                               True, length, dims or {})
+                               True, length, dict(report.dims))

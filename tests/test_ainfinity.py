@@ -171,7 +171,7 @@ def test_pairing_singular_to_working_precision_detected():
         ("p", "1"): parse_scalar("3 - 2*T^2", Q, 4),
         ("p", "p"): parse_scalar("3*T^2", Q, 4)}
     report = check_cyclic(cat)
-    assert ("gram", ("S", "S"), (), "pairing matrix singular") in [
+    assert ("gram", ("S", "S"), (), "singular Gram matrix at ('S', 'S')") in [
         (v.kind, v.chain, v.args, v.detail) for v in report.violations]
 
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from ainfbench import ainfinity
 from ainfbench.ainfinity import AInfCategory, subcategory
 from ainfbench.errors import NotStabilized, StructureError
 from ainfbench.graded import GradedSpace, MultilinearMap
@@ -14,13 +15,9 @@ from ainfbench.models import (
     sphere_model,
     summand_category,
 )
-from ainfbench.mukai import DualBasisTable, z_x
+from ainfbench.mukai import contract_element, z_x
 from ainfbench.novikov import NovikovScalar, Rationals
-from ainfbench.splitgen import (
-    BarComplex,
-    delta_chain,
-    split_generation_check,
-)
+from ainfbench.splitgen import BarComplex, split_generation_check
 
 E = 6
 Q = Rationals()
@@ -140,8 +137,8 @@ def test_contraction_is_a_chain_map_to_the_endomorphisms():
     nontrivial = False
     for _ in range(6):
         vec = random_bar_element(bar, rng)
-        lhs = bar.contract(bar.differential(vec))
-        rhs = cat.apply_vectors(("P", "P"), [bar.contract(vec)])
+        lhs = contract_element(cat, "P", bar.differential(vec))
+        rhs = cat.apply_vectors(("P", "P"), [contract_element(cat, "P", vec)])
         assert vec_is_zero(vec_sub(lhs, rhs))
         if not vec_is_zero(lhs):
             nontrivial = True
@@ -158,13 +155,12 @@ def test_comparison_intertwines_the_differentials():
     )
     for cat, band, target in fixtures:
         sub = subcategory(cat, band)
-        duals = DualBasisTable(cat)
         bar = BarComplex(cat, band, target, 3)
         sgn = -1 if cat.cyclic_degree & 1 else 1
         for parity in (0, 1):
             vec = include_chain(cat, random_chain(sub, parity, 3, rng))
-            lhs = bar.from_chain(chain_differential(cat, vec), duals)
-            rhs = bar.from_chain(vec, duals)
+            lhs = bar.from_chain(chain_differential(cat, vec))
+            rhs = bar.from_chain(vec)
             rhs = bar.differential(rhs)
             total = vec_sub(rhs, {k: -v for k, v in lhs.items()}
                             if sgn == 1 else lhs)
@@ -197,12 +193,11 @@ def test_contracting_the_comparison_recovers_the_endomorphism():
     )
     for cat, band, target in fixtures:
         sub = subcategory(cat, band)
-        duals = DualBasisTable(cat)
         bar = BarComplex(cat, band, target, 2)
         for parity in (0, 1):
             vec = include_chain(cat, random_chain(sub, parity, 2, rng))
-            lhs = bar.contract(bar.from_chain(vec, duals))
-            rhs = z_x(cat, vec, target, duals)
+            lhs = contract_element(cat, target, bar.from_chain(vec))
+            rhs = z_x(cat, vec, target)
             assert vec_is_zero(vec_sub(lhs, rhs))
 
 
@@ -223,7 +218,8 @@ def test_comparison_rejects_chains_beyond_the_window():
 
 def test_comparison_of_the_point_unit_word():
     cat = point_category(Q, E)
-    out = delta_chain(cat, {(("pt",), ("1",)): one()}, ("pt",), "pt")
+    bar = BarComplex(cat, ("pt",), "pt", 0)
+    out = bar.from_chain({(("pt",), ("1",)): one()})
     assert set(out) == {(("pt",), ("1", "1"))}
     assert scalar_is(out[(("pt",), ("1", "1"))], 1)
 
@@ -270,14 +266,14 @@ def test_orthogonal_band_leaves_the_unit_obstructed():
 
 
 def test_degenerate_sphere_is_obstructed():
-    # with no quantum corrections the volume word hits zero, so the unit
-    # class survives; explicit classes bypass the stabilization gate
+    # with no quantum corrections the unit word goes to 2p and the volume
+    # word to zero, and m1 vanishes: nothing reaches the unit
     cat = sphere_model(Q, E, 0, 2)
-    classes = [{(("S",), ("1",)): one()}, {(("S",), ("p",)): one()}]
-    cert = split_generation_check(cat, ("S",), "S", 4, classes=classes)
-    assert not cert.generated
-    assert set(cert.residual) == {"1"}
-    assert scalar_is(cert.residual["1"], 1)
+    z_unit = z_x(cat, {(("S",), ("1",)): one()}, "S")
+    z_vol = z_x(cat, {(("S",), ("p",)): one()}, "S")
+    assert set(z_unit) == {"p"} and scalar_is(z_unit["p"], 2)
+    assert vec_is_zero(z_vol)
+    assert cat.op(("S", "S")) is None
 
 
 def test_degenerate_sphere_never_stabilizes_without_overrides():
@@ -289,6 +285,24 @@ def test_degenerate_sphere_never_stabilizes_without_overrides():
 def test_certificate_rejects_unknown_targets():
     with pytest.raises(StructureError, match="not in category"):
         split_generation_check(cl1(), ("T",), "X", 3)
+
+
+def test_each_gram_matrix_is_inverted_once(monkeypatch):
+    # the check and a replay outside it share the category's one inversion
+    calls = []
+    real = ainfinity.inverse
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(ainfinity, "inverse", counting)
+    cat = cl1(beta=2)
+    cert = split_generation_check(cat, ("T",), "T", 4)
+    z_x(cat, include_chain(cat, cert.witness), "T")
+    nonzero = [(x, y) for x in cat.objects for y in cat.objects
+               if cat.hom_space(x, y).dim]
+    assert len(calls) == len(nonzero) == 1
 
 
 def test_certificate_rejects_a_repeated_band_object():
