@@ -6,16 +6,19 @@ scalar carries a cutoff E: terms with exponent >= E have been discarded, and
 the value is only meaningful modulo T^E.  Exponents may be negative (this is
 the field of truncated universal Novikov series, not just the ring).
 
-Exponents and cutoffs are kept in one canonical exact form: a Python ``int``
-when the value is integral, a ``Fraction`` with denominator > 1 otherwise.
-Both types may meet in one computation because equal values compare and
-hash equal, and both carry ``.numerator``/``.denominator``.  The form keeps
-the bookkeeping of constant scalars (all exponents 0) in machine-int
-arithmetic; fractional exponents keep ``Fraction`` arithmetic.
+Exponents, cutoffs, rational coefficients and both parts of a ``QuadExt``
+are kept in one canonical exact form: a Python ``int`` when the value is
+integral, a ``Fraction`` with denominator > 1 otherwise.  Both types may
+meet in one computation because equal values compare and hash equal, and
+both carry ``.numerator``/``.denominator``.  The form keeps integral data
+(constant scalars, integer Clifford and toric coefficients) in machine-int
+arithmetic; only genuinely fractional values pay for ``Fraction``
+arithmetic.  Because ``int / int`` is a ``float``, every division of a
+coefficient goes through ``Fraction``.  A ``float`` is never a coefficient.
 
 Coefficient fields:
 
-* ``Rationals``          -- exact Q, elements are ``fractions.Fraction``;
+* ``Rationals``          -- exact Q, elements are ``int`` or ``Fraction``;
 * ``QuadraticField(d)``  -- exact Q(sqrt d) for a square-free integer d
                             (d may be negative), elements are ``QuadExt``.
 
@@ -49,7 +52,7 @@ __all__ = [
 
 
 def _exact(x):
-    """Canonical exact exponent: ``int`` if integral, else a ``Fraction``."""
+    """Canonical exact value: ``int`` if integral, else a ``Fraction``."""
     if type(x) is int:
         return x
     if type(x) is not Fraction:
@@ -69,16 +72,14 @@ def field_power(field, x, k: int):
     return out
 
 
-def _fraction_sqrt(x: Fraction) -> Fraction | None:
+def _fraction_sqrt(x: int | Fraction) -> int | Fraction | None:
     """Exact square root of a nonnegative rational, or None."""
     if x < 0:
         return None
-    if x == 0:
-        return Fraction(0)
     n, d = x.numerator, x.denominator
     rn, rd = math.isqrt(n), math.isqrt(d)
     if rn * rn == n and rd * rd == d:
-        return Fraction(rn, rd)
+        return _exact(Fraction(rn, rd))
     return None
 
 
@@ -88,11 +89,18 @@ class QuadExt:
 
     d is a square-free integer (possibly negative) shared by both operands of
     any arithmetic operation.  Supports mixed arithmetic with int / Fraction.
+    Both parts are stored in the canonical form of the module docstring.
     """
 
-    a: Fraction
-    b: Fraction
+    a: int | Fraction
+    b: int | Fraction
     d: int
+
+    def __post_init__(self):
+        if type(self.a) is Fraction:
+            object.__setattr__(self, "a", _exact(self.a))
+        if type(self.b) is Fraction:
+            object.__setattr__(self, "b", _exact(self.b))
 
     def _lift(self, other):
         if isinstance(other, QuadExt):
@@ -100,7 +108,7 @@ class QuadExt:
                 raise FieldMismatch(f"sqrt({self.d}) vs sqrt({other.d})")
             return other
         if isinstance(other, (int, Fraction)):
-            return QuadExt(Fraction(other), Fraction(0), self.d)
+            return QuadExt(other, 0, self.d)
         return None
 
     def __add__(self, other):
@@ -142,7 +150,7 @@ class QuadExt:
         n = self.a * self.a - self.b * self.b * self.d
         if n == 0:
             raise ZeroDivisionError("zero element of quadratic field")
-        return QuadExt(self.a / n, -self.b / n, self.d)
+        return QuadExt(Fraction(self.a, n), Fraction(-self.b, n), self.d)
 
     def __truediv__(self, other):
         o = self._lift(other)
@@ -203,7 +211,7 @@ def _squarefree_decompose(n: int) -> tuple[int, int]:
 
 
 class Rationals:
-    """Exact rational coefficient field; elements are Fraction."""
+    """Exact rational coefficient field; elements are int or Fraction."""
 
     def __repr__(self):
         return "Rationals()"
@@ -214,14 +222,12 @@ class Rationals:
     def __hash__(self):
         return hash("q")
 
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def coerce(self, x):
-        if isinstance(x, Fraction):
-            return x
-        if isinstance(x, int):
-            return Fraction(x)
+        if isinstance(x, (int, Fraction)):
+            return _exact(x)
         if isinstance(x, QuadExt) and x.b == 0:
             return x.a
         raise NotRepresentable(f"cannot coerce {x!r} into Q")
@@ -232,7 +238,7 @@ class Rationals:
     def invert(self, x):
         if x == 0:
             raise ZeroDivisionError("inverting 0 in Q")
-        return 1 / Fraction(x)
+        return _exact(1 / Fraction(x))
 
     def sqrt(self, x):
         return _fraction_sqrt(Fraction(x))
@@ -249,6 +255,9 @@ class QuadraticField:
         if k != 1 or s in (0, 1):
             raise ValueError(f"d must be square-free and not 0 or 1, got {d}")
         self.d = d
+        self.zero = QuadExt(0, 0, d)
+        self.one = QuadExt(1, 0, d)
+        self.root = QuadExt(0, 1, d)  # the element sqrt(d)
 
     def __repr__(self):
         return f"QuadraticField({self.d})"
@@ -259,26 +268,13 @@ class QuadraticField:
     def __hash__(self):
         return hash(("q-sqrt", self.d))
 
-    @property
-    def zero(self):
-        return QuadExt(Fraction(0), Fraction(0), self.d)
-
-    @property
-    def one(self):
-        return QuadExt(Fraction(1), Fraction(0), self.d)
-
-    @property
-    def root(self):
-        """The element sqrt(d)."""
-        return QuadExt(Fraction(0), Fraction(1), self.d)
-
     def coerce(self, x):
         if isinstance(x, QuadExt):
             if x.d != self.d:
                 raise FieldMismatch(f"sqrt({x.d}) element in Q(sqrt {self.d})")
             return x
         if isinstance(x, (int, Fraction)):
-            return QuadExt(Fraction(x), Fraction(0), self.d)
+            return QuadExt(x, 0, self.d)
         raise NotRepresentable(f"cannot coerce {x!r} into Q(sqrt {self.d})")
 
     def is_zero(self, x) -> bool:
@@ -297,21 +293,21 @@ class QuadraticField:
         if b == 0:
             r = _fraction_sqrt(a)
             if r is not None:
-                return QuadExt(r, Fraction(0), d)
+                return QuadExt(r, 0, d)
             if d > 0 or a <= 0:
-                r = _fraction_sqrt(a / d)
+                r = _fraction_sqrt(Fraction(a, d))
                 if r is not None:
-                    return QuadExt(Fraction(0), r, d)
+                    return QuadExt(0, r, d)
             return None
         # 2pq = b and p^2 + q^2 d = a: p^2 solves t^2 - a t + b^2 d/4 = 0.
         disc = a * a - b * b * d
         s = _fraction_sqrt(disc)
         if s is None:
             return None
-        for t in ((a + s) / 2, (a - s) / 2):
+        for t in (Fraction(a + s, 2), Fraction(a - s, 2)):
             p = _fraction_sqrt(t)
             if p is not None and p != 0:
-                q = b / (2 * p)
+                q = Fraction(b, 2 * p)
                 if p * p + q * q * d == a:
                     return QuadExt(p, q, d)
         return None
@@ -334,8 +330,9 @@ class NovikovScalar:
 
     Immutable.  ``terms`` is a tuple of (exponent, coefficient) pairs with
     strictly increasing exponents, no zero coefficients, and all exponents
-    below ``cutoff``.  Every exponent and the cutoff are in the canonical
-    form of the module docstring: ``int`` when integral, else ``Fraction``.
+    below ``cutoff``.  Every exponent, the cutoff and every rational
+    coefficient are in the canonical form of the module docstring: ``int``
+    when integral, else ``Fraction``.
     """
 
     __slots__ = ("field", "cutoff", "terms")
@@ -366,9 +363,10 @@ class NovikovScalar:
                 continue
             c = coerce(c)
             if e in acc:
-                acc[e] = acc[e] + c
-            else:
-                acc[e] = c
+                c = acc[e] + c
+                if type(c) is Fraction:
+                    c = _exact(c)
+            acc[e] = c
         is_zero = field.is_zero
         terms = [(e, c) for e, c in sorted(acc.items()) if not is_zero(c)]
         return cls(field, cutoff, terms)
@@ -454,6 +452,8 @@ class NovikovScalar:
                     j += 1
                 else:
                     c = ca + cb
+                    if type(c) is Fraction:
+                        c = _exact(c)
                     if not is_zero(c):
                         merged.append((ea, c))
                     i += 1
@@ -509,6 +509,8 @@ class NovikovScalar:
             if e >= cutoff:
                 return NovikovScalar(self.field, cutoff, ())
             c = c1 * c2
+            if type(c) is Fraction:
+                c = _exact(c)
             if self.field.is_zero(c):
                 return NovikovScalar(self.field, cutoff, ())
             return NovikovScalar(self.field, cutoff, ((e, c),))

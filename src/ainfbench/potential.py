@@ -384,7 +384,8 @@ def _weighted_sum(table, weight):
             continue
         if w != 1:
             value = NovikovScalar(
-                field, value.cutoff, [(e, w * c) for e, c in value.terms]
+                field, value.cutoff,
+                [(e, field.coerce(w * c)) for e, c in value.terms]
             )
         total = total + value
     if total.cutoff > cutoff:

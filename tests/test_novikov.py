@@ -10,12 +10,14 @@ from ainfbench.novikov import (
     QuadExt,
     QuadraticField,
     Rationals,
+    field_power,
     format_scalar,
     parse_scalar,
 )
 
 Q = Rationals()
 Q5 = QuadraticField(5)
+Q_3 = QuadraticField(-3)
 E = Fraction(6)
 
 
@@ -145,6 +147,68 @@ def test_fraction_and_int_inputs_build_the_same_scalar(pairs, cutoff):
     assert [type(e) for e, _ in a.terms] == [type(e) for e, _ in b.terms]
     assert type(a.cutoff) is type(b.cutoff)
     assert format_scalar(a, show_order=True) == format_scalar(b, show_order=True)
+
+
+# -- canonical coefficient form -------------------------------------------
+
+def canonical_coeff(c):
+    """int, or Fraction with denominator > 1; both parts of a QuadExt."""
+    if isinstance(c, QuadExt):
+        return canonical_coeff(c.a) and canonical_coeff(c.b)
+    return type(c) is int or (type(c) is Fraction and c.denominator > 1)
+
+
+@st.composite
+def field_elements(draw, field):
+    a = draw(coeffs)
+    if isinstance(field, QuadraticField):
+        return QuadExt(a, draw(coeffs), field.d)
+    return a
+
+
+@st.composite
+def field_scalars(draw, field, min_terms=0):
+    n = draw(st.integers(min_value=min_terms, max_value=4))
+    pairs = [(draw(exponents), draw(field_elements(field))) for _ in range(n)]
+    x = nov(pairs, field=field)
+    if min_terms and x.is_zero():
+        x = x + nov([(0, 1)], field=field)
+    return x
+
+
+@pytest.mark.parametrize("field", [Q, Q5, Q_3], ids=repr)
+@given(data=st.data())
+@settings(max_examples=100)
+def test_results_keep_canonical_coefficients(field, data):
+    a = data.draw(field_scalars(field))
+    b = data.draw(field_scalars(field, min_terms=1))
+    lead = NovikovScalar.monomial(field, E, *b.leading())
+    c0 = lead.leading()[1]
+    results = [a + b, a - b, a * b, lead * lead, b.invert(),
+               (lead * lead).sqrt(), parse_scalar(format_scalar(a), field, E)]
+    coefficients = [c for x in results for _, c in x.terms]
+    coefficients += [field.invert(c0), field.sqrt(c0 * c0), field.coerce(c0)]
+    assert all(canonical_coeff(c) for c in coefficients)
+
+
+def test_division_sites_stay_exact():
+    half = Q.invert(2)
+    assert half == Fraction(1, 2) and type(half) is Fraction
+    three = Q.invert(Fraction(1, 3))
+    assert three == 3 and type(three) is int
+    two = Q.sqrt(4)
+    assert two == 2 and type(two) is int
+    inv = QuadExt(1, 1, 5).inverse()
+    assert (inv.a, inv.b) == (Fraction(-1, 4), Fraction(1, 4))
+    assert type(inv.a) is Fraction and type(inv.b) is Fraction
+    for field, x, want in [(Q5, 5, Q5.root), (Q5, QuadExt(6, 2, 5), 1 + Q5.root),
+                           (Q_3, -3, Q_3.root)]:
+        r = field.sqrt(x)
+        assert r in (want, -want)
+        assert type(r.a) is int and type(r.b) is int
+    quarter = field_power(Q, 2, -2)
+    assert quarter == Fraction(1, 4) and type(quarter) is Fraction
+    assert Q5.zero is Q5.zero and Q5.one is Q5.one and Q5.root is Q5.root
 
 
 # -- inversion oracles -----------------------------------------------------

@@ -399,6 +399,20 @@ def test_hessian_at_degenerate_point():
     assert report.determinant.is_zero()
 
 
+def test_hessian_at_an_exact_point_keeps_int_coefficients():
+    # y^2 W'' of W = y^3/3 + T*y is 2y^3.  A point known to the evaluation
+    # cutoff itself passes its first weighted term on unmerged, so the
+    # weight 6 times the coefficient 1/3 must come back as an int.
+    w = NovikovLaurentPolynomial.make(Rationals(), 1, [
+        (0, (3,), Fraction(1, 3)), (1, (1,), 1)])
+    y = NovikovScalar.make(Rationals(), potential._EXACT,
+                           [(0, 1), (Fraction(1, 2), 1)])
+    entry = hessian(w, (y,)).matrix[0][0]
+    assert entry.terms == ((0, 2), (Fraction(1, 2), 6), (1, 6),
+                           (Fraction(3, 2), 2))
+    assert all(type(c) is int for _, c in entry.terms)
+
+
 def _degenerate_then_sqrt2():
     # y dW/dy = y (y - 1)^2 - T/y + 2T^5/y^3: a double root at valuation 0,
     # rational roots +-1 at valuation 1/2 and roots +-sqrt(2) at valuation 2
