@@ -17,9 +17,9 @@ Either way the truncated homology depends on the window N.  What gets
 reported is the part stable under moving the window: the rank of the map
 between the homology at one window and at the neighbouring window two steps
 away, a persistent rank of the length filtration.  One ``homology`` call
-builds one table, a column per basis element up to the largest window it
-needs, and every window and the class basis read length slices of it.  One
-formula counts the boundaries landing in the small window: the rank of the
+builds one table, a column per basis element up to its build window, and
+every window and the class basis read length slices of it.  One formula
+counts the boundaries landing in the small window: the rank of the
 differential on the build window minus the rank of its part sticking out.
 One elimination per parity per call; every window reads ranks of its
 length prefixes.  Reports carry the comparison with the previous window and
@@ -729,7 +729,7 @@ class HomologyReport:
 
 
 def _columns(cat, top, side):
-    """Basis per parity up to length ``top``, and one column per element.
+    """Basis per parity up to the build window ``top``, and their columns.
 
     A word's column is its boundary, an elementary cochain's its
     differential in the ``top`` window.  The boundary never raises length
@@ -761,17 +761,16 @@ def _stable_dims(basis, diff, of_len, windows, drop):
     lowers length and nothing sticks out.
 
     One elimination per parity per call; every window reads ranks of its
-    length prefixes.  ``basis[p]`` is in length order, so the rows of every
-    small and build window are a prefix of the rows of the largest build
-    window, and one blocked elimination of those rows gives the rank of
-    each prefix.  Only the parts sticking out get eliminations of their own.
+    length prefixes.  ``basis[p]`` is in length order and ends at the
+    largest build window, so the rows of every small and build window are a
+    prefix of its rows, and one blocked elimination gives the rank of each
+    prefix.  Only the parts sticking out get eliminations of their own.
     Returns ``({window: dims}, eliminators)``.
     """
-    top = max(windows) - drop
     elims, rows, lens, pivots = [], {}, {}, {}
     for p in (0, 1):
-        lens[p] = [x for x in map(of_len, basis[p]) if x <= top]
-        rows[p] = [diff(e) for e in basis[p][:len(lens[p])]]
+        lens[p] = [of_len(e) for e in basis[p]]
+        rows[p] = [diff(e) for e in basis[p]]
         blocks, pivots[p] = blocked_rank(rows[p])
         elims.extend(blocks)
 
@@ -814,16 +813,17 @@ def homology(cat, length, side="chains", want_basis=False) -> HomologyReport:
 
     ``side`` is "chains" for the boundary complex and "cochains" for the
     differential on cochains.  Dimensions are per parity; ``stabilized``
-    compares against the window two steps down.  One table of columns
-    serves both windows and the class basis.
+    compares against the window two steps down.  One table of columns, at
+    the build window of ``length``, serves both windows and the class basis.
     """
     _require_flat(cat)
     if side not in ("chains", "cochains"):
         raise StructureError(f"unknown side {side!r}")
-    if length < 2:
-        raise StructureError("homology needs a window of length at least 2")
+    if type(length) is not int or length < 2:
+        raise StructureError("homology needs an integer window of length "
+                             f"at least 2, got {length!r}")
     drop = 0 if 1 in cat.arities() else 1
-    basis, cols = _columns(cat, length if want_basis else length - drop, side)
+    basis, cols = _columns(cat, length - drop, side)
     if side == "chains":
         of_len, diff = word_length, cols.__getitem__
     else:
@@ -842,9 +842,9 @@ def homology(cat, length, side="chains", want_basis=False) -> HomologyReport:
     stabilized = previous is not None and previous == dims
     representatives = None
     if want_basis:
-        # chains: cycles of the small window modulo all boundaries;
-        # cochains: cocycles truncated to the small window modulo the
-        # coboundaries computed there
+        # chains: cycles of the small window modulo the boundaries of the
+        # build window; cochains: cocycles of the build window truncated to
+        # the small window modulo the coboundaries computed there
         m = length - 2
         representatives = {}
         for p in (0, 1):

@@ -89,7 +89,7 @@ class QuadExt:
 
     d is a square-free integer (possibly negative) shared by both operands of
     any arithmetic operation.  Supports mixed arithmetic with int / Fraction.
-    Both parts are stored in the canonical form of the module docstring.
+    Parts are coerced into Q in the canonical form of the module docstring.
     """
 
     a: int | Fraction
@@ -97,10 +97,10 @@ class QuadExt:
     d: int
 
     def __post_init__(self):
-        if type(self.a) is Fraction:
-            object.__setattr__(self, "a", _exact(self.a))
-        if type(self.b) is Fraction:
-            object.__setattr__(self, "b", _exact(self.b))
+        if type(self.a) is not int:
+            object.__setattr__(self, "a", Rationals().coerce(self.a))
+        if type(self.b) is not int:
+            object.__setattr__(self, "b", Rationals().coerce(self.b))
 
     def _lift(self, other):
         if isinstance(other, QuadExt):
@@ -238,10 +238,10 @@ class Rationals:
     def invert(self, x):
         if x == 0:
             raise ZeroDivisionError("inverting 0 in Q")
-        return _exact(1 / Fraction(x))
+        return _exact(1 / Fraction(self.coerce(x)))
 
     def sqrt(self, x):
-        return _fraction_sqrt(Fraction(x))
+        return _fraction_sqrt(self.coerce(x))
 
     def format(self, x) -> str:
         return str(x)

@@ -329,6 +329,15 @@ def test_float_operands_are_not_representable(field):
         x * 1j
 
 
+def test_float_parts_and_field_arguments_are_not_representable():
+    with pytest.raises(NotRepresentable):
+        NovikovScalar.make(Q5, 6, [(0, QuadExt(0.5, 0, 5))])
+    with pytest.raises(NotRepresentable):
+        Q.invert(0.5)
+    with pytest.raises(NotRepresentable):
+        Q.sqrt(0.25)
+
+
 # -- literal syntax --------------------------------------------------------
 
 @pytest.mark.parametrize(
