@@ -320,30 +320,6 @@ def elementary_cochain(cat, elem, max_length) -> HCochain:
     return phi
 
 
-def random_cochain(cat, parity, max_length, rng, density=0.5) -> HCochain:
-    """Sparse cochain with small integer coefficients; test and check fuel."""
-    phi = HCochain(cat, parity, max_length)
-    for elem in iter_elementaries(cat, max_length, parity):
-        if rng.random() > density:
-            continue
-        c = rng.randint(-3, 3)
-        if c:
-            phi.add(*elem, NovikovScalar.constant(cat.field, cat.cutoff, c))
-    return phi
-
-
-def random_chain(cat, parity, max_length, rng, density=0.5) -> dict:
-    """Homogeneous random chain of the given word parity."""
-    vec = {}
-    for word in words_up_to(cat, max_length):
-        if word_parity(cat, word) != parity or rng.random() > density:
-            continue
-        c = rng.randint(-3, 3)
-        if c:
-            vec[word] = NovikovScalar.constant(cat.field, cat.cutoff, c)
-    return vec
-
-
 # -- cochain differential and products -------------------------------------
 
 def _arg_reduced_prefix(cat, chain, args):

@@ -52,11 +52,14 @@ __all__ = [
 
 
 def _exact(x):
-    """Canonical exact value: ``int`` if integral, else a ``Fraction``."""
+    """Canonical exact value: ``int`` if integral, else a ``Fraction``.
+
+    Any other type, a float included, raises NotRepresentable.
+    """
     if type(x) is int:
         return x
     if type(x) is not Fraction:
-        x = Fraction(x)
+        raise NotRepresentable(f"{x!r} is not exact (int or Fraction)")
     return x.numerator if x.denominator == 1 else x
 
 

@@ -6,9 +6,10 @@ field are found the way one solves such systems by hand: read candidate
 valuation vectors off the balancing condition of the Newton polytopes,
 solve the leading-order system exactly over the coefficient field, then
 lift T-adically by Newton iteration.  Floating point enters only as a
-guide for root recognition; every accepted root is re-verified exactly,
-and quadratic irrationalities trigger an automatic base change to the
-matching quadratic field.
+guide for root recognition, a bounded Weierstrass (Durand-Kerner)
+iteration in plain ``complex``; every accepted root is re-verified
+exactly, and quadratic irrationalities trigger an automatic base change
+to the matching quadratic field.
 
 Two rules keep the solve from computing anything twice:
 
@@ -36,8 +37,6 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy
 
 from .errors import (
     InsufficientCutoff,
@@ -563,12 +562,38 @@ def _roots_quadratic(p: _Poly):
     return [((-b + s) * inv2a, 1), ((-b - s) * inv2a, 1)]
 
 
+_ROOT_SWEEPS = 500
+_ROOT_TOL = 1e-15
+
+
 def _numeric_roots(p: _Poly):
+    """Complex roots of p by Weierstrass (Durand-Kerner) iteration.
+
+    Root k of the monic p starts at rad*(0.4 + 0.9i)^k, rad bounding every
+    root; a sweep moves each root z by p(z)/prod(z - w) over the others.
+    A repeated root never meets the tolerance and ends at the sweep cap.
+    """
     coeffs = p.embed()       # constant first
-    arr = numpy.roots(list(reversed(coeffs)))
-    rts = [complex(z) for z in arr]
-    rts.sort(key=lambda z: (round(z.real, 9), round(z.imag, 9)))
-    return rts
+    lead = coeffs[-1]
+    coeffs = [c / lead for c in coeffs]
+    rad = 1 + max(abs(c) for c in coeffs[:-1])
+    rts = [rad * (0.4 + 0.9j) ** k for k in range(len(coeffs) - 1)]
+    for _ in range(_ROOT_SWEEPS):
+        step = 0.0
+        for i, z in enumerate(rts):
+            val = 0j
+            for c in reversed(coeffs):
+                val = val * z + c
+            delta = val / math.prod(z - w for j, w in enumerate(rts) if j != i)
+            rts[i] = z - delta
+            step = max(step, abs(delta))
+        if step < _ROOT_TOL * rad:
+            rts.sort(key=lambda z: (round(z.real, 9), round(z.imag, 9)))
+            return rts
+    raise NotRepresentable(
+        f"root iteration did not converge in {_ROOT_SWEEPS} sweeps "
+        f"(degree {p.degree})"
+    )
 
 
 def _rational_candidates(x: float):
@@ -595,8 +620,9 @@ def _multiplicity(p: _Poly, root):
 def _roots_exact_tail(p: _Poly):
     """Roots of a squarefree polynomial of degree >= 3 over an exact field.
 
-    Numeric roots steer the search; a root is only accepted once exact
-    division confirms it.  Conjugate-looking pairs are recombined into a
+    Numeric roots from the Weierstrass iteration of ``_numeric_roots``
+    steer the search; a root is only accepted once exact division
+    confirms it.  Conjugate-looking pairs are recombined into a
     rational quadratic and solved by the formula, which is where a base
     change to a quadratic field can become necessary.
     """

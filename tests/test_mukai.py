@@ -13,8 +13,6 @@ from ainfbench.hochschild import (
     homology,
     include_chain,
     object_chain,
-    random_chain,
-    random_cochain,
     restrict_to_object,
     unit_cochain,
     words_up_to,
@@ -37,6 +35,8 @@ from ainfbench.mukai import (
     z_x,
 )
 from ainfbench.novikov import NovikovScalar, Rationals, parse_scalar
+
+from random_elements import random_chain, random_cochain
 
 E = 6
 Q = Rationals()

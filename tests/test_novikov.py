@@ -132,8 +132,7 @@ def plain(e):
 def test_results_keep_canonical_exponents(a, b, e):
     lead = NovikovScalar.monomial(Q, E, *b.leading())
     results = [a + b, a - b, a * b, b.invert(), a.truncate(e),
-               a.truncate(float(e)), (lead * lead).sqrt(),
-               nov([(float(x), c) for x, c in b.terms], cutoff=float(E)),
+               (lead * lead).sqrt(),
                nov([(Fraction(x), c) for x, c in b.terms], cutoff=Fraction(E))]
     assert all(canonical(x) for x in results)
 
@@ -336,6 +335,15 @@ def test_float_parts_and_field_arguments_are_not_representable():
         Q.invert(0.5)
     with pytest.raises(NotRepresentable):
         Q.sqrt(0.25)
+    # float exponents and cutoffs, even those whose binary value is exact
+    for build in (lambda: nov([(0.1, 1)]),
+                  lambda: nov([(0.5, 1)]),
+                  lambda: nov([(1, 1)], cutoff=6.5),
+                  lambda: nov([(1, 1)], cutoff=float(E)),
+                  lambda: NovikovScalar(Q, 6.0, ()),
+                  lambda: nov([(1, 1)]).truncate(2.5)):
+        with pytest.raises(NotRepresentable):
+            build()
 
 
 # -- literal syntax --------------------------------------------------------

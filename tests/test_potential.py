@@ -528,6 +528,17 @@ def test_two_square_roots_are_not_representable():
         critical_points(w, 6)
 
 
+def test_numeric_roots_are_bounded():
+    # (x - 1)^3 is not squarefree: the Weierstrass steps never meet the
+    # tolerance, and the sweep cap turns that into a named error
+    cube = potential._Poly(Rationals(), [-1, 3, -3, 1])
+    with pytest.raises(NotRepresentable, match="did not converge"):
+        potential._numeric_roots(cube)
+    roots = potential._numeric_roots(potential._Poly(Rationals(), [-6, 11, -6, 1]))
+    assert len(roots) == 3
+    assert all(abs(z - k) < 1e-12 for z, k in zip(roots, (1, 2, 3)))
+
+
 def test_newton_step_with_singular_jacobian_is_named():
     # W = y^3/3 - y^2 + y + T (y^3/3 - 3y^2/2 + 3y): at y = 1 the residual
     # y dW/dy is T and its derivative y d/dy (y dW/dy) vanishes exactly

@@ -7,7 +7,7 @@ from ainfbench import ainfinity
 from ainfbench.ainfinity import AInfCategory, subcategory
 from ainfbench.errors import NotStabilized, StructureError
 from ainfbench.graded import GradedSpace, MultilinearMap
-from ainfbench.hochschild import chain_differential, include_chain, random_chain
+from ainfbench.hochschild import chain_differential, include_chain
 from ainfbench.models import (
     clifford_model,
     direct_sum_category,
@@ -18,6 +18,8 @@ from ainfbench.models import (
 from ainfbench.mukai import contract_element, z_x
 from ainfbench.novikov import NovikovScalar, Rationals
 from ainfbench.splitgen import BarComplex, split_generation_check
+
+from random_elements import random_chain
 
 E = 6
 Q = Rationals()
