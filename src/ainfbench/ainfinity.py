@@ -47,7 +47,7 @@ from .linalg import (
     quotient_representatives,
     solve_combination,
 )
-from .novikov import NovikovScalar, field_power
+from .novikov import NovikovScalar, _exact, field_power
 
 __all__ = [
     "AInfCategory",
@@ -115,7 +115,7 @@ class AInfCategory:
         name="",
     ):
         self.field = field
-        self.cutoff = Fraction(cutoff)
+        self.cutoff = Fraction(_exact(cutoff))
         self.objects = tuple(objects)
         self.hom = dict(hom)
         self.ops = dict(ops)
@@ -635,7 +635,7 @@ class EnergyGradedAlgebra:
         complete=True,
     ):
         self.field = field
-        self.cutoff = Fraction(cutoff)
+        self.cutoff = Fraction(_exact(cutoff))
         self.space = space
         self.unit_label = unit_label
         self.cup = cup

@@ -14,7 +14,7 @@ from fractions import Fraction
 from .ainfinity import AInfCategory, DiskClass, EnergyGradedAlgebra
 from .errors import FixtureError, StructureError
 from .graded import GradedSpace, MultilinearMap, sign_of
-from .novikov import NovikovScalar
+from .novikov import NovikovScalar, _exact
 
 __all__ = [
     "clifford_words",
@@ -120,7 +120,7 @@ def clifford_model(field, cutoff, q, name="clifford", object_name="T"):
             if q[i][j] != q[j][i]:
                 raise FixtureError("quadratic form matrix must be symmetric")
     words, sp = _clifford_space(n)
-    cutoff = Fraction(cutoff)
+    cutoff = _exact(cutoff)
     m2 = MultilinearMap((sp, sp), sp, parity=0)
     for wa in words:
         for wb in words:
@@ -167,7 +167,7 @@ def clifford_model(field, cutoff, q, name="clifford", object_name="T"):
 
 def sphere_model(field, cutoff, beta, dim, name="sphere", object_name="S"):
     """Two classes 1, p with p*p = beta; beta is a Novikov scalar."""
-    cutoff = Fraction(cutoff)
+    cutoff = _exact(cutoff)
     if not isinstance(beta, NovikovScalar):
         beta = NovikovScalar.constant(field, cutoff, field.coerce(beta))
     p_par = dim & 1
@@ -202,7 +202,7 @@ def point_category(field, cutoff, object_name="pt", name="point"):
 
 def lambda_pair_algebra(field, cutoff, object_name="U", name="two-idempotents"):
     """One object whose endomorphism ring splits as two idempotent lines."""
-    cutoff = Fraction(cutoff)
+    cutoff = _exact(cutoff)
     sp = GradedSpace(("u", "v"), (0, 0), (0, 0))
     one = NovikovScalar.one(field, cutoff)
     m2 = MultilinearMap((sp, sp), sp, parity=0)
@@ -230,7 +230,7 @@ def summand_category(field, cutoff, name="summand"):
     line and the two composites are u and the unit of K.  Everything is
     even and strictly associative; the pairing is the trace form.
     """
-    cutoff = Fraction(cutoff)
+    cutoff = _exact(cutoff)
     one = NovikovScalar.one(field, cutoff)
     end_u = GradedSpace(("u", "v"), (0, 0), (0, 0))
     end_k = GradedSpace(("k",), (0,), (0,))
@@ -335,7 +335,7 @@ def eq42_disk(field, energy, boundary, n_beta, odd_labels, s_max):
         if table:
             ops[s] = table
     return DiskClass(
-        energy=Fraction(energy),
+        energy=Fraction(_exact(energy)),
         maslov=2,
         boundary=tuple(boundary),
         ops=ops,

@@ -411,7 +411,7 @@ class NovikovScalar:
         return self.terms[0]
 
     def coefficient(self, exponent):
-        e = Fraction(exponent)
+        e = _exact(exponent)
         for ee, c in self.terms:
             if ee == e:
                 return c
@@ -662,7 +662,7 @@ class _Parser:
         self.toks = tokens
         self.i = 0
         self.field = field
-        self.cutoff = Fraction(cutoff)
+        self.cutoff = _exact(cutoff)
 
     def peek(self):
         return self.toks[self.i]

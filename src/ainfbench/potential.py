@@ -5,11 +5,13 @@ monomials carry nonnegative energies.  Critical points over the valued
 field are found the way one solves such systems by hand: read candidate
 valuation vectors off the balancing condition of the Newton polytopes,
 solve the leading-order system exactly over the coefficient field, then
-lift T-adically by Newton iteration.  Floating point enters only as a
-guide for root recognition, a bounded Weierstrass (Durand-Kerner)
-iteration in plain ``complex``; every accepted root is re-verified
-exactly, and quadratic irrationalities trigger an automatic base change
-to the matching quadratic field.
+lift T-adically by Newton iteration.  Roots are read off the squarefree
+radical of each eliminant: factors of degree 1 or 2 are solved by the
+formula, and floating point only steers the splitting of a radical of
+degree >= 3, as a bounded Weierstrass (Durand-Kerner) iteration in plain
+``complex`` whose proposed factors are accepted by exact division.
+Quadratic irrationalities trigger an automatic base change to the
+matching quadratic field.
 
 Two rules keep the solve from computing anything twice:
 
@@ -48,6 +50,7 @@ from .novikov import (
     NovikovScalar,
     QuadraticField,
     Rationals,
+    _exact,
     _squarefree_decompose,
     field_power,
     format_scalar,
@@ -176,7 +179,7 @@ class NovikovLaurentPolynomial:
         n = len(variables)
         acc: dict = {}
         for energy, exponents, coeff in entries:
-            energy = Fraction(energy)
+            energy = Fraction(_exact(energy))
             if energy < 0:
                 raise StructureError(
                     f"negative energy {energy} violates the Gromov bound"
@@ -546,22 +549,6 @@ def _sqrt_or_extend(field, disc):
     )
 
 
-def _roots_linear(p: _Poly):
-    field = p.field
-    return [(-p.coeffs[0] * field.invert(p.coeffs[1]), 1)]
-
-
-def _roots_quadratic(p: _Poly):
-    field = p.field
-    c, b, a = p.coeffs
-    disc = b * b - field.coerce(4) * a * c
-    inv2a = field.invert(field.coerce(2) * a)
-    if field.is_zero(disc):
-        return [(-b * inv2a, 2)]
-    s = _sqrt_or_extend(field, disc)
-    return [((-b + s) * inv2a, 1), ((-b - s) * inv2a, 1)]
-
-
 _ROOT_SWEEPS = 500
 _ROOT_TOL = 1e-15
 
@@ -606,102 +593,86 @@ def _rational_candidates(x: float):
 
 
 def _multiplicity(p: _Poly, root):
-    field = p.field
-    lin = _Poly(field, [-root, field.one])
+    """How many times x - root divides p."""
+    lin = _Poly(p.field, [-root, p.field.one])
     m = 0
     while True:
-        q, r = p.divmod(lin)
+        p, r = p.divmod(lin)
         if not r.is_zero():
-            return p, m
-        p = q
+            return m
         m += 1
 
 
-def _roots_exact_tail(p: _Poly):
-    """Roots of a squarefree polynomial of degree >= 3 over an exact field.
+def _formula_roots(p: _Poly):
+    """Roots of a squarefree monic p of degree at most 2, by the formula."""
+    field = p.field
+    if p.degree < 2:
+        return [-p.coeffs[0]] if p.degree == 1 else []
+    c, b, _ = p.coeffs
+    s = _sqrt_or_extend(field, b * b - field.coerce(4) * c)
+    half = field.invert(field.coerce(2))
+    return [(-b + s) * half, (-b - s) * half]
 
-    Numeric roots from the Weierstrass iteration of ``_numeric_roots``
-    steer the search; a root is only accepted once exact division
-    confirms it.  Conjugate-looking pairs are recombined into a
-    rational quadratic and solved by the formula, which is where a base
-    change to a quadratic field can become necessary.
+
+def _split_factor(p: _Poly, numeric):
+    """(factor, p / factor) for a monic factor of degree 1 or 2 of p.
+
+    p is squarefree and monic.  The Weierstrass roots ``numeric`` of p
+    propose a rational root first, then a rational quadratic from a pair
+    of them; a factor is accepted only once exact division confirms it,
+    and the roots it accounts for leave ``numeric``.
     """
     field = p.field
-    found = []
-    work = p
-    numeric = _numeric_roots(p)
-    progress = True
-    while progress and work.degree >= 1:
-        progress = False
-        for z in list(numeric):
-            if abs(z.imag) > 1e-7 * (1 + abs(z)):
-                continue
-            for cand in _rational_candidates(z.real):
-                c = field.coerce(cand)
-                if field.is_zero(work.eval(c)):
-                    work, _ = _multiplicity(work, c)
-                    found.append(c)
-                    numeric.remove(z)
-                    progress = True
-                    break
-            if progress:
-                break
-    while work.degree >= 2:
-        split = False
-        for i, j in itertools.combinations(range(len(numeric)), 2):
-            s, m = numeric[i] + numeric[j], numeric[i] * numeric[j]
-            if abs(s.imag) > 1e-6 * (1 + abs(s)):
-                continue
-            if abs(m.imag) > 1e-6 * (1 + abs(m)):
-                continue
-            for sc, mc in itertools.product(
-                _rational_candidates(s.real), _rational_candidates(m.real)
-            ):
-                quad = _Poly(
-                    field,
-                    [field.coerce(mc), -field.coerce(sc), field.one],
-                )
-                q, r = work.divmod(quad)
-                if r.is_zero():
-                    for root, _ in _roots_quadratic(quad):
-                        found.append(root)
-                    work = q
-                    hi, lo = max(i, j), min(i, j)
-                    numeric.pop(hi)
-                    numeric.pop(lo)
-                    split = True
-                    break
-            if split:
-                break
-        if not split:
-            break
-    if work.degree == 1:
-        found.append(_roots_linear(work)[0][0])
-        work, _ = work.divmod(_Poly(field, [-found[-1], field.one]))
-    if work.degree >= 1:
-        raise NotRepresentable(
-            f"a degree-{work.degree} factor of the leading system has roots "
-            f"not recognized over {field!r}"
-        )
-    return found
+    for k, z in enumerate(numeric):
+        if abs(z.imag) > 1e-7 * (1 + abs(z)):
+            continue
+        for cand in _rational_candidates(z.real):
+            c = field.coerce(cand)
+            if field.is_zero(p.eval(c)):
+                del numeric[k]
+                lin = _Poly(field, [-c, field.one])
+                return lin, p.divmod(lin)[0]
+    for i, j in itertools.combinations(range(len(numeric)), 2):
+        s, m = numeric[i] + numeric[j], numeric[i] * numeric[j]
+        if abs(s.imag) > 1e-6 * (1 + abs(s)):
+            continue
+        if abs(m.imag) > 1e-6 * (1 + abs(m)):
+            continue
+        for sc, mc in itertools.product(
+            _rational_candidates(s.real), _rational_candidates(m.real)
+        ):
+            quad = _Poly(field, [field.coerce(mc), -field.coerce(sc), field.one])
+            q, r = p.divmod(quad)
+            if r.is_zero():
+                del numeric[j], numeric[i]
+                return quad, q
+    raise NotRepresentable(
+        f"a degree-{p.degree} factor of the leading system has roots "
+        f"not recognized over {field!r}"
+    )
 
 
 def _exact_roots(p: _Poly):
     """All roots of p in the coefficient field, with multiplicities.
 
+    One path for every degree: with g = gcd(p, p'), only the monic radical
+    p/g is solved.  While it has degree >= 3, ``_split_factor`` splits off
+    a factor of degree 1 or 2; each factor, and what is left, is solved by
+    the formula.  A root r has multiplicity 1 + its multiplicity in g.
     Raises _ExtensionNeeded over the rationals when a root generates a
     quadratic extension, and NotRepresentable when recognition fails.
+    Roots come sorted by ``field.format``.
     """
     field = p.field
-    if p.degree <= 0:
-        return []
-    if p.degree == 1:
-        return _roots_linear(p)
-    if p.degree == 2:
-        return _roots_quadratic(p)
-    radical, _ = p.divmod(_poly_gcd(p, p.derivative()))
-    out = [(root, _multiplicity(p, root)[1])
-           for root in _roots_exact_tail(radical.monic())]
+    g = _poly_gcd(p, p.derivative())
+    work = p.divmod(g)[0].monic()
+    numeric = _numeric_roots(work) if work.degree >= 3 else []
+    roots = []
+    while work.degree >= 3:
+        factor, work = _split_factor(work, numeric)
+        roots += _formula_roots(factor)
+    roots += _formula_roots(work)
+    out = [(r, 1 + _multiplicity(g, r)) for r in roots]
     out.sort(key=lambda rm: field.format(rm[0]))
     return out
 
@@ -1055,7 +1026,7 @@ def critical_points(pot, cutoff):
     are reported as warnings, once each, never lifted.
     """
     pot = _potential_of(pot)
-    cutoff = Fraction(cutoff)
+    cutoff = Fraction(_exact(cutoff))
     if cutoff <= 0:
         raise StructureError("cutoff must be positive")
     field = pot.field
@@ -1182,7 +1153,7 @@ class MomentPolytope:
                 g = math.gcd(g, abs(x))
             if g != 1:
                 raise StructureError(f"ray {ray} is not primitive")
-        offsets = tuple(Fraction(x) for x in offsets)
+        offsets = tuple(Fraction(_exact(x)) for x in offsets)
         if len(offsets) != len(rays):
             raise StructureError("one offset per ray")
         if basis is None:

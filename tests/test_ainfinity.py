@@ -7,6 +7,7 @@ import pytest
 from ainfbench import ainfinity as ainf
 from ainfbench.ainfinity import (
     AInfCategory,
+    EnergyGradedAlgebra,
     _gap_inserted_op,
     _rho_tables,
     check_ainf,
@@ -18,7 +19,7 @@ from ainfbench.ainfinity import (
     divisor_element,
     mc_family_category,
 )
-from ainfbench.errors import InsufficientCutoff, StructureError
+from ainfbench.errors import InsufficientCutoff, NotRepresentable, StructureError
 from ainfbench.graded import GradedSpace, MultilinearMap
 from ainfbench.models import (
     circle_fiber_algebra,
@@ -26,9 +27,11 @@ from ainfbench.models import (
     clifford_product,
     clifford_words,
     direct_sum_category,
+    eq42_disk,
     lambda_pair_algebra,
     point_category,
     sphere_model,
+    summand_category,
     torus_surface_algebra,
     word_label,
 )
@@ -569,3 +572,19 @@ def test_energy_cyclic_on_circle_fixture():
     alg = bare_circle()
     report = check_energy_cyclic(alg, max_arity=5)
     assert report.passed
+
+
+@pytest.mark.parametrize("build", [
+    lambda: AInfCategory(Q, 6.5, (), {}, {}),
+    lambda: AInfCategory(Q, 6.0, (), {}, {}),
+    lambda: EnergyGradedAlgebra(Q, 6.5, None, "1", None, None, (), 1, 1),
+    lambda: clifford_model(Q, 6.5, [[1]]),
+    lambda: sphere_model(Q, 6.5, 0, 2),
+    lambda: lambda_pair_algebra(Q, 6.5),
+    lambda: summand_category(Q, 6.5),
+    lambda: eq42_disk(Q, 0.5, (), 1, (), 0),
+], ids=["category", "integral-category", "algebra", "clifford", "sphere",
+        "lambda-pair", "summand", "disk-energy"])
+def test_float_cutoffs_and_energies_are_not_representable(build):
+    with pytest.raises(NotRepresentable):
+        build()

@@ -341,7 +341,10 @@ def test_float_parts_and_field_arguments_are_not_representable():
                   lambda: nov([(1, 1)], cutoff=6.5),
                   lambda: nov([(1, 1)], cutoff=float(E)),
                   lambda: NovikovScalar(Q, 6.0, ()),
-                  lambda: nov([(1, 1)]).truncate(2.5)):
+                  lambda: nov([(1, 1)]).truncate(2.5),
+                  lambda: nov([(1, 1)]).coefficient(0.1),
+                  lambda: nov([(1, 1)]).coefficient(1.0),
+                  lambda: parse_scalar("T", Q, 6.5)):
         with pytest.raises(NotRepresentable):
             build()
 

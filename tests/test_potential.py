@@ -2,6 +2,7 @@ import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ainfbench import potential
 from ainfbench.errors import (
@@ -537,6 +538,70 @@ def test_numeric_roots_are_bounded():
     roots = potential._numeric_roots(potential._Poly(Rationals(), [-6, 11, -6, 1]))
     assert len(roots) == 3
     assert all(abs(z - k) < 1e-12 for z, k in zip(roots, (1, 2, 3)))
+
+
+def _expand(field, lead, roots):
+    """lead * prod (x - r)^m as a _Poly, by schoolbook convolution."""
+    coeffs = [field.coerce(lead)]
+    for r, m in roots:
+        for _ in range(m):
+            shifted = [field.zero] + coeffs
+            coeffs = [s - r * c for s, c in zip(shifted, coeffs + [field.zero])]
+    return potential._Poly(field, coeffs)
+
+
+def _by_format(field, roots):
+    return sorted(roots, key=lambda rm: field.format(rm[0]))
+
+
+def test_radical_of_degree_two_takes_the_formula(monkeypatch):
+    calls = _count_calls(monkeypatch, "_numeric_roots")
+    p = _expand(Rationals(), 1, [(1, 2), (-2, 2)])
+    assert potential._exact_roots(p) == [(-2, 2), (1, 2)]
+    assert calls == {"_numeric_roots": 0}
+
+
+def test_roots_without_their_conjugates_are_recognized():
+    K = QuadraticField(5)
+    r5 = K.root
+    p = _expand(K, 1, [(r5, 2), (2 * r5, 1)])
+    assert potential._exact_roots(p) == [(2 * r5, 1), (r5, 2)]
+    p = _expand(K, 1, [(r5, 1), (2 * r5, 1), (K.one, 1)])
+    assert potential._exact_roots(p) == [(K.one, 1), (2 * r5, 1), (r5, 1)]
+
+
+_small = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    lead=_small.filter(bool),
+    rational=st.dictionaries(_small, st.integers(1, 3), max_size=3),
+    pairs=st.dictionaries(
+        st.tuples(_small, _small.filter(lambda b: b > 0)),
+        st.integers(1, 2), max_size=2),
+)
+def test_exact_roots_recover_a_built_product(lead, rational, pairs):
+    # rational roots and conjugate pairs a +- b*sqrt(-3), the roots of
+    # x^2 - 2ax + a^2 + 3b^2, over Q(sqrt -3)
+    K = QuadraticField(-3)
+    roots = [(K.coerce(r), m) for r, m in rational.items()]
+    for (a, b), m in pairs.items():
+        roots += [(QuadExt(a, b, -3), m), (QuadExt(a, -b, -3), m)]
+    p = _expand(K, lead, roots)
+    assert potential._exact_roots(p) == _by_format(K, roots)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: NovikovLaurentPolynomial.make(Rationals(), 1, [(0.1, (1,), 1)]),
+    lambda: NovikovLaurentPolynomial.make(Rationals(), 1, [(1.0, (1,), 1)]),
+    lambda: critical_points(_case("p1")[0], 6.5),
+    lambda: critical_points(_case("p1")[0], 6.0),
+    lambda: MomentPolytope([(1,), (-1,)], [0, 0.5]),
+], ids=["energy", "integral-energy", "cutoff", "integral-cutoff", "offset"])
+def test_float_energies_cutoffs_and_offsets_are_not_representable(build):
+    with pytest.raises(NotRepresentable):
+        build()
 
 
 def test_newton_step_with_singular_jacobian_is_named():
