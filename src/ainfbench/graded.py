@@ -77,9 +77,6 @@ class GradedSpace:
     def dim(self) -> int:
         return len(self.labels)
 
-    def index(self, label: str) -> int:
-        return self.labels.index(label)
-
     def parity(self, label: str) -> int:
         try:
             return self.parities[self.labels.index(label)]

@@ -146,16 +146,12 @@ class HCochain:
 
     __slots__ = ("cat", "parity", "max_length", "table", "truncated")
 
-    def __init__(self, cat, parity, max_length, table=None, truncated=False):
+    def __init__(self, cat, parity, max_length, truncated=False):
         self.cat = cat
         self.parity = parity & 1
         self.max_length = max_length
         self.table = {}
         self.truncated = truncated
-        if table:
-            for (chain, args), outs in table.items():
-                for out, c in outs.items():
-                    self.add(chain, args, out, c)
 
     def add(self, chain, args, out, coeff):
         if coeff.is_zero():
@@ -190,22 +186,12 @@ class HCochain:
     def is_zero(self) -> bool:
         return not self.table
 
-    def scale(self, c) -> "HCochain":
+    def __neg__(self):
         out = HCochain(self.cat, self.parity, self.max_length,
                        truncated=self.truncated)
-        if isinstance(c, int):
-            if c in (1, -1):
-                for key, outs in self.table.items():
-                    out.table[key] = {o: _signed(v, c) for o, v in outs.items()}
-                return out
-            c = NovikovScalar.constant(self.cat.field, self.cat.cutoff, c)
-        for (chain, args), outs in self.table.items():
-            for o, v in outs.items():
-                out.add(chain, args, o, c * v)
+        for key, outs in self.table.items():
+            out.table[key] = {o: -v for o, v in outs.items()}
         return out
-
-    def __neg__(self):
-        return self.scale(-1)
 
     def __add__(self, other: "HCochain") -> "HCochain":
         if other.cat is not self.cat or other.parity != self.parity:
@@ -220,7 +206,7 @@ class HCochain:
         return out
 
     def __sub__(self, other):
-        return self + other.scale(-1)
+        return self + (-other)
 
     def truncate_length(self, m) -> "HCochain":
         out = HCochain(self.cat, self.parity, m, truncated=self.truncated)
@@ -485,8 +471,8 @@ def cochain_m2(phi: HCochain, psi: HCochain) -> HCochain:
 
 
 def cup(phi: HCochain, psi: HCochain) -> HCochain:
-    sgn = sign_of(phi.parity * psi.parity + phi.parity)
-    return cochain_m2(phi, psi).scale(sgn)
+    out = cochain_m2(phi, psi)
+    return out if sign_of(phi.parity * psi.parity + phi.parity) > 0 else -out
 
 
 # -- chain differential ----------------------------------------------------
@@ -696,12 +682,6 @@ class HomologyReport:
             raise NotStabilized(
                 f"{self.side} homology not stabilized at N={self.length}")
         return self
-
-    def summary(self) -> str:
-        tag = "stable" if self.stabilized else "NOT stabilized"
-        dims = ", ".join(
-            f"parity {p}: {d}" for p, d in sorted(self.dims.items()))
-        return f"{self.side} N={self.length}: {dims} ({tag})"
 
 
 def _columns(cat, top, side):

@@ -609,12 +609,6 @@ class NovikovScalar:
             return NotImplemented
         return not (self - o).terms
 
-    def __ne__(self, other):
-        r = self.__eq__(other)
-        if r is NotImplemented:
-            return r
-        return not r
-
     def __hash__(self):
         raise TypeError("NovikovScalar is unhashable (cutoff-relative equality)")
 

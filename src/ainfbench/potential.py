@@ -129,24 +129,35 @@ def _frac_solve(rows, rhs):
 def _det(mat):
     """Determinant over a commutative ring, by cofactor expansion.
 
-    The matrices here are tiny.  Exact zeros of the expanded row are
-    skipped, which keeps the sparse Sylvester eliminants cheap; when the
-    whole row is zero its first entry is the determinant.  A Novikov zero
-    is O(T^c), not exact: its piece carries that error into the cutoff.
+    The matrices here are tiny.  Each minor is expanded once, memoized on
+    its columns (its rows are always the last ones), so an n x n matrix
+    costs n * 2^n products rather than n!.  Exact zeros of the expanded
+    row are skipped, which keeps the sparse Sylvester eliminants cheap;
+    when the whole row is zero its first entry is the determinant.  A
+    Novikov zero is O(T^c), not exact: its piece carries that error into
+    the cutoff.
     """
     n = len(mat)
-    if n == 1:
-        return mat[0][0]
-    out = None
-    for j, entry in enumerate(mat[0]):
-        if not entry and not isinstance(entry, NovikovScalar):
-            continue
-        minor = [row[:j] + row[j + 1:] for row in mat[1:]]
-        piece = entry * _det(minor)
-        if j % 2:
-            piece = -piece
-        out = piece if out is None else out + piece
-    return out if out is not None else mat[0][0]
+    memo = {}
+
+    def minor(cols):
+        row = mat[n - len(cols)]
+        if len(cols) == 1:
+            return row[cols[0]]
+        if cols in memo:
+            return memo[cols]
+        out = None
+        for j, entry in enumerate(row[c] for c in cols):
+            if not entry and not isinstance(entry, NovikovScalar):
+                continue
+            piece = entry * minor(cols[:j] + cols[j + 1:])
+            if j % 2:
+                piece = -piece
+            out = piece if out is None else out + piece
+        memo[cols] = out if out is not None else row[cols[0]]
+        return memo[cols]
+
+    return minor(tuple(range(n)))
 
 
 # -- Laurent polynomials ---------------------------------------------------
@@ -209,63 +220,11 @@ class NovikovLaurentPolynomial:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def __add__(self, other):
-        if not isinstance(other, NovikovLaurentPolynomial):
-            return NotImplemented
-        if other.field != self.field or other.nvars != self.nvars:
-            raise StructureError("cannot add potentials over different setups")
-        return NovikovLaurentPolynomial.make(
-            self.field, self.variables, self.terms() + other.terms()
-        )
-
     def __neg__(self):
         return NovikovLaurentPolynomial(
             self.field, self.variables,
             {k: -c for k, c in self._terms.items()},
         )
-
-    def __sub__(self, other):
-        if not isinstance(other, NovikovLaurentPolynomial):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, NovikovLaurentPolynomial):
-            if other.field != self.field or other.nvars != self.nvars:
-                raise StructureError(
-                    "cannot multiply potentials over different setups"
-                )
-            entries = []
-            for e1, a1, c1 in self.terms():
-                for e2, a2, c2 in other.terms():
-                    entries.append(
-                        (e1 + e2, tuple(x + y for x, y in zip(a1, a2)), c1 * c2)
-                    )
-            return NovikovLaurentPolynomial.make(
-                self.field, self.variables, entries
-            )
-        if isinstance(other, NovikovScalar):
-            raise StructureError(
-                "potentials are exact; multiply by field elements, "
-                "not truncated Novikov scalars"
-            )
-        c = self.field.coerce(other)
-        return NovikovLaurentPolynomial.make(
-            self.field, self.variables,
-            [(e, a, c * c0) for e, a, c0 in self.terms()],
-        )
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, NovikovLaurentPolynomial):
-            return NotImplemented
-        if self.field != other.field or self.nvars != other.nvars:
-            return False
-        return self._terms == other._terms
-
-    def __hash__(self):
-        raise TypeError("NovikovLaurentPolynomial is unhashable")
 
     def log_derivative(self, i: int) -> "NovikovLaurentPolynomial":
         """y_i d/dy_i, acting termwise as multiplication by a_i."""
@@ -444,9 +403,6 @@ class _Poly:
     def __neg__(self):
         return _Poly(self.field, [-c for c in self.coeffs])
 
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         if not self.coeffs or not other.coeffs:
             return _Poly.zero(self.field)
@@ -550,7 +506,9 @@ def _sqrt_or_extend(field, disc):
 
 
 _ROOT_SWEEPS = 500
-_ROOT_TOL = 1e-15
+# distinct roots settle at rounding noise, up to about 1e-15 * rad; a
+# repeated root stalls near 1e-7 * rad
+_ROOT_TOL = 1e-12
 
 
 def _numeric_roots(p: _Poly):
@@ -1262,28 +1220,18 @@ class FiberPoint:
 def u_of_c(toric, point) -> FiberPoint:
     """Recenter a critical point: moment position plus unit coordinates.
 
-    The moment position solves support_i(u) = val(c_i) over the designated
-    basis rays; the unit coordinates are T^{-val(c_i)} c_i.  The position
-    must land in the interior of the polytope, otherwise the violated ray
-    is reported.
+    ``point`` is a ``CriticalPoint``.  The moment position solves
+    support_i(u) = val(c_i) over the designated basis rays; the unit
+    coordinates are its ``units``, T^{-val(c_i)} c_i.  The position must
+    land in the interior of the polytope, otherwise the violated ray is
+    reported.
     """
     poly = toric.polytope if isinstance(toric, ToricPotential) else toric
-    if isinstance(point, CriticalPoint):
-        vals = point.valuations
-        units = point.units
-    else:
-        coords = tuple(point)
-        for c in coords:
-            if not isinstance(c, NovikovScalar) or c.is_zero():
-                raise StructureError(
-                    "rescaled coordinates must be units: got a coordinate "
-                    "that is zero below its cutoff"
-                )
-        vals = tuple(c.valuation() for c in coords)
-        units = tuple(
-            (NovikovScalar.monomial(c.field, _EXACT, -v) * c)
-            for c, v in zip(coords, vals)
+    if not isinstance(point, CriticalPoint):
+        raise StructureError(
+            f"u_of_c recenters a CriticalPoint, not {type(point).__name__}"
         )
+    vals = point.valuations
     n = poly.dim
     if len(vals) != n:
         raise StructureError("coordinate count does not match the polytope")
@@ -1300,7 +1248,7 @@ def u_of_c(toric, point) -> FiberPoint:
                 f"recentered point {_vec(u)} is not interior: ray "
                 f"{poly.rays[i]} has support {s}"
             )
-    return FiberPoint(moment_point=u, coordinates=tuple(units))
+    return FiberPoint(moment_point=u, coordinates=tuple(point.units))
 
 
 # -- counting checks ------------------------------------------------------

@@ -49,6 +49,7 @@ def nonzero_scalars(draw):
 # -- field laws ------------------------------------------------------------
 
 @given(scalars(), scalars(), scalars())
+@settings(deadline=None)
 def test_ring_laws(a, b, c):
     assert (a + b) + c == a + (b + c)
     assert a + b == b + a
@@ -58,6 +59,7 @@ def test_ring_laws(a, b, c):
 
 
 @given(scalars())
+@settings(deadline=None)
 def test_neutral_elements(a):
     zero = NovikovScalar.zero(Q, E)
     one = NovikovScalar.one(Q, E)
@@ -67,7 +69,7 @@ def test_neutral_elements(a):
 
 
 @given(nonzero_scalars())
-@settings(max_examples=200)
+@settings(max_examples=200, deadline=None)
 def test_inverse_correct_range(a):
     """a * invert(a) = 1 up to terms of exponent >= E - val(a)."""
     inv = a.invert()
@@ -80,6 +82,7 @@ def test_inverse_correct_range(a):
 # -- valuation laws --------------------------------------------------------
 
 @given(scalars(), scalars())
+@settings(deadline=None)
 def test_valuation_laws(a, b):
     va, vb = a.valuation(), b.valuation()
     s, p = a + b, a * b
@@ -105,6 +108,7 @@ def test_valuation_examples():
 # -- truncation congruence -------------------------------------------------
 
 @given(scalars(), scalars(), st.fractions(min_value=0, max_value=5, max_denominator=3))
+@settings(deadline=None)
 def test_truncation_congruence(a, b, e):
     """Operating then truncating agrees with truncating inputs first."""
     assert (a + b).truncate(e) == (a.truncate(e) + b.truncate(e)).truncate(e)
@@ -128,7 +132,7 @@ def plain(e):
 
 @given(scalars(), nonzero_scalars(),
        st.fractions(min_value=0, max_value=5, max_denominator=3))
-@settings(max_examples=200)
+@settings(max_examples=200, deadline=None)
 def test_results_keep_canonical_exponents(a, b, e):
     lead = NovikovScalar.monomial(Q, E, *b.leading())
     results = [a + b, a - b, a * b, b.invert(), a.truncate(e),
@@ -139,6 +143,7 @@ def test_results_keep_canonical_exponents(a, b, e):
 
 @given(st.lists(st.tuples(exponents, coeffs), max_size=4),
        st.fractions(min_value=1, max_value=8, max_denominator=2))
+@settings(deadline=None)
 def test_fraction_and_int_inputs_build_the_same_scalar(pairs, cutoff):
     a = nov(pairs, cutoff=cutoff)
     b = nov([(plain(e), c) for e, c in pairs], cutoff=plain(cutoff))
@@ -177,7 +182,7 @@ def field_scalars(draw, field, min_terms=0):
 
 @pytest.mark.parametrize("field", [Q, Q5, Q_3], ids=repr)
 @given(data=st.data())
-@settings(max_examples=100)
+@settings(max_examples=100, deadline=None)
 def test_results_keep_canonical_coefficients(field, data):
     a = data.draw(field_scalars(field))
     b = data.draw(field_scalars(field, min_terms=1))
@@ -381,6 +386,7 @@ def test_literal_round_trip_exact_text():
 
 
 @given(scalars())
+@settings(deadline=None)
 def test_format_parse_round_trip(x):
     assert parse_scalar(format_scalar(x), Q, E) == x
 

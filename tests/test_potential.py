@@ -540,6 +540,14 @@ def test_numeric_roots_are_bounded():
     assert all(abs(z - k) < 1e-12 for z, k in zip(roots, (1, 2, 3)))
 
 
+def test_numeric_roots_stop_at_rounding_noise():
+    # (x + 7/2)(x + 7/3)(x + 8/3): the steps settle at 1e-15 * rad, not below
+    p = potential._Poly(Rationals(), [Fraction(196, 9), Fraction(427, 18),
+                                      Fraction(17, 2), 1])
+    assert potential._exact_roots(p) == [
+        (Fraction(-7, 2), 1), (Fraction(-7, 3), 1), (Fraction(-8, 3), 1)]
+
+
 def _expand(field, lead, roots):
     """lead * prod (x - r)^m as a _Poly, by schoolbook convolution."""
     coeffs = [field.coerce(lead)]
@@ -656,3 +664,51 @@ def test_morse_count_excludes_exterior_points():
 def test_pentagon_lifts_in_a_sheared_chart(cutoff):
     pot, _ = _case("pentagon")
     critical_points(pot.change_of_variables([[1, 1], [0, 1]]), cutoff)
+
+
+def test_make_merges_duplicate_terms_and_drops_cancelled_ones():
+    w = NovikovLaurentPolynomial.make(Rationals(), 1, [
+        (0, (1,), 1), (1, (-1,), 1), (0, (1,), 2), (1, (-1,), -1)])
+    assert w.terms() == [(0, (1,), 3)]
+    assert NovikovLaurentPolynomial.make(
+        Rationals(), 1, [(0, (1,), 1), (0, (1,), -1)]).is_zero()
+
+
+def test_nonpositive_cutoff_is_rejected():
+    pot, _ = _case("p1")
+    with pytest.raises(StructureError, match="cutoff must be positive"):
+        critical_points(pot, 0)
+
+
+def test_potential_constant_in_y2_is_rejected():
+    w = NovikovLaurentPolynomial.make(Rationals(), 2, [
+        (0, (1, 0), 1), (1, (-1, 0), 1)])
+    with pytest.raises(StructureError, match="does not move in y2"):
+        critical_points(w, 6)
+
+
+def test_u_of_c_takes_only_critical_points():
+    toric = build_toric_potential(MomentPolytope([(1,), (-1,)], [0, 1]))
+    coords = critical_points(toric, 6)[0].coordinates
+    with pytest.raises(StructureError, match="recenters a CriticalPoint"):
+        u_of_c(toric, coords)
+
+
+def test_hexagon_in_a_sheared_chart_keeps_its_values(monkeypatch):
+    # the Sylvester eliminant of this chart is large enough that a
+    # determinant expanding each minor more than once costs millions of
+    # polynomial products
+    rays = [(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1), (-1, -1)]
+    hexagon = build_toric_potential(
+        MomentPolytope(rays, [1] * 6, basis=(0, 4))).potential
+    calls = [0]
+
+    def counted(a, b, _orig=potential._Poly.__mul__):
+        calls[0] += 1
+        return _orig(a, b)
+
+    monkeypatch.setattr(potential._Poly, "__mul__", counted)
+    points = critical_points(hexagon.change_of_variables([[1, -3], [0, 1]]), 6)
+    assert sorted(format_scalar(p.value) for p in points) == [
+        "-2*T", "-2*T", "-2*T", "-3*T", "-3*T", "6*T"]
+    assert calls[0] < 100_000

@@ -267,6 +267,26 @@ def test_orthogonal_band_leaves_the_unit_obstructed():
     assert scalar_is(cert.residual["1"], 1)
 
 
+def paired_acyclic_toy():
+    # the toy with the pairing 1.eps = 1, eps.1 = -1: m1(eps) = 1 makes the
+    # unit an exact term, so P is a zero object
+    toy = acyclic_toy()
+    return AInfCategory(Q, toy.cutoff, toy.objects, toy.hom, toy.ops,
+                        units=toy.units,
+                        pairing={("P", "P"): {("1", "eps"): one(),
+                                              ("eps", "1"): -one()}},
+                        cyclic_degree=1, name="paired-acyclic-toy")
+
+
+def test_zero_object_is_generated_by_exact_terms_alone():
+    a = clifford_model(Q, E, [[Fraction(2)]], object_name="A", name="a")
+    toy = paired_acyclic_toy()
+    for cat, band in ((toy, ("P",)), (direct_sum_category(toy, a), ("A",))):
+        cert = split_generation_check(cat, band, "P", 4)
+        assert cert.generated and cert.verdict == "generated"
+        assert cert.witness == {} and cert.residual == {}
+
+
 def test_degenerate_sphere_is_obstructed():
     # with no quantum corrections the unit word goes to 2p and the volume
     # word to zero, and m1 vanishes: nothing reaches the unit
