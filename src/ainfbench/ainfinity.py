@@ -602,8 +602,9 @@ def subcategory(cat: AInfCategory, objects) -> AInfCategory:
 class DiskClass:
     """One disk class: energy exponent, even Maslov index, boundary in Z^m.
 
-    ``ops[s]`` maps basis tuples to output rows with coefficient-field
-    values (stored as exponent-zero Novikov scalars over the fixture field).
+    ``ops[s]`` maps basis tuples to output rows whose values are elements
+    of the coefficient field; ``_pair_row`` and ``_gap_inserted_op`` turn
+    them into constant Novikov scalars when they use them.
     """
 
     energy: Fraction

@@ -342,12 +342,13 @@ def eq42_disk(field, energy, boundary, n_beta, odd_labels, s_max):
     )
 
 
-def circle_fiber_algebra(field, cutoff, energies, n_betas=(1, 1), s_max=12,
+def circle_fiber_algebra(field, cutoff, energies, s_max=12,
                          name="circle-fiber"):
     """Circle cohomology with two opposite boundary classes.
 
     ``energies`` are the two disk areas; boundaries are +1 and -1 in the rank
-    one loop lattice.  Complete: every operation slot is pinned.
+    one loop lattice, and each class counts one disk (n_beta = 1).
+    Complete: every operation slot is pinned.
     """
     sp = GradedSpace(("1", "x"), (0, 1), (0, 1))
     cup = {
@@ -358,8 +359,8 @@ def circle_fiber_algebra(field, cutoff, energies, n_betas=(1, 1), s_max=12,
     }
     integral = {("1", "x"): field.one, ("x", "1"): field.one}
     disks = [
-        eq42_disk(field, energies[0], (1,), n_betas[0], ("x",), s_max),
-        eq42_disk(field, energies[1], (-1,), n_betas[1], ("x",), s_max),
+        eq42_disk(field, energies[0], (1,), 1, ("x",), s_max),
+        eq42_disk(field, energies[1], (-1,), 1, ("x",), s_max),
     ]
     return EnergyGradedAlgebra(
         field, cutoff, sp, "1", cup, integral, disks,

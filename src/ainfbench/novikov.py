@@ -38,7 +38,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import FieldMismatch, InsufficientCutoff, NotRepresentable
+from .errors import (FieldMismatch, InsufficientCutoff, NotRepresentable,
+                     StructureError)
 
 __all__ = [
     "QuadExt",
@@ -61,6 +62,14 @@ def _exact(x):
     if type(x) is not Fraction:
         raise NotRepresentable(f"{x!r} is not exact (int or Fraction)")
     return x.numerator if x.denominator == 1 else x
+
+
+def _integer(x) -> int:
+    """``_exact``, then StructureError unless the value is an ``int``."""
+    x = _exact(x)
+    if type(x) is not int:
+        raise StructureError(f"{x} is not an integer")
+    return x
 
 
 def field_power(field, x, k: int):

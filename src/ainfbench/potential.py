@@ -45,12 +45,12 @@ from .errors import (
     NotRepresentable,
     StructureError,
 )
-from .linalg import matrix_rank, solve_combination
 from .novikov import (
     NovikovScalar,
     QuadraticField,
     Rationals,
     _exact,
+    _integer,
     _squarefree_decompose,
     field_power,
     format_scalar,
@@ -88,42 +88,7 @@ class _ExtensionNeeded(Exception):
         self.d = d
 
 
-# -- small exact linear algebra over the rationals -------------------------
-
-
-def _frac_solve(rows, rhs):
-    """Solve an n x n rational system: ("unique", x) | ("none",) | ("many",)."""
-    n = len(rhs)
-    aug = [[Fraction(x) for x in rows[i]] + [Fraction(rhs[i])] for i in range(n)]
-    cols = len(aug[0]) - 1
-    pivots = []
-    r = 0
-    for c in range(cols):
-        piv = None
-        for i in range(r, n):
-            if aug[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, n):
-        if aug[i][cols]:
-            return ("none",)
-    if len(pivots) < cols:
-        return ("many",)
-    x = [Fraction(0)] * cols
-    for i, c in enumerate(pivots):
-        x[c] = aug[i][cols]
-    return ("unique", x)
+# -- determinants ---------------------------------------------------------
 
 
 def _det(mat):
@@ -158,6 +123,16 @@ def _det(mat):
         return memo[cols]
 
     return minor(tuple(range(n)))
+
+
+def _cramer(rows, rhs):
+    """Cramer's rule by ``_det``: det, and each det with column i = rhs."""
+    rows = [list(row) for row in rows]
+    dets = [
+        _det([row[:i] + [b] + row[i + 1:] for row, b in zip(rows, rhs)])
+        for i in range(len(rows))
+    ]
+    return _det(rows), dets
 
 
 # -- Laurent polynomials ---------------------------------------------------
@@ -195,7 +170,7 @@ class NovikovLaurentPolynomial:
                 raise StructureError(
                     f"negative energy {energy} violates the Gromov bound"
                 )
-            a = tuple(int(x) for x in exponents)
+            a = tuple(_integer(x) for x in exponents)
             if len(a) != n:
                 raise StructureError(
                     f"exponent vector {a} does not match {n} variables"
@@ -287,7 +262,7 @@ class NovikovLaurentPolynomial:
     def change_of_variables(self, matrix) -> "NovikovLaurentPolynomial":
         """Monomial substitution y_i = prod_j z_j^{M[i][j]}, M in GL(n, Z)."""
         n = self.nvars
-        m = [[int(x) for x in row] for row in matrix]
+        m = [[_integer(x) for x in row] for row in matrix]
         if len(m) != n or any(len(row) != n for row in m):
             raise StructureError("substitution matrix must be n x n")
         if abs(_det(m)) != 1:
@@ -650,10 +625,12 @@ def _tropical_candidates(eqs):
     """Valuation vectors balancing every equation's Newton polytope.
 
     For each equation pick a pair of its terms, impose equal weight, and
-    solve the resulting square rational system; a unique solution that
-    makes the minimum weight of every equation achieved at least twice is
-    a candidate.  Consistent but underdetermined selections flag a
-    potentially positive-dimensional tropical set.
+    solve the resulting square rational system by Cramer's rule; a unique
+    solution that makes the minimum weight of every equation achieved at
+    least twice is a candidate.  A singular selection is consistent, and
+    flags a potentially positive-dimensional tropical set, when no row is
+    zero (two terms of one exponent differ in energy) and every numerator
+    vanishes; in at most two variables that is exact.
     """
     n = len(eqs)
     supports = [eq.terms() for eq in eqs]
@@ -670,15 +647,14 @@ def _tropical_candidates(eqs):
         for i, (s, t) in enumerate(combo):
             es, as_, _ = supports[i][s]
             et, at, _ = supports[i][t]
-            rows.append([Fraction(x - y) for x, y in zip(as_, at)])
+            rows.append([x - y for x, y in zip(as_, at)])
             rhs.append(et - es)
-        res = _frac_solve(rows, rhs)
-        if res[0] == "many":
-            flat = True
+        det, dets = _cramer(rows, rhs)
+        if not det:
+            if all(any(row) for row in rows) and not any(dets):
+                flat = True
             continue
-        if res[0] == "none":
-            continue
-        u = tuple(res[1])
+        u = tuple(Fraction(d) / det for d in dets)
         if u in seen:
             continue
         ok = True
@@ -763,10 +739,6 @@ def _leading_system(leads, field, n):
     """
     if n == 1:
         return _univar_from_lead(leads[0], field), ()
-    if n != 2:
-        raise StructureError(
-            "leading-order solving is implemented for at most two variables"
-        )
     cols = (_bicols(leads[0], field), _bicols(leads[1], field))
     single = [c for c in cols if len(c) == 1]
     if len(single) == 2:
@@ -912,15 +884,15 @@ def _lift_point(pot, u, mus, z0, cutoff, field):
         ]
         # critical_points lifts only roots whose leading Jacobian is
         # invertible, so a singular Jacobian here is a broken invariant;
-        # at full rank the square solve is consistent and unique
-        cols = [{i: jac[i][j] for i in range(n)} for j in range(n)]
-        if matrix_rank(cols).rank < n:
+        # otherwise Cramer's rule gives the unique correction
+        det, dets = _cramer(jac, res)
+        if det.is_zero():
             raise StructureError(
                 "Newton step has a singular Jacobian; the leading root "
                 "appears degenerate"
             )
-        corr = solve_combination(cols, dict(enumerate(res)), field, work)
-        z = [z[j] - z[j] * corr[j] for j in range(n)]
+        inv = det.invert()
+        z = [z[j] - z[j] * (dets[j] * inv) for j in range(n)]
     else:
         raise StructureError("Newton lifting did not terminate")
 
@@ -989,6 +961,8 @@ def critical_points(pot, cutoff):
         raise StructureError("cutoff must be positive")
     field = pot.field
     n = pot.nvars
+    if n > 2:
+        raise StructureError("critical points need at most two variables")
     eqs = [pot.log_derivative(i) for i in range(n)]
     for i, eq in enumerate(eqs):
         if eq.is_zero():
@@ -1097,7 +1071,7 @@ class MomentPolytope:
     __slots__ = ("rays", "offsets", "basis")
 
     def __init__(self, rays, offsets, basis=None):
-        rays = tuple(tuple(int(x) for x in ray) for ray in rays)
+        rays = tuple(tuple(_integer(x) for x in ray) for ray in rays)
         if not rays:
             raise StructureError("a polytope needs at least one ray")
         n = len(rays[0])
@@ -1117,7 +1091,7 @@ class MomentPolytope:
         if basis is None:
             basis = tuple(range(n))
         else:
-            basis = tuple(int(i) for i in basis)
+            basis = tuple(_integer(i) for i in basis)
         if len(basis) != n or len(set(basis)) != n:
             raise StructureError(f"basis must pick {n} distinct rays")
         for i in basis:
@@ -1168,27 +1142,18 @@ def build_toric_potential(polytope: MomentPolytope, field=None) -> ToricPotentia
     """Potential of a toric fixture from its moment polytope.
 
     Each ray contributes one monomial: the ray is expanded in the
-    designated basis rays, and its energy is the offset corrected by the
-    basis offsets so that the basis rays themselves enter at energy zero.
+    designated basis rays (by Cramer's rule, over their determinant +-1),
+    and its energy is the offset corrected by the basis offsets so that
+    the basis rays themselves enter at energy zero.
     """
     if field is None:
         field = Rationals()
     n = polytope.dim
-    bmat = [[Fraction(polytope.rays[i][k]) for i in polytope.basis]
-            for k in range(n)]
+    bmat = [[polytope.rays[i][k] for i in polytope.basis] for k in range(n)]
     entries = []
     for i, ray in enumerate(polytope.rays):
-        res = _frac_solve(bmat, [Fraction(x) for x in ray])
-        if res[0] != "unique":
-            raise StructureError("designated basis rays are not a basis")
-        a = []
-        for x in res[1]:
-            if x.denominator != 1:
-                raise StructureError(
-                    "ray expansion is not integral; basis is not unimodular"
-                )
-            a.append(int(x))
-        a = tuple(a)
+        det, dets = _cramer(bmat, ray)
+        a = tuple(d * det for d in dets)    # det is +-1
         omega = polytope.offsets[i] - sum(
             Fraction(aj) * polytope.offsets[bj]
             for aj, bj in zip(a, polytope.basis)
@@ -1235,12 +1200,10 @@ def u_of_c(toric, point) -> FiberPoint:
     n = poly.dim
     if len(vals) != n:
         raise StructureError("coordinate count does not match the polytope")
-    rows = [[Fraction(x) for x in poly.rays[i]] for i in poly.basis]
-    rhs = [Fraction(v) - poly.offsets[i] for v, i in zip(vals, poly.basis)]
-    res = _frac_solve(rows, rhs)
-    if res[0] != "unique":
-        raise StructureError("designated basis rays are not a basis")
-    u = tuple(res[1])
+    rows = [poly.rays[i] for i in poly.basis]
+    rhs = [v - poly.offsets[i] for v, i in zip(vals, poly.basis)]
+    det, dets = _cramer(rows, rhs)
+    u = tuple(Fraction(d * det) for d in dets)    # det is +-1
     for i in range(len(poly.rays)):
         s = poly.support(u, i)
         if s <= 0:
@@ -1271,6 +1234,7 @@ def morse_count_check(pot, expected_dim: int, cutoff):
     only points over the interior of the polytope count; the message names
     each excluded point.
     """
+    expected = _integer(expected_dim)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", DegenerateRootWarning)
         points = critical_points(pot, cutoff)
@@ -1290,7 +1254,6 @@ def morse_count_check(pot, expected_dim: int, cutoff):
         points = interior
     nondeg = len(points)
     total = nondeg + degenerate
-    expected = int(expected_dim)
     if degenerate == 0 and nondeg == expected:
         msg = "split-generation count matches"
         ok = True

@@ -49,7 +49,6 @@ def nonzero_scalars(draw):
 # -- field laws ------------------------------------------------------------
 
 @given(scalars(), scalars(), scalars())
-@settings(deadline=None)
 def test_ring_laws(a, b, c):
     assert (a + b) + c == a + (b + c)
     assert a + b == b + a
@@ -59,7 +58,6 @@ def test_ring_laws(a, b, c):
 
 
 @given(scalars())
-@settings(deadline=None)
 def test_neutral_elements(a):
     zero = NovikovScalar.zero(Q, E)
     one = NovikovScalar.one(Q, E)
@@ -69,7 +67,7 @@ def test_neutral_elements(a):
 
 
 @given(nonzero_scalars())
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 def test_inverse_correct_range(a):
     """a * invert(a) = 1 up to terms of exponent >= E - val(a)."""
     inv = a.invert()
@@ -82,7 +80,6 @@ def test_inverse_correct_range(a):
 # -- valuation laws --------------------------------------------------------
 
 @given(scalars(), scalars())
-@settings(deadline=None)
 def test_valuation_laws(a, b):
     va, vb = a.valuation(), b.valuation()
     s, p = a + b, a * b
@@ -108,7 +105,6 @@ def test_valuation_examples():
 # -- truncation congruence -------------------------------------------------
 
 @given(scalars(), scalars(), st.fractions(min_value=0, max_value=5, max_denominator=3))
-@settings(deadline=None)
 def test_truncation_congruence(a, b, e):
     """Operating then truncating agrees with truncating inputs first."""
     assert (a + b).truncate(e) == (a.truncate(e) + b.truncate(e)).truncate(e)
@@ -132,7 +128,7 @@ def plain(e):
 
 @given(scalars(), nonzero_scalars(),
        st.fractions(min_value=0, max_value=5, max_denominator=3))
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 def test_results_keep_canonical_exponents(a, b, e):
     lead = NovikovScalar.monomial(Q, E, *b.leading())
     results = [a + b, a - b, a * b, b.invert(), a.truncate(e),
@@ -143,7 +139,6 @@ def test_results_keep_canonical_exponents(a, b, e):
 
 @given(st.lists(st.tuples(exponents, coeffs), max_size=4),
        st.fractions(min_value=1, max_value=8, max_denominator=2))
-@settings(deadline=None)
 def test_fraction_and_int_inputs_build_the_same_scalar(pairs, cutoff):
     a = nov(pairs, cutoff=cutoff)
     b = nov([(plain(e), c) for e, c in pairs], cutoff=plain(cutoff))
@@ -182,7 +177,7 @@ def field_scalars(draw, field, min_terms=0):
 
 @pytest.mark.parametrize("field", [Q, Q5, Q_3], ids=repr)
 @given(data=st.data())
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 def test_results_keep_canonical_coefficients(field, data):
     a = data.draw(field_scalars(field))
     b = data.draw(field_scalars(field, min_terms=1))
@@ -386,7 +381,6 @@ def test_literal_round_trip_exact_text():
 
 
 @given(scalars())
-@settings(deadline=None)
 def test_format_parse_round_trip(x):
     assert parse_scalar(format_scalar(x), Q, E) == x
 

@@ -1,3 +1,4 @@
+import itertools
 import warnings
 from fractions import Fraction
 
@@ -505,6 +506,81 @@ def test_leading_system_errors_are_named(message):
         critical_points(w, 4)
 
 
+def test_three_variables_are_rejected_before_any_work():
+    w = NovikovLaurentPolynomial.make(Rationals(), 3, [
+        (0, (1, 0, 0), 1), (0, (0, 1, 0), 1), (0, (0, 0, 1), 1)])
+    with pytest.raises(StructureError, match="at most two variables"):
+        critical_points(w, 4)
+
+
+@pytest.mark.parametrize("entries", [
+    # y1 y2 + T y1^2 + T y2^2: the pairs of each equation give parallel
+    # rows whose energy differences disagree
+    [(0, (1, 1), 1), (1, (2, 0), 1), (1, (0, 2), 1)],
+    # y1 y2 + T y1 y2: every selection pairs two terms of one exponent
+    [(0, (1, 1), 1), (1, (1, 1), 1)],
+], ids=["parallel", "zero-rows"])
+def test_inconsistent_tropical_selections_give_no_points(entries):
+    w = NovikovLaurentPolynomial.make(Rationals(), 2, entries)
+    assert critical_points(w, 4) == []
+
+
+def _words():
+    """The 20 products of one or two elementary matrices of GL(2, Z)."""
+    elementary = [((1, 1), (0, 1)), ((1, -1), (0, 1)),
+                  ((1, 0), (1, 1)), ((1, 0), (-1, 1))]
+    out = []
+    for length in (1, 2):
+        for word in itertools.product(elementary, repeat=length):
+            m = ((1, 0), (0, 1))
+            for e in word:
+                m = tuple(tuple(sum(m[i][k] * e[k][j] for k in range(2))
+                                for j in range(2)) for i in range(2))
+            out.append(m)
+    return out
+
+
+HEXAGON_RAYS = [(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1), (-1, -1)]
+# name -> (rays, offsets, basis)
+CHARTED = {
+    "p2": (P2_RAYS, [0, 0, 1], (0, 1)),
+    "square": (SQUARE_RAYS, [0, 0, 1, 1], (0, 1)),
+    "skew": (SQUARE_RAYS, [0, 0, 1, 2], (0, 1)),
+    "hexagon": (HEXAGON_RAYS, [1] * 6, (0, 4)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHARTED))
+def test_ray_expansions_and_moment_points_multiply_back(name):
+    # plain int and Fraction arithmetic, no determinant: every ray is the
+    # combination of the basis rays its monomial names, and every moment
+    # point meets each basis facet at its coordinate's valuation.  The
+    # words have determinant 1; the reflection gives the basis -1.
+    rays, offsets, basis = CHARTED[name]
+    terms = points = None
+    assert len(_words()) == 20
+    for m in [((1, 0), (0, 1)), ((0, 1), (1, 0))] + _words():
+        moved = [tuple(m[i][0] * v[0] + m[i][1] * v[1] for i in range(2))
+                 for v in rays]
+        toric = build_toric_potential(MomentPolytope(moved, offsets, basis))
+        b = [moved[j] for j in basis]
+        assert sorted(
+            tuple(a[0] * b[0][k] + a[1] * b[1][k] for k in range(2))
+            for _, a, _ in toric.potential.terms()
+        ) == sorted(moved)
+        if terms is None:
+            terms = toric.potential.terms()
+            points = critical_points(toric, 6)
+            assert points
+        # moving every ray keeps the expansions, so the potential
+        assert toric.potential.terms() == terms
+        for p in points:
+            u = u_of_c(toric, p).moment_point
+            for j, i in enumerate(basis):
+                assert b[j][0] * u[0] + b[j][1] * u[1] + offsets[i] \
+                    == p.valuations[j]
+
+
 def test_coordinate_line_from_a_leading_part_without_z2(monkeypatch):
     # W = y1^2/2 - y1 + T (y1 - 1)^2 / y2: at valuation (0, 1) the leading
     # part of y2 dW/dy2 is -(z1 - 1)^2 / z2, one column whose root z1 = 1
@@ -581,7 +657,7 @@ def test_roots_without_their_conjugates_are_recognized():
 _small = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(
     lead=_small.filter(bool),
     rational=st.dictionaries(_small, st.integers(1, 3), max_size=3),
@@ -606,10 +682,32 @@ def test_exact_roots_recover_a_built_product(lead, rational, pairs):
     lambda: critical_points(_case("p1")[0], 6.5),
     lambda: critical_points(_case("p1")[0], 6.0),
     lambda: MomentPolytope([(1,), (-1,)], [0, 0.5]),
-], ids=["energy", "integral-energy", "cutoff", "integral-cutoff", "offset"])
+    lambda: NovikovLaurentPolynomial.make(Rationals(), 1, [(0, (1.0,), 1)]),
+    lambda: _case("p2")[0].change_of_variables([[1.5, 0], [0, 1]]),
+    lambda: MomentPolytope([(1.5,), (-1,)], [0, 1]),
+    lambda: MomentPolytope(P2_RAYS, [0, 0, 1], basis=(0, 1.0)),
+    lambda: morse_count_check(_case("p1")[0], 2.9, 6),
+    lambda: morse_count_check(_case("p1")[0], "2", 6),
+], ids=["energy", "integral-energy", "cutoff", "integral-cutoff", "offset",
+        "exponent", "matrix", "ray", "basis", "expected-dim",
+        "expected-dim-text"])
 def test_float_energies_cutoffs_and_offsets_are_not_representable(build):
     with pytest.raises(NotRepresentable):
         build()
+
+
+@pytest.mark.parametrize("build", [
+    lambda x: NovikovLaurentPolynomial.make(Rationals(), 1, [(0, (x,), 1)]),
+    lambda x: _case("p2")[0].change_of_variables([[x, 0], [0, 1]]),
+    lambda x: MomentPolytope([(x,), (-1,)], [0, 1]),
+    lambda x: MomentPolytope(P2_RAYS, [0, 0, 1], basis=(0, x)),
+    lambda x: morse_count_check(_case("p1")[0], x, 6),
+], ids=["exponent", "matrix", "ray", "basis", "expected-dim"])
+def test_integer_inputs_reject_fractions_and_keep_integral_ones(build):
+    # 3/2 used to truncate to 1; an integral Fraction is its int
+    with pytest.raises(StructureError, match="3/2 is not an integer"):
+        build(Fraction(3, 2))
+    build(Fraction(2, 2))
 
 
 def test_newton_step_with_singular_jacobian_is_named():
