@@ -72,35 +72,36 @@ class Eliminator:
 
     def reduce(self, row: dict) -> dict:
         """Residual of ``row`` modulo the installed pivot rows."""
-        row = {k: v for k, v in row.items() if not v.is_zero()}
-        pend = [self.pivot_index[k] for k in row if k in self.pivot_index]
+        row = {k: v for k, v in row.items() if v.terms}
+        pivot_index, pivot_keys, rows = self.pivot_index, self.pivot_keys, self.rows
+        heappush, heappop = heapq.heappush, heapq.heappop
+        pend = [pivot_index[k] for k in row if k in pivot_index]
         heapq.heapify(pend)
         done = set()
         while pend:
-            i = heapq.heappop(pend)
+            i = heappop(pend)
             if i in done:
                 continue
             done.add(i)
-            key = self.pivot_keys[i]
+            key = pivot_keys[i]
             c = row.get(key)
-            if c is None or c.is_zero():
+            if c is None or not c.terms:
                 row.pop(key, None)
                 continue
             # subtract c * piv: negate once per pivot row, add per entry
             c = -c
-            piv = self.rows[i]
-            for k, x in piv.items():
+            for k, x in rows[i].items():
                 y = c * x
                 cur = row.get(k)
                 s = y if cur is None else cur + y
-                if s.is_zero():
-                    row.pop(k, None)
-                else:
+                if s.terms:
                     row[k] = s
+                else:
+                    row.pop(k, None)
                 # a pivot key introduced here always has index > i
-                j = self.pivot_index.get(k)
+                j = pivot_index.get(k)
                 if j is not None and j > i and j not in done:
-                    heapq.heappush(pend, j)
+                    heappush(pend, j)
             row.pop(key, None)
         return row
 

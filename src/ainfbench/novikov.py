@@ -29,6 +29,12 @@ val(a+b) >= min(val a, val b)  with equality when the valuations differ.
 Inversion factors out the leading term and sums a geometric series.  If
 val(a) = v, the inverse is guaranteed correct below exponent E - 2v (relative
 precision is preserved; the result records that as its own cutoff).
+
+Input is canonicalized at the entry points: ``NovikovScalar(...)``,
+``NovikovScalar.make`` (and ``zero``, ``one``, ``monomial``, ``constant``
+built on them), ``parse_scalar`` and the coefficient fields' ``coerce``.
+Arithmetic builds its results from parts that are already canonical, by
+the private ``_scalar``, which neither copies nor checks them.
 """
 
 from __future__ import annotations
@@ -110,9 +116,9 @@ class QuadExt:
 
     def __post_init__(self):
         if type(self.a) is not int:
-            object.__setattr__(self, "a", Rationals().coerce(self.a))
+            object.__setattr__(self, "a", _RATIONALS.coerce(self.a))
         if type(self.b) is not int:
-            object.__setattr__(self, "b", Rationals().coerce(self.b))
+            object.__setattr__(self, "b", _RATIONALS.coerce(self.b))
 
     def _lift(self, other):
         if isinstance(other, QuadExt):
@@ -124,7 +130,10 @@ class QuadExt:
         return None
 
     def __add__(self, other):
-        o = self._lift(other)
+        if type(other) is QuadExt and other.d == self.d:
+            o = other
+        else:
+            o = self._lift(other)
         if o is None:
             return NotImplemented
         return QuadExt(self.a + o.a, self.b + o.b, self.d)
@@ -135,7 +144,10 @@ class QuadExt:
         return QuadExt(-self.a, -self.b, self.d)
 
     def __sub__(self, other):
-        o = self._lift(other)
+        if type(other) is QuadExt and other.d == self.d:
+            o = other
+        else:
+            o = self._lift(other)
         if o is None:
             return NotImplemented
         return QuadExt(self.a - o.a, self.b - o.b, self.d)
@@ -147,7 +159,10 @@ class QuadExt:
         return o - self
 
     def __mul__(self, other):
-        o = self._lift(other)
+        if type(other) is QuadExt and other.d == self.d:
+            o = other
+        else:
+            o = self._lift(other)
         if o is None:
             return NotImplemented
         return QuadExt(
@@ -257,6 +272,9 @@ class Rationals:
 
     def format(self, x) -> str:
         return str(x)
+
+
+_RATIONALS = Rationals()
 
 
 class QuadraticField:
@@ -439,96 +457,111 @@ class NovikovScalar:
             return NovikovScalar.constant(self.field, self.cutoff, other)
         return None
 
+    def _merge(self, o, negate):
+        """self + o, or self - o when ``negate``; the fields already agree."""
+        ta, tb = self.terms, o.terms
+        if self.cutoff != o.cutoff:
+            if negate:
+                tb = [(e, -c) for e, c in tb]
+            cutoff = min(self.cutoff, o.cutoff)
+            return NovikovScalar.make(self.field, cutoff, list(ta) + list(tb))
+        if not ta:
+            return -o if negate else o
+        if not tb:
+            return self
+        merged = []
+        append = merged.append
+        i = j = 0
+        na, nb = len(ta), len(tb)
+        while i < na and j < nb:
+            ea, ca = ta[i]
+            eb, cb = tb[j]
+            if ea < eb:
+                append(ta[i])
+                i += 1
+            elif eb < ea:
+                append((eb, -cb) if negate else tb[j])
+                j += 1
+            else:
+                c = ca - cb if negate else ca + cb
+                if type(c) is Fraction:
+                    c = _exact(c)
+                if c:  # field elements are falsy exactly when zero
+                    append((ea, c))
+                i += 1
+                j += 1
+        if i < na:
+            merged.extend(ta[i:])
+        if j < nb:
+            merged.extend([(e, -c) for e, c in tb[j:]] if negate else tb[j:])
+        return _scalar(self.field, self.cutoff, tuple(merged))
+
     def __add__(self, other):
+        if type(other) is NovikovScalar and other.field is self.field:
+            return self._merge(other, False)
         o = self._coerce_other(other)
         if o is None:
             return NotImplemented
-        if self.cutoff == o.cutoff:
-            ta, tb = self.terms, o.terms
-            if not ta:
-                return o
-            if not tb:
-                return self
-            is_zero = self.field.is_zero
-            merged = []
-            i = j = 0
-            na, nb = len(ta), len(tb)
-            while i < na and j < nb:
-                ea, ca = ta[i]
-                eb, cb = tb[j]
-                if ea < eb:
-                    merged.append(ta[i])
-                    i += 1
-                elif eb < ea:
-                    merged.append(tb[j])
-                    j += 1
-                else:
-                    c = ca + cb
-                    if type(c) is Fraction:
-                        c = _exact(c)
-                    if not is_zero(c):
-                        merged.append((ea, c))
-                    i += 1
-                    j += 1
-            merged.extend(ta[i:])
-            merged.extend(tb[j:])
-            return NovikovScalar(self.field, self.cutoff, merged)
-        cutoff = min(self.cutoff, o.cutoff)
-        return NovikovScalar.make(
-            self.field, cutoff, list(self.terms) + list(o.terms)
-        )
+        return self._merge(o, False)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return NovikovScalar(
-            self.field, self.cutoff, [(e, -c) for e, c in self.terms]
+        return _scalar(
+            self.field, self.cutoff, tuple([(e, -c) for e, c in self.terms])
         )
 
     def __sub__(self, other):
+        if type(other) is NovikovScalar and other.field is self.field:
+            return self._merge(other, True)
         o = self._coerce_other(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        return self._merge(o, True)
 
     def __rsub__(self, other):
         o = self._coerce_other(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return o._merge(self, True)
 
     def __mul__(self, other):
-        o = self._coerce_other(other)
-        if o is None:
-            return NotImplemented
+        if type(other) is NovikovScalar and other.field is self.field:
+            o = other
+        else:
+            o = self._coerce_other(other)
+            if o is None:
+                return NotImplemented
         # a = A + O(T^Ea), b = B + O(T^Eb) determine ab only below
         # min(Ea + val b, Eb + val a, Ea + Eb); with val >= 0 operands this
         # is at least min(Ea, Eb), but negative valuations genuinely amplify
         # the unknown tails.
+        ta, tb = self.terms, o.terms
         cutoff = self.cutoff + o.cutoff
-        if o.terms:
-            cutoff = min(cutoff, self.cutoff + o.valuation())
-        if self.terms:
-            cutoff = min(cutoff, o.cutoff + self.valuation())
-        if not self.terms or not o.terms:
-            return NovikovScalar(self.field, cutoff, ())
-        if len(self.terms) == 1 and len(o.terms) == 1:
-            e1, c1 = self.terms[0]
-            e2, c2 = o.terms[0]
+        if tb and self.cutoff + tb[0][0] < cutoff:
+            cutoff = self.cutoff + tb[0][0]
+        if ta and o.cutoff + ta[0][0] < cutoff:
+            cutoff = o.cutoff + ta[0][0]
+        if type(cutoff) is not int:
+            cutoff = _exact(cutoff)
+        if not ta or not tb:
+            return _scalar(self.field, cutoff, ())
+        if len(ta) == 1 and len(tb) == 1:
+            e1, c1 = ta[0]
+            e2, c2 = tb[0]
             e = e1 + e2
             if type(e) is not int:
                 e = _exact(e)
             if e >= cutoff:
-                return NovikovScalar(self.field, cutoff, ())
+                return _scalar(self.field, cutoff, ())
+            # nonzero coefficients of a field have a nonzero product
             c = c1 * c2
             if type(c) is Fraction:
                 c = _exact(c)
-            if self.field.is_zero(c):
-                return NovikovScalar(self.field, cutoff, ())
-            return NovikovScalar(self.field, cutoff, ((e, c),))
+            return _scalar(self.field, cutoff, ((e, c),))
         pairs = []
-        for e1, c1 in self.terms:
-            for e2, c2 in o.terms:
+        for e1, c1 in ta:
+            for e2, c2 in tb:
                 e = e1 + e2
                 if e < cutoff:
                     pairs.append((e, c1 * c2))
@@ -608,9 +641,8 @@ class NovikovScalar:
     def truncate(self, cutoff) -> "NovikovScalar":
         """Lower the cutoff (never raises it: that would fabricate precision)."""
         cutoff = min(_exact(cutoff), self.cutoff)
-        return NovikovScalar(
-            self.field, cutoff, [(e, c) for e, c in self.terms if e < cutoff]
-        )
+        kept = tuple([(e, c) for e, c in self.terms if e < cutoff])
+        return _scalar(self.field, cutoff, kept)
 
     def __eq__(self, other):
         o = self._coerce_other(other)
@@ -626,6 +658,21 @@ class NovikovScalar:
 
     def __str__(self):
         return format_scalar(self)
+
+
+_new = object.__new__
+_set_field = NovikovScalar.field.__set__
+_set_cutoff = NovikovScalar.cutoff.__set__
+_set_terms = NovikovScalar.terms.__set__
+
+
+def _scalar(field, cutoff, terms):
+    """A scalar from canonical parts, ``terms`` a tuple; nothing is checked."""
+    x = _new(NovikovScalar)
+    _set_field(x, field)
+    _set_cutoff(x, cutoff)
+    _set_terms(x, terms)
+    return x
 
 
 # --------------------------------------------------------------------------

@@ -4,7 +4,9 @@
 by wrappers, where their callers look them up.  A refactor that drops or
 moves one of those names still passes the rest of the suite and fails
 only in a traced benchmark run, so this test runs the installer with a
-tracer that checks each name instead of wrapping it.
+tracer that checks each name instead of wrapping it.  A second test runs
+it with the real tracer and checks that each scalar operation is counted
+once, however the package routes it internally.
 """
 
 import importlib
@@ -43,14 +45,36 @@ class NameCheckingTracer:
         self.wrapped.append(name)
 
 
-def test_traced_benchmark_finds_every_name_it_wraps():
+def load_library():
     modules = load_bench_module("workloads").MODULES
-    lib = SimpleNamespace(**{
+    return SimpleNamespace(**{
         name: importlib.import_module(f"ainfbench.{name}")
         for name in modules})
+
+
+def test_traced_benchmark_finds_every_name_it_wraps():
+    lib = load_library()
     tracer = NameCheckingTracer()
     load_bench_module("layers").install(tracer, lib)
     for name in ("linalg.kernel_coefficients", "hochschild.b_word",
                  "hochschild.cochain_differential", "mukai.z_x",
                  "splitgen.quotient_representatives"):
         assert name in tracer.wrapped
+
+
+def test_traced_addsub_counts_each_operation_once():
+    """``-``, reflected ``-`` and ``==`` are one addition each, like ``+``."""
+    lib = load_library()
+    tracer = load_bench_module("tracing").Tracer()
+    load_bench_module("layers").install(tracer, lib)
+    try:
+        Q = lib.novikov.Rationals()
+        x = lib.novikov.NovikovScalar.make(Q, 6, [(0, 2), (1, 3)])
+        y = lib.novikov.NovikovScalar.make(Q, 6, [(0, 1), (2, -1)])
+        x + y
+        x - y
+        1 - x
+        x == y
+    finally:
+        tracer.uninstall()
+    assert tracer.calls["novikov.addsub"] == 4

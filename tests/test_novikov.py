@@ -1,4 +1,5 @@
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -188,6 +189,100 @@ def test_results_keep_canonical_coefficients(field, data):
     coefficients = [c for x in results for _, c in x.terms]
     coefficients += [field.invert(c0), field.sqrt(c0 * c0), field.coerce(c0)]
     assert all(canonical_coeff(c) for c in coefficients)
+
+
+# -- the arithmetic kernel against a reference -----------------------------
+# The kernel builds its results without canonicalizing them again; the
+# reference builds every result through ``make``, which does.
+
+Q_3_AGAIN = QuadraticField(-3)  # equal to Q_3 but a distinct object
+cutoffs = st.one_of(st.integers(min_value=1, max_value=8),
+                    st.fractions(min_value=1, max_value=8, max_denominator=3))
+
+
+@st.composite
+def kernel_scalars(draw, field):
+    n = draw(st.integers(min_value=0, max_value=4))
+    pairs = [(draw(exponents), draw(field_elements(field))) for _ in range(n)]
+    return NovikovScalar.make(field, draw(cutoffs), pairs)
+
+
+def typed(x):
+    """Cutoff and terms of a scalar with the type of every number."""
+    def number(v):
+        if isinstance(v, QuadExt):
+            return (number(v.a), number(v.b), v.d)
+        return (type(v), v)
+    return number(x.cutoff), [(number(e), number(c)) for e, c in x.terms]
+
+
+def ref_negated(x):
+    return [(e, -c) for e, c in x.terms]
+
+
+def ref_product(a, b):
+    """The product cutoff rule of ``NovikovScalar.__mul__``, then ``make``."""
+    cutoff = a.cutoff + b.cutoff
+    if b.terms:
+        cutoff = min(cutoff, a.cutoff + b.terms[0][0])
+    if a.terms:
+        cutoff = min(cutoff, b.cutoff + a.terms[0][0])
+    pairs = [(e1 + e2, c1 * c2) for e1, c1 in a.terms for e2, c2 in b.terms]
+    return NovikovScalar.make(a.field, cutoff, pairs)
+
+
+@pytest.mark.parametrize("fields", [(Q, Q), (Q_3, Q_3), (Q_3, Q_3_AGAIN)],
+                         ids=["Q", "Q(s-3)", "Q(s-3) twice"])
+@given(data=st.data())
+@settings(max_examples=150)
+def test_kernel_matches_make_reference(fields, data):
+    a = data.draw(kernel_scalars(fields[0]))
+    b = data.draw(kernel_scalars(fields[1]))
+    k = data.draw(st.one_of(st.integers(min_value=-4, max_value=4), coeffs))
+    cutoff = min(a.cutoff, b.cutoff)
+    make = NovikovScalar.make
+    cases = [
+        (a + b, make(a.field, cutoff, a.terms + b.terms)),
+        (a - b, make(a.field, cutoff, a.terms + tuple(ref_negated(b)))),
+        (k - a, make(a.field, a.cutoff, [(0, k)] + ref_negated(a))),
+        (a * b, ref_product(a, b)),
+        (-a, make(a.field, a.cutoff, ref_negated(a))),
+    ]
+    for got, want in cases:
+        assert typed(got) == typed(want)
+    assert (a == b) == (not (a - b).terms)
+
+
+@given(data=st.data())
+@settings(max_examples=25)
+def test_kernel_refuses_mixed_fields(data):
+    a = data.draw(kernel_scalars(Q))
+    b = data.draw(kernel_scalars(Q_3))
+    c = data.draw(kernel_scalars(Q5))
+    for x, y in [(a, b), (b, a), (b, c)]:
+        for op in (operator.add, operator.sub, operator.mul, operator.eq):
+            with pytest.raises(FieldMismatch):
+                op(x, y)
+
+
+def kernel_results():
+    x = nov([(0, 2), (Fraction(1, 2), -1)])
+    y = nov([(Fraction(1, 2), 1), (1, Fraction(1, 3))], cutoff=5)
+    c, d = nov([(0, 3)]), nov([(0, -5)])
+    return {"sum": x + y, "constant sum": c + d, "difference": x - y,
+            "constant difference": c - d, "reflected difference": 1 - x,
+            "product": x * y, "constant product": c * d, "negation": -x,
+            "inverse": x.invert(), "truncation": x.truncate(1)}
+
+
+@pytest.mark.parametrize("name", sorted(kernel_results()))
+def test_kernel_results_stay_immutable_and_unhashable(name):
+    x = kernel_results()[name]
+    for attr in ("field", "cutoff", "terms", "other"):
+        with pytest.raises(AttributeError):
+            setattr(x, attr, 0)
+    with pytest.raises(TypeError):
+        hash(x)
 
 
 def test_division_sites_stay_exact():
