@@ -603,8 +603,8 @@ class DiskClass:
     """One disk class: energy exponent, even Maslov index, boundary in Z^m.
 
     ``ops[s]`` maps basis tuples to output rows whose values are elements
-    of the coefficient field; ``_pair_row`` and ``_gap_inserted_op`` turn
-    them into constant Novikov scalars when they use them.
+    of the coefficient field; ``_pair_row`` and ``_rho_tables`` turn them
+    into constant Novikov scalars when they use them.
     """
 
     energy: Fraction
@@ -807,8 +807,10 @@ def _check_convergent(alg, b_plus):
 def _rho_tables(alg: EnergyGradedAlgebra, rho, eta_pairings=None):
     """Collapse the energy grading: scale each disk table into Novikov land.
 
-    With ``eta_pairings`` disk i is also weighted by ``eta_pairings[i]`` and
-    the cup product is left out: these are the tables of a divisor class.
+    Gives ``{s: [(scale, table)]}``, cup product first, with every row made
+    ``{out: NovikovScalar}`` here, once per build.  With ``eta_pairings``
+    disk i is also weighted by ``eta_pairings[i]`` and the cup product is
+    left out: these are the tables of a divisor class.
     """
     tables: dict[int, list] = {}
     if eta_pairings is None:
@@ -824,7 +826,9 @@ def _rho_tables(alg: EnergyGradedAlgebra, rho, eta_pairings=None):
         if scale.is_zero():
             continue
         for s, table in disk.ops.items():
-            tables.setdefault(s, []).append((scale, table))
+            rows = {args: {out: alg.constant(c) for out, c in row.items()}
+                    for args, row in table.items()}
+            tables.setdefault(s, []).append((scale, rows))
     return tables
 
 
@@ -957,14 +961,20 @@ def _gap_inserted_op(alg, tables, gap_elements, s):
     hidden a_p that follows g visible positions lies in gap g and
     contributes ``gap_elements[g][a_p]``.
 
-    The choices are not enumerated.  One left-to-right pass over the
-    positions keeps, per tuple of visible labels chosen so far (its length
-    is the current gap index), the sum of the hidden products that reach
-    it.  Each position is either hidden in the current gap or, while fewer
-    than s are visible, made visible; tuples that can no longer collect s
-    visible labels are dropped.  Each surviving key's sum is multiplied by
-    scale and by each row output once.  For arguments with one label this
-    costs O(n * s) products per table entry instead of C(n, s) * n.
+    The choices are not enumerated.  Phase 1 walks the distinct argument
+    tuples of arity >= s in sorted order, keeping per tuple of visible
+    labels chosen so far (its length is the gap index) the sum of the
+    hidden products that reach it: each position is hidden in the current
+    gap or, while fewer than s are visible, made visible.  The states after
+    each prefix sit on a stack that the next tuple reuses up to their common
+    prefix, so the disks' equal tuples and a tuple's prefixes cost one walk.
+    A key is dropped only when not even the longest tuple can still make s
+    labels visible.
+
+    Phase 2 adds scale * (hidden sum) * each row output in the order of the
+    table entries, as one walk per entry would.  The order matters: summing
+    the disks' rows first cancels the circle fiber's two arity-1 rows and
+    loses the cutoff that their separate adds carry.
 
     The regrouping is exact: truncated Novikov scalars form a commutative
     ring, each product is still taken left to right, and a carried cutoff
@@ -972,38 +982,41 @@ def _gap_inserted_op(alg, tables, gap_elements, s):
     """
     sp = alg.space
     m = MultilinearMap((sp,) * s, sp, parity=s & 1)
+    wanted = {args for s_full, entries in tables.items() if s_full >= s
+              for _, table in entries for args in table}
+    longest = max(map(len, wanted), default=0)
+    # None is the empty product: nothing hidden yet.  Every path into a key
+    # after one prefix hides the same number of arguments, so None never
+    # meets a scalar in _merge.
+    stack, prev, hidden = [{(): None}], (), {}
+    for args in sorted(wanted):
+        common, top = 0, min(len(prev), len(args))
+        while common < top and prev[common] == args[common]:
+            common += 1
+        del stack[common + 1:]
+        for p in range(common, len(args)):
+            label, hide_from, nxt = args[p], s - longest + p + 1, {}
+            for key, coeff in stack[p].items():
+                g = len(key)
+                if g < s:
+                    _merge(nxt, key + (label,), coeff)
+                if g >= hide_from:
+                    c = gap_elements[g].get(label)
+                    if c is not None and not c.is_zero():
+                        _merge(nxt, key, c if coeff is None else coeff * c)
+            stack.append(nxt)
+        hidden[args] = [(k, c) for k, c in stack[-1].items() if len(k) == s]
+        prev = args
     for s_full, entries in tables.items():
         if s_full < s:
             continue
         for scale, table in entries:
             for args, row in table.items():
-                # None is the empty product: nothing hidden yet.  Every path
-                # into a key at one position hides the same number of
-                # arguments, so None never meets a scalar in _merge.
-                states = {(): None}
-                for p, label in enumerate(args):
-                    hide_from = s - s_full + p + 1
-                    nxt: dict = {}
-                    for key, coeff in states.items():
-                        g = len(key)
-                        if g < s:
-                            _merge(nxt, key + (label,), coeff)
-                        if g >= hide_from:
-                            c = gap_elements[g].get(label)
-                            if c is not None and not c.is_zero():
-                                _merge(nxt, key, c if coeff is None else coeff * c)
-                    states = nxt
-                if not states:
-                    continue
-                consts = [
-                    (out, c if isinstance(c, NovikovScalar) else alg.constant(c))
-                    for out, c in row.items()
-                ]
-                for key, coeff in states.items():
+                for key, coeff in hidden[args]:
                     factor = scale if coeff is None else scale * coeff
                     if factor.is_zero():
                         continue
-                    for out, x in consts:
+                    for out, x in row.items():
                         y = factor * x
                         if not y.is_zero():
                             m.add_entry(key, out, y)

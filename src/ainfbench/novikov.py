@@ -44,8 +44,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (FieldMismatch, InsufficientCutoff, NotRepresentable,
-                     StructureError)
+from .errors import (FieldMismatch, FixtureError, InsufficientCutoff,
+                     NotRepresentable, StructureError)
 
 __all__ = [
     "QuadExt",
@@ -679,11 +679,12 @@ def _scalar(field, cutoff, terms):
 # Literal syntax: sums of terms  COEFF*T^EXP, e.g. "(5/2 + 5/2*s5)*T^1 - T^(1/2)".
 # "s5" denotes sqrt(5); "s-3" denotes sqrt(-3).  Fractional or negative
 # exponents are written T^(1/2), T^-2.  Plain coefficients have exponent 0.
+# A trailing "+ O(T^c)", as format_scalar(show_order=True) prints it, is c.
 # --------------------------------------------------------------------------
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<sq>s-?\d+)|(?P<num>\d+(?:\.\d+)?(?:[eE]-?\d+)?)"
-    r"|(?P<T>T)|(?P<op>[()+\-*/^]))"
+    r"|(?P<T>T)|(?P<op>[()+\-*/^O]))"
 )
 
 
@@ -693,7 +694,7 @@ def _tokenize(text: str):
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if not m:
-            raise ValueError(f"bad scalar literal near {text[pos:pos+12]!r}")
+            raise FixtureError(f"bad scalar literal near {text[pos:pos+12]!r}")
         pos = m.end()
         if m.lastgroup == "sq":
             out.append(("sq", int(m.group("sq")[1:])))
@@ -722,10 +723,9 @@ class _Parser:
         self.i += 1
         return t
 
-    def expect_op(self, op):
-        k, v = self.next()
-        if k != "op" or v != op:
-            raise ValueError(f"expected {op!r} in scalar literal")
+    def expect(self, v):
+        if self.next()[1] != v:
+            raise FixtureError(f"expected {v!r} in scalar literal")
 
     def parse_expr(self) -> NovikovScalar:
         negate = False
@@ -738,7 +738,8 @@ class _Parser:
             acc = -acc
         while True:
             k, v = self.peek()
-            if k == "op" and v in "+-":
+            # "+ O(" is the order term, which ends the literal
+            if k == "op" and v in "+-" and self.toks[self.i + 1][1] != "O":
                 self.next()
                 t = self.parse_term()
                 acc = acc - t if v == "-" else acc + t
@@ -766,7 +767,7 @@ class _Parser:
         if k == "op" and v == "(":
             self.next()
             inner = self.parse_expr()
-            self.expect_op(")")
+            self.expect(")")
             return inner
         if k == "T":
             self.next()
@@ -787,14 +788,14 @@ class _Parser:
         if k == "num":
             self.next()
             return NovikovScalar.constant(self.field, self.cutoff, self._num(v))
-        raise ValueError("unexpected end of scalar literal")
+        raise FixtureError("unexpected end of scalar literal")
 
     def parse_exponent(self) -> Fraction:
         k, v = self.peek()
         if k == "op" and v == "(":
             self.next()
             e = self._signed_rational()
-            self.expect_op(")")
+            self.expect(")")
             return e
         return self._signed_rational()
 
@@ -806,14 +807,14 @@ class _Parser:
             sign = -1
         k, v = self.next()
         if k != "num" or "." in v:
-            raise ValueError("exponents must be rational")
+            raise FixtureError("exponents must be rational")
         num = int(v)
         k, vv = self.peek()
         if k == "op" and vv == "/":
             self.next()
             k2, v2 = self.next()
             if k2 != "num" or "." in v2:
-                raise ValueError("exponents must be rational")
+                raise FixtureError("exponents must be rational")
             return Fraction(sign * num, int(v2))
         return Fraction(sign * num)
 
@@ -823,12 +824,36 @@ class _Parser:
 
 
 def parse_scalar(text: str, field, cutoff) -> NovikovScalar:
-    """Parse a scalar literal such as ``"(5/2 + 5/2*s5)*T^1 + 3*T^2"``."""
+    """Parse a scalar literal such as ``"(5/2 + 5/2*s5)*T^1 + 3*T^2"``.
+
+    A trailing ``+ O(T^c)`` must name ``cutoff``; the result then carries it
+    exactly.  Malformed literals raise ``FixtureError``.
+    """
+    value, order = _parse(text, field, cutoff)
+    if order is None:
+        return value
+    if order != _exact(cutoff):
+        raise FixtureError(f"order term of {text!r} is not O(T^{cutoff})")
+    if value.cutoff < order:
+        # negative powers lowered the working cutoff by d; every operation's
+        # cutoff grows at least as fast as its inputs', so parsing again at
+        # order + d keeps every term below the order term
+        value = _parse(text, field, 2 * order - value.cutoff)[0]
+    return NovikovScalar.make(field, order, value.terms)
+
+
+def _parse(text, field, cutoff):
+    """Value at ``cutoff`` and the c of the literal's ``O(T^c)``, or None."""
     p = _Parser(_tokenize(text), field, cutoff)
-    value = p.parse_expr()
+    value, order = p.parse_expr(), None
+    if p.peek() == ("op", "+"):
+        for v in "+O(T^":
+            p.expect(v)
+        order = p.parse_exponent()
+        p.expect(")")
     if p.peek()[0] != "end":
-        raise ValueError(f"trailing garbage in scalar literal {text!r}")
-    return value
+        raise FixtureError(f"trailing garbage in scalar literal {text!r}")
+    return value, order
 
 
 def _format_exponent(e: Fraction) -> str:

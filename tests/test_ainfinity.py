@@ -396,7 +396,8 @@ def test_mc_family_category():
 def test_mc_family_build_multiplication_count(monkeypatch):
     # deterministic guard on the cost of gap insertion: enumerating every
     # choice of visible positions needs about 2.3M products for this
-    # family, the left-to-right pass about 40k
+    # family, a left-to-right walk per table entry about 39k, one walk per
+    # distinct argument prefix about 8.7k
     alg = bare_circle()
     rho = (Fraction(1),)
     c = sc("2*T^(1/2)")
@@ -411,7 +412,7 @@ def test_mc_family_build_multiplication_count(monkeypatch):
 
     monkeypatch.setattr(NovikovScalar, "__mul__", counting_mul)
     mc_family_category(alg, rho, elements, names=("a", "b", "c"), max_arity=5)
-    assert 0 < calls < 100_000
+    assert 0 < calls < 10_000
 
 
 DEFORMED_CIRCLE_GOLDEN = {
@@ -566,6 +567,46 @@ def test_gap_insertion_matches_enumeration_on_circle(s):
     ]
     assert assert_matches_reference(alg, tables, gaps[: s + 1], s)
     assert assert_matches_reference(alg, tables, [gaps[0]] * (s + 1), s)
+
+
+# add_entry drops an entry whose sum cancels, cutoff and all; the
+# enumeration keeps the zero sum.  Where the disks' n = 3 rows cancel before
+# the longer rows arrive, the op can carry O(T^(13/2)) and the enumeration
+# O(T^6).  The same drop gives DEFORMED_CIRCLE_GOLDEN its O(T^(13/2)).
+CANCELLED_CUTOFF = pytest.mark.xfail(
+    strict=True, reason="add_entry forgets the cutoff of a cancelled sum")
+
+
+@pytest.mark.parametrize("signs", [
+    "+-", "-+", "++", "+-+", "-++", "+++", "+-+-",
+    pytest.param("-+++", marks=CANCELLED_CUTOFF),
+    pytest.param("+++-", marks=CANCELLED_CUTOFF),
+])
+def test_gap_insertion_matches_enumeration_with_cancelling_elements(signs):
+    # the family's elements {x: c} and {x: -c} in the gaps, at the rho
+    # where the two disks' arity-1 rows cancel: hidden sums over the shared
+    # tuples ("x",) * n cancel to zero
+    alg = bare_circle()
+    tables = _rho_tables(alg, (Fraction(1),))
+    c = sc("2*T^(1/2)")
+    gaps = [{"x": c if sign == "+" else -c} for sign in signs]
+    assert_matches_reference(alg, tables, gaps, len(signs) - 1)
+
+
+@pytest.mark.parametrize("s", [0, 1, 2, 3])
+def test_gap_insertion_matches_enumeration_on_mixed_lengths(s):
+    # two disks of different lengths: sorted, the tuples run ("1", "1"),
+    # ("1", "x"), ("x",), ("x", "1"), ("x", "x"), ...; the cup table's
+    # share their prefixes with both disks' tuples, no gap element carries
+    # "1", and only the first disk reaches the longest tuple
+    alg = bare_circle()
+    alg.disks = [alg.disks[0],
+                 eq42_disk(Q, Fraction(1, 3), (-1,), 1, ("x",), 5)]
+    tables = _rho_tables(alg, (Fraction(3),))
+    assert max(tables) == 12 and 5 in tables and len(tables[6]) == 1
+    gaps = [{"x": sc("T^(1/3)")}, {"x": sc("-T^(1/2) + 2*T")},
+            {"x": sc("3*T^(1/2)")}, {"x": sc("T^(2/3)")}]
+    assert assert_matches_reference(alg, tables, gaps[: s + 1], s)
 
 
 def test_energy_cyclic_on_circle_fixture():

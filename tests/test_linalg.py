@@ -57,6 +57,15 @@ def test_pivot_prefers_low_valuation():
     assert elim.min_margin(E) == 7
 
 
+def test_certified_refuses_a_pivot_at_margin_zero():
+    # a pivot of valuation 2 is zero to cutoff 2: margin 0 certifies nothing
+    elim = Eliminator()
+    elim.insert(vec(a="T^2"))
+    assert elim.min_margin(2) == 0
+    assert not elim.certified(2)
+    assert elim.certified(3)
+
+
 def test_reduce_returns_residual_without_install():
     elim = Eliminator()
     elim.insert(vec(a="1", b="1"))
@@ -207,6 +216,14 @@ def test_inverse_rejects_a_matrix_singular_to_working_precision():
 def test_inverse_rejects_a_triangular_matrix_with_a_singular_lift():
     # the inverse has the corner -T^-6: the zero moved by T^6 is singular
     rows = _rows_at(4, ["T^3", "1"], ["0", "T^3"])
+    assert inverse(rows, [0, 1], Q, 4) is None
+
+
+def test_inverse_rejects_a_residual_of_valuation_zero():
+    # the inverse has the corner -T^-4, so the residual of entries known to
+    # O(T^4) is O(T^0): a change at the cutoff can cancel the determinant
+    rows = _rows_at(4, ["T^2", "1"], ["0", "T^2"])
+    assert matrix_rank(rows).rank == 2
     assert inverse(rows, [0, 1], Q, 4) is None
 
 

@@ -5,7 +5,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ainfbench.errors import FieldMismatch, InsufficientCutoff, NotRepresentable
+from ainfbench.errors import (
+    FieldMismatch,
+    FixtureError,
+    InsufficientCutoff,
+    NotRepresentable,
+)
 from ainfbench.novikov import (
     NovikovScalar,
     QuadExt,
@@ -489,12 +494,29 @@ def test_decimal_literals_are_exact():
 def test_literal_errors():
     with pytest.raises(NotRepresentable):
         parse_scalar("s5*T", Q, E)
-    with pytest.raises(ValueError):
-        parse_scalar("T^^2", Q, E)
-    with pytest.raises(ValueError):
-        parse_scalar("2j", Q, E)
-    with pytest.raises(ValueError):
-        parse_scalar("1 + ", Q, E)
+    for text in ["T^^2", "2j", "1 + ", "T + O(T^6) + 1", "(1 + O(T^6))*T",
+                 "T - O(T^6)", "O(T^6)", "T + O(6)", "T + O(T^6"]:
+        with pytest.raises(FixtureError):
+            parse_scalar(text, Q, E)
+
+
+def test_order_term_must_name_the_cutoff():
+    assert parse_scalar("T + O(T^6)", Q, E) == parse_scalar("T", Q, E)
+    with pytest.raises(FixtureError, match="is not O"):
+        parse_scalar("T + O(T^5)", Q, E)
+    # a product with a negative power lowers the working cutoff; the order
+    # term restores the one the literal names
+    x = parse_scalar("2*T^(-2/3) + O(T^6)", Q, E)
+    assert typed(x) == typed(nov([(Fraction(-2, 3), 2)]))
+
+
+@pytest.mark.parametrize("field", [Q, Q_3], ids=repr)
+@given(data=st.data())
+@settings(max_examples=100)
+def test_format_parse_round_trip_with_order(field, data):
+    x = data.draw(kernel_scalars(field))
+    text = format_scalar(x, show_order=True)
+    assert typed(parse_scalar(text, field, x.cutoff)) == typed(x)
 
 
 def test_show_order_flag():
