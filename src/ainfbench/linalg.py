@@ -72,7 +72,7 @@ class Eliminator:
 
     def reduce(self, row: dict) -> dict:
         """Residual of ``row`` modulo the installed pivot rows."""
-        row = {k: v for k, v in row.items() if v.terms}
+        row = {k: v for k, v in row.items() if v.lterms}
         pivot_index, pivot_keys, rows = self.pivot_index, self.pivot_keys, self.rows
         heappush, heappop = heapq.heappush, heapq.heappop
         pend = [pivot_index[k] for k in row if k in pivot_index]
@@ -85,7 +85,7 @@ class Eliminator:
             done.add(i)
             key = pivot_keys[i]
             c = row.get(key)
-            if c is None or not c.terms:
+            if c is None or not c.lterms:
                 row.pop(key, None)
                 continue
             # subtract c * piv: negate once per pivot row, add per entry
@@ -94,7 +94,7 @@ class Eliminator:
                 y = c * x
                 cur = row.get(k)
                 s = y if cur is None else cur + y
-                if s.terms:
+                if s.lterms:
                     row[k] = s
                 else:
                     row.pop(k, None)

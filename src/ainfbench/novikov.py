@@ -6,15 +6,29 @@ scalar carries a cutoff E: terms with exponent >= E have been discarded, and
 the value is only meaningful modulo T^E.  Exponents may be negative (this is
 the field of truncated universal Novikov series, not just the ring).
 
-Exponents, cutoffs, rational coefficients and both parts of a ``QuadExt``
-are kept in one canonical exact form: a Python ``int`` when the value is
-integral, a ``Fraction`` with denominator > 1 otherwise.  Both types may
-meet in one computation because equal values compare and hash equal, and
-both carry ``.numerator``/``.denominator``.  The form keeps integral data
-(constant scalars, integer Clifford and toric coefficients) in machine-int
-arithmetic; only genuinely fractional values pay for ``Fraction``
-arithmetic.  Because ``int / int`` is a ``float``, every division of a
-coefficient goes through ``Fraction``.  A ``float`` is never a coefficient.
+A scalar stores its exponents and cutoff on a lattice (1/den)Z: one
+positive ``int`` ``den`` per scalar and the ``int`` numerator ``lcut`` of
+its cutoff, kept as the pair ``lattice = (den, lcut)``, and the terms as
+``lterms``, pairs (k, a) that stand for a * T^(k/den).  Sums and products
+of equal ``den`` are ``int`` arithmetic; unequal ``den`` rescale both
+operands to their lcm.  ``make`` and the constructor pick the least
+``den`` for their input, while arithmetic keeps its operands' ``den`` (or
+their lcm), so ``den`` is a denominator of the scalar, not always the
+least one.  One slot for the pair, not two, keeps every result at three
+slot stores, and a sum or a negation reuses its operand's pair.
+
+``terms``, ``cutoff``, ``valuation()``, ``leading()`` and ``coefficient()``
+are views: they give exponents and cutoffs in canonical exact form, a
+Python ``int`` when the value is integral and a ``Fraction`` with
+denominator > 1 otherwise.  When ``den == 1`` the views ``terms`` and
+``cutoff`` are the stored tuple and ``int`` themselves, so integral scalars
+(constants, integer Clifford and toric data) pay nothing for them.
+Rational coefficients and both parts of a ``QuadExt`` are kept in the same
+canonical form.  Both types may meet in one computation because equal
+values compare and hash equal, and both carry ``.numerator``/
+``.denominator``.  Because ``int / int`` is a ``float``, every division of
+a coefficient goes through ``Fraction``.  A ``float`` is never a
+coefficient.
 
 Coefficient fields:
 
@@ -33,8 +47,8 @@ precision is preserved; the result records that as its own cutoff).
 Input is canonicalized at the entry points: ``NovikovScalar(...)``,
 ``NovikovScalar.make`` (and ``zero``, ``one``, ``monomial``, ``constant``
 built on them), ``parse_scalar`` and the coefficient fields' ``coerce``.
-Arithmetic builds its results from parts that are already canonical, by
-the private ``_scalar``, which neither copies nor checks them.
+Arithmetic builds its results from lattice parts that are already
+canonical, by the private ``_scalar``, which neither copies nor checks them.
 """
 
 from __future__ import annotations
@@ -358,52 +372,58 @@ class QuadraticField:
 class NovikovScalar:
     """Finite T-series  sum a_i T^{e_i}  truncated at a rational cutoff.
 
-    Immutable.  ``terms`` is a tuple of (exponent, coefficient) pairs with
-    strictly increasing exponents, no zero coefficients, and all exponents
-    below ``cutoff``.  Every exponent, the cutoff and every rational
-    coefficient are in the canonical form of the module docstring: ``int``
-    when integral, else ``Fraction``.
+    Immutable.  What is stored is the lattice form of the module docstring:
+    ``lattice``, the pair (den, lcut) of a positive ``int`` ``den`` and the
+    cutoff times ``den``; and ``lterms``, a tuple of (k, coefficient)
+    pairs, k the exponent times ``den``, with strictly increasing k, no
+    zero coefficients and every k below ``lcut``.  Rational coefficients
+    are ``int`` when integral, else ``Fraction``.
+
+    ``terms`` and ``cutoff`` are views in canonical exact form: the
+    (exponent, coefficient) pairs and the cutoff, each number an ``int``
+    when integral, else a ``Fraction``.  When ``den == 1`` they are
+    ``lterms`` and ``lcut`` themselves; otherwise every read builds them
+    anew, so hot code reads ``lterms``, whose truth value is the scalar's.
+    The constructor canonicalizes its input like ``make``.
     """
 
-    __slots__ = ("field", "cutoff", "terms")
+    __slots__ = ("field", "lattice", "lterms")
 
-    def __init__(self, field, cutoff, terms):
-        object.__setattr__(self, "field", field)
-        if type(cutoff) is not int:
-            cutoff = _exact(cutoff)
-        object.__setattr__(self, "cutoff", cutoff)
-        object.__setattr__(self, "terms", tuple(terms))
+    def __new__(cls, field, cutoff, terms):
+        return _scalar(field, *_canonical(field, cutoff, terms))
 
     def __setattr__(self, *a):
         raise AttributeError("NovikovScalar is immutable")
+
+    @property
+    def den(self):
+        """The denominator of the lattice (1/den)Z."""
+        return self.lattice[0]
+
+    @property
+    def terms(self):
+        """(exponent, coefficient) pairs; ``lterms`` itself when den == 1."""
+        den = self.lattice[0]
+        if den == 1:
+            return self.lterms
+        return tuple([(_exponent(k, den), c) for k, c in self.lterms])
+
+    @property
+    def cutoff(self):
+        """The cutoff; ``lcut`` itself when den == 1."""
+        den, lcut = self.lattice
+        return lcut if den == 1 else _exponent(lcut, den)
 
     # -- construction ------------------------------------------------------
 
     @classmethod
     def make(cls, field, cutoff, pairs):
         """Normalize arbitrary (exponent, coefficient) pairs."""
-        if type(cutoff) is not int:
-            cutoff = _exact(cutoff)
-        acc: dict = {}
-        coerce = field.coerce
-        for e, c in pairs:
-            if type(e) is not int:
-                e = _exact(e)
-            if e >= cutoff:
-                continue
-            c = coerce(c)
-            if e in acc:
-                c = acc[e] + c
-                if type(c) is Fraction:
-                    c = _exact(c)
-            acc[e] = c
-        is_zero = field.is_zero
-        terms = [(e, c) for e, c in sorted(acc.items()) if not is_zero(c)]
-        return cls(field, cutoff, terms)
+        return _scalar(field, *_canonical(field, cutoff, pairs))
 
     @classmethod
     def zero(cls, field, cutoff):
-        return cls(field, cutoff, ())
+        return cls.make(field, cutoff, ())
 
     @classmethod
     def one(cls, field, cutoff):
@@ -420,30 +440,35 @@ class NovikovScalar:
     # -- basic queries -----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.lterms
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.lterms)
 
     def valuation(self):
         """Least exponent; math.inf for the (truncated) zero scalar."""
-        if not self.terms:
+        if not self.lterms:
             return math.inf
-        return self.terms[0][0]
+        k, den = self.lterms[0][0], self.lattice[0]
+        return k if den == 1 else _exponent(k, den)
 
     def leading(self):
         """(exponent, coefficient) of the lowest-order term."""
-        if not self.terms:
+        if not self.lterms:
             raise ZeroDivisionError("zero scalar has no leading term")
-        return self.terms[0]
+        k, c = self.lterms[0]
+        return _exponent(k, self.lattice[0]), c
 
     def coefficient(self, exponent):
         e = _exact(exponent)
-        for ee, c in self.terms:
-            if ee == e:
-                return c
-            if ee > e:
-                break
+        den = self.lattice[0]
+        if not den % e.denominator:
+            k = e.numerator * (den // e.denominator)
+            for kk, c in self.lterms:
+                if kk == k:
+                    return c
+                if kk > k:
+                    break
         return self.field.zero
 
     # -- arithmetic --------------------------------------------------------
@@ -454,17 +479,29 @@ class NovikovScalar:
                 raise FieldMismatch(f"{self.field!r} vs {other.field!r}")
             return other
         if isinstance(other, (int, Fraction, QuadExt, float, complex)):
-            return NovikovScalar.constant(self.field, self.cutoff, other)
+            # the constant on this scalar's lattice, at its cutoff
+            c = self.field.coerce(other)
+            keep = self.lattice[1] > 0 and not self.field.is_zero(c)
+            return _scalar(self.field, self.lattice, ((0, c),) if keep else ())
         return None
 
     def _merge(self, o, negate):
         """self + o, or self - o when ``negate``; the fields already agree."""
-        ta, tb = self.terms, o.terms
-        if self.cutoff != o.cutoff:
-            if negate:
-                tb = [(e, -c) for e, c in tb]
-            cutoff = min(self.cutoff, o.cutoff)
-            return NovikovScalar.make(self.field, cutoff, list(ta) + list(tb))
+        lattice = self.lattice
+        ta, tb = self.lterms, o.lterms
+        if o.lattice != lattice:
+            den, cut = lattice
+            if o.lattice[0] == den:
+                ocut = o.lattice[1]
+            else:
+                den, (cut, ta), (ocut, tb) = _common(self, o)
+            if cut != ocut:
+                if negate:
+                    tb = [(e, -c) for e, c in tb]
+                cut = min(cut, ocut)
+                return _scalar(self.field, (den, cut),
+                               _collect(self.field, cut, list(ta) + list(tb)))
+            lattice = (den, cut)
         if not ta:
             return -o if negate else o
         if not tb:
@@ -494,7 +531,11 @@ class NovikovScalar:
             merged.extend(ta[i:])
         if j < nb:
             merged.extend([(e, -c) for e, c in tb[j:]] if negate else tb[j:])
-        return _scalar(self.field, self.cutoff, tuple(merged))
+        x = _new(NovikovScalar)  # _scalar, inlined on the hottest result
+        _set_field(x, self.field)
+        _set_lattice(x, lattice)
+        _set_lterms(x, tuple(merged))
+        return x
 
     def __add__(self, other):
         if type(other) is NovikovScalar and other.field is self.field:
@@ -507,9 +548,8 @@ class NovikovScalar:
     __radd__ = __add__
 
     def __neg__(self):
-        return _scalar(
-            self.field, self.cutoff, tuple([(e, -c) for e, c in self.terms])
-        )
+        return _scalar(self.field, self.lattice,
+                       tuple([(e, -c) for e, c in self.lterms]))
 
     def __sub__(self, other):
         if type(other) is NovikovScalar and other.field is self.field:
@@ -532,74 +572,76 @@ class NovikovScalar:
             o = self._coerce_other(other)
             if o is None:
                 return NotImplemented
+        (den, ca), (oden, cb) = self.lattice, o.lattice
+        ta, tb = self.lterms, o.lterms
+        if oden != den:
+            den, (ca, ta), (cb, tb) = _common(self, o)
         # a = A + O(T^Ea), b = B + O(T^Eb) determine ab only below
         # min(Ea + val b, Eb + val a, Ea + Eb); with val >= 0 operands this
         # is at least min(Ea, Eb), but negative valuations genuinely amplify
         # the unknown tails.
-        ta, tb = self.terms, o.terms
-        cutoff = self.cutoff + o.cutoff
-        if tb and self.cutoff + tb[0][0] < cutoff:
-            cutoff = self.cutoff + tb[0][0]
-        if ta and o.cutoff + ta[0][0] < cutoff:
-            cutoff = o.cutoff + ta[0][0]
-        if type(cutoff) is not int:
-            cutoff = _exact(cutoff)
+        cutoff = ca + cb
+        if tb and ca + tb[0][0] < cutoff:
+            cutoff = ca + tb[0][0]
+        if ta and cb + ta[0][0] < cutoff:
+            cutoff = cb + ta[0][0]
+        field = self.field
         if not ta or not tb:
-            return _scalar(self.field, cutoff, ())
+            return _scalar(field, (den, cutoff), ())
         if len(ta) == 1 and len(tb) == 1:
             e1, c1 = ta[0]
             e2, c2 = tb[0]
             e = e1 + e2
-            if type(e) is not int:
-                e = _exact(e)
             if e >= cutoff:
-                return _scalar(self.field, cutoff, ())
+                return _scalar(field, (den, cutoff), ())
             # nonzero coefficients of a field have a nonzero product
             c = c1 * c2
             if type(c) is Fraction:
                 c = _exact(c)
-            return _scalar(self.field, cutoff, ((e, c),))
+            x = _new(NovikovScalar)  # _scalar, inlined
+            _set_field(x, field)
+            _set_lattice(x, (den, cutoff))
+            _set_lterms(x, ((e, c),))
+            return x
         pairs = []
         for e1, c1 in ta:
             for e2, c2 in tb:
                 e = e1 + e2
                 if e < cutoff:
                     pairs.append((e, c1 * c2))
-        return NovikovScalar.make(self.field, cutoff, pairs)
+        return _scalar(field, (den, cutoff), _collect(field, cutoff, pairs))
 
     __rmul__ = __mul__
 
     def invert(self) -> "NovikovScalar":
         """Multiplicative inverse, correct below cutoff - 2*val(self)."""
-        if not self.terms:
+        if not self.lterms:
             raise ZeroDivisionError("inverting a scalar that is 0 to cutoff")
-        v, c0 = self.terms[0]
-        new_cutoff = self.cutoff - 2 * v
+        field, (den, lcut) = self.field, self.lattice
+        v, c0 = self.lterms[0]
+        new_cutoff = lcut - 2 * v
         if new_cutoff <= -v:
             raise InsufficientCutoff(
-                f"inverse of valuation-{v} scalar not visible below cutoff "
-                f"{self.cutoff}"
+                f"inverse of valuation-{self.valuation()} scalar not visible "
+                f"below cutoff {self.cutoff}"
             )
-        inv0 = self.field.invert(c0)
+        inv0 = field.invert(c0)
         # u = self / (c0 T^v) = 1 + r with val(r) > 0, known below cutoff - v.
-        rel = self.cutoff - v
-        r = NovikovScalar.make(
-            self.field, rel, [(e - v, c * inv0) for e, c in self.terms[1:]]
-        )
-        geom = NovikovScalar.one(self.field, rel)
-        power = NovikovScalar.one(self.field, rel)
-        if r.terms:
-            step = r.valuation()
+        rel = lcut - v
+        r = _scalar(field, (den, rel), _collect(
+            field, rel, [(e - v, c * inv0) for e, c in self.lterms[1:]]))
+        geom = power = _scalar(field, (den, rel), ((0, field.one),))
+        if r.lterms:
+            step = r.lterms[0][0]
             k = 1
             while k * step < rel:
                 power = power * (-r)
-                if not power.terms:
+                if not power.lterms:
                     break
                 geom = geom + power
                 k += 1
-        return NovikovScalar.make(
-            self.field, new_cutoff, [(e - v, c * inv0) for e, c in geom.terms]
-        )
+        return _scalar(field, (den, new_cutoff), _collect(
+            field, new_cutoff, [(e - v, c * inv0) for e, c in geom.lterms]))
 
     def __truediv__(self, other):
         o = self._coerce_other(other)
@@ -618,9 +660,9 @@ class NovikovScalar:
 
         Requires the leading coefficient to admit a square root in the field.
         """
-        if not self.terms:
+        if not self.lterms:
             return self
-        v, c0 = self.terms[0]
+        v, c0 = self.leading()
         r0 = self.field.sqrt(c0)
         if r0 is None:
             raise NotRepresentable(
@@ -640,15 +682,23 @@ class NovikovScalar:
 
     def truncate(self, cutoff) -> "NovikovScalar":
         """Lower the cutoff (never raises it: that would fabricate precision)."""
-        cutoff = min(_exact(cutoff), self.cutoff)
-        kept = tuple([(e, c) for e, c in self.terms if e < cutoff])
-        return _scalar(self.field, cutoff, kept)
+        c = _exact(cutoff)
+        den = self.lattice[0]
+        # a cutoff off the lattice moves it to lcm(den, c.denominator)
+        m = c.denominator // math.gcd(den, c.denominator)
+        den *= m
+        lcut, lterms = _rescaled(self, m)
+        k = c.numerator * (den // c.denominator)
+        if k >= lcut:
+            return self
+        return _scalar(self.field, (den, k),
+                       tuple([t for t in lterms if t[0] < k]))
 
     def __eq__(self, other):
         o = self._coerce_other(other)
         if o is None:
             return NotImplemented
-        return not (self - o).terms
+        return not (self - o).lterms
 
     def __hash__(self):
         raise TypeError("NovikovScalar is unhashable (cutoff-relative equality)")
@@ -662,17 +712,76 @@ class NovikovScalar:
 
 _new = object.__new__
 _set_field = NovikovScalar.field.__set__
-_set_cutoff = NovikovScalar.cutoff.__set__
-_set_terms = NovikovScalar.terms.__set__
+_set_lattice = NovikovScalar.lattice.__set__
+_set_lterms = NovikovScalar.lterms.__set__
 
 
-def _scalar(field, cutoff, terms):
-    """A scalar from canonical parts, ``terms`` a tuple; nothing is checked."""
+def _scalar(field, lattice, lterms):
+    """A scalar from canonical lattice parts, ``lterms`` a tuple; nothing is
+    checked."""
     x = _new(NovikovScalar)
     _set_field(x, field)
-    _set_cutoff(x, cutoff)
-    _set_terms(x, terms)
+    _set_lattice(x, lattice)
+    _set_lterms(x, lterms)
     return x
+
+
+def _exponent(k, den):
+    """k/den in canonical exact form."""
+    return k // den if not k % den else Fraction(k, den)
+
+
+def _collect(field, cutoff, pairs):
+    """Sorted terms of ``pairs`` below ``cutoff``: equal exponents summed,
+    zero sums dropped, exponents and coefficients canonical.
+
+    Exponents and ``cutoff`` are exact values or lattice numerators alike.
+    """
+    acc: dict = {}
+    coerce = field.coerce
+    for e, c in pairs:
+        if type(e) is not int:
+            e = _exact(e)
+        if e >= cutoff:
+            continue
+        c = coerce(c)
+        if e in acc:
+            c = acc[e] + c
+            if type(c) is Fraction:
+                c = _exact(c)
+        acc[e] = c
+    is_zero = field.is_zero
+    return tuple([(e, c) for e, c in sorted(acc.items()) if not is_zero(c)])
+
+
+def _canonical(field, cutoff, pairs):
+    """(lattice, lterms) of arbitrary pairs, den the least denominator."""
+    if type(cutoff) is not int:
+        cutoff = _exact(cutoff)
+    terms = _collect(field, cutoff, pairs)
+    den = cutoff.denominator
+    for e, _ in terms:
+        if type(e) is not int:
+            den = math.lcm(den, e.denominator)
+    if den == 1:
+        return (1, cutoff), terms
+    return (den, cutoff.numerator * (den // cutoff.denominator)), tuple(
+        [(e.numerator * (den // e.denominator), c) for e, c in terms])
+
+
+def _common(a, b):
+    """den = lcm(a.den, b.den) and both operands' (lcut, lterms) over it."""
+    den = math.lcm(a.lattice[0], b.lattice[0])
+    return (den, _rescaled(a, den // a.lattice[0]),
+            _rescaled(b, den // b.lattice[0]))
+
+
+def _rescaled(x, m):
+    """``x``'s (lcut, lterms) over the denominator ``x.den * m``."""
+    lcut = x.lattice[1]
+    if m == 1:
+        return lcut, x.lterms
+    return lcut * m, tuple([(k * m, c) for k, c in x.lterms])
 
 
 # --------------------------------------------------------------------------
@@ -827,7 +936,8 @@ def parse_scalar(text: str, field, cutoff) -> NovikovScalar:
     """Parse a scalar literal such as ``"(5/2 + 5/2*s5)*T^1 + 3*T^2"``.
 
     A trailing ``+ O(T^c)`` must name ``cutoff``; the result then carries it
-    exactly.  Malformed literals raise ``FixtureError``.
+    exactly.  Malformed literals raise ``FixtureError``, and so does a
+    division by zero, a divisor that is 0 below the cutoff included.
     """
     value, order = _parse(text, field, cutoff)
     if order is None:
@@ -845,12 +955,16 @@ def parse_scalar(text: str, field, cutoff) -> NovikovScalar:
 def _parse(text, field, cutoff):
     """Value at ``cutoff`` and the c of the literal's ``O(T^c)``, or None."""
     p = _Parser(_tokenize(text), field, cutoff)
-    value, order = p.parse_expr(), None
-    if p.peek() == ("op", "+"):
-        for v in "+O(T^":
-            p.expect(v)
-        order = p.parse_exponent()
-        p.expect(")")
+    try:
+        value, order = p.parse_expr(), None
+        if p.peek() == ("op", "+"):
+            for v in "+O(T^":
+                p.expect(v)
+            order = p.parse_exponent()
+            p.expect(")")
+    except ZeroDivisionError as exc:
+        # a zero denominator, or a divisor that is 0 below the cutoff
+        raise FixtureError(f"division by zero in scalar literal {text!r}") from exc
     if p.peek()[0] != "end":
         raise FixtureError(f"trailing garbage in scalar literal {text!r}")
     return value, order

@@ -13,6 +13,7 @@ import importlib
 import importlib.util
 import sys
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -63,18 +64,32 @@ def test_traced_benchmark_finds_every_name_it_wraps():
 
 
 def test_traced_addsub_counts_each_operation_once():
-    """``-``, reflected ``-`` and ``==`` are one addition each, like ``+``."""
+    """``-``, reflected ``-`` and ``==`` are one addition each, like ``+``.
+
+    Operands on different lattices (exponent denominators 2 and 3) are
+    rescaled inside the operation, not by a second counted one.
+    """
     lib = load_library()
     tracer = load_bench_module("tracing").Tracer()
     load_bench_module("layers").install(tracer, lib)
     try:
         Q = lib.novikov.Rationals()
-        x = lib.novikov.NovikovScalar.make(Q, 6, [(0, 2), (1, 3)])
-        y = lib.novikov.NovikovScalar.make(Q, 6, [(0, 1), (2, -1)])
+        NS = lib.novikov.NovikovScalar
+        x = NS.make(Q, 6, [(0, 2), (1, 3)])
+        y = NS.make(Q, 6, [(0, 1), (2, -1)])
         x + y
         x - y
         1 - x
         x == y
+        h = NS.make(Q, Fraction(11, 2), [(Fraction(1, 2), 1), (1, 2)])
+        t = NS.make(Q, 6, [(Fraction(1, 3), 2), (1, -1)])
+        assert (h.den, t.den) == (2, 3)
+        h + t
+        t - h
+        h == t
+        h * t
     finally:
         tracer.uninstall()
-    assert tracer.calls["novikov.addsub"] == 4
+    assert tracer.calls["novikov.addsub"] == 7
+    assert tracer.calls["novikov.mul"] == 1
+    assert tracer.calls["novikov.invert"] == 0

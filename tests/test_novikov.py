@@ -244,6 +244,8 @@ def test_kernel_matches_make_reference(fields, data):
     a = data.draw(kernel_scalars(fields[0]))
     b = data.draw(kernel_scalars(fields[1]))
     k = data.draw(st.one_of(st.integers(min_value=-4, max_value=4), coeffs))
+    # denominators up to 5: often off the lattice of a's exponents and cutoff
+    t = data.draw(st.fractions(min_value=-2, max_value=9, max_denominator=5))
     cutoff = min(a.cutoff, b.cutoff)
     make = NovikovScalar.make
     cases = [
@@ -252,10 +254,60 @@ def test_kernel_matches_make_reference(fields, data):
         (k - a, make(a.field, a.cutoff, [(0, k)] + ref_negated(a))),
         (a * b, ref_product(a, b)),
         (-a, make(a.field, a.cutoff, ref_negated(a))),
+        (a.truncate(t), make(a.field, min(t, a.cutoff), a.terms)),
     ]
     for got, want in cases:
         assert typed(got) == typed(want)
     assert (a == b) == (not (a - b).terms)
+
+
+def stretched(x, m):
+    """x at T = S^m: every exponent and the cutoff times m."""
+    return NovikovScalar.make(x.field, x.cutoff * m,
+                              [(e * m, c) for e, c in x.terms])
+
+
+def lattice_chain(a, b):
+    """A product, then a sum, then an inverse."""
+    p = a * b
+    s = p + b
+    return p, s, s.invert()
+
+
+def test_lattice_grows_to_the_lcm():
+    a = nov([(Fraction(1, 2), 1), (1, Fraction(1, 3))], cutoff=Fraction(11, 2))
+    b = nov([(0, 2), (Fraction(2, 3), -1)], cutoff=Fraction(17, 3))
+    assert (a.den, b.den) == (2, 3)
+    p, s, i = lattice_chain(a, b)
+    assert (p.den, s.den, i.den) == (6, 6, 6)
+    assert typed(p) == typed(ref_product(a, b))
+    assert typed(s) == typed(NovikovScalar.make(
+        Q, min(p.cutoff, b.cutoff), p.terms + b.terms))
+    assert i * s == 1
+    # the same chain at T = S^6 runs on integer exponents throughout
+    integral = lattice_chain(stretched(a, 6), stretched(b, 6))
+    assert all(x.den == 1 for x in integral)
+    for x, y in zip((p, s, i), integral):
+        assert typed(stretched(x, 6)) == typed(y)
+
+
+def test_integral_views_are_the_stored_parts():
+    x = nov([(0, 2), (1, Fraction(1, 3))])
+    assert x.den == 1 and x.terms is x.lterms and x.cutoff is x.lattice[1]
+    y = nov([(Fraction(1, 2), 1)], cutoff=Fraction(11, 2))
+    assert (y.den, y.lattice, y.lterms) == (2, (2, 11), ((1, 1),))
+    assert typed(y) == ((Fraction, Fraction(11, 2)),
+                        [((Fraction, Fraction(1, 2)), (int, 1))])
+
+
+def test_constructor_canonicalizes_like_make():
+    pairs = [(1, 2), (0, 1), (7, 3), (2, 0)]
+    x = NovikovScalar(Q, 6, pairs)
+    assert typed(x) == typed(nov(pairs))
+    assert x.valuation() == 0 and format_scalar(x) == "1 + 2*T"
+    assert typed(x - nov([(0, 1)])) == typed(nov([(1, 2)]))
+    with pytest.raises(NotRepresentable):
+        NovikovScalar(Q, 6, [(0.5, 1)])
 
 
 @given(data=st.data())
@@ -283,7 +335,8 @@ def kernel_results():
 @pytest.mark.parametrize("name", sorted(kernel_results()))
 def test_kernel_results_stay_immutable_and_unhashable(name):
     x = kernel_results()[name]
-    for attr in ("field", "cutoff", "terms", "other"):
+    for attr in ("field", "cutoff", "terms", "den", "lattice", "lterms",
+                 "other"):
         with pytest.raises(AttributeError):
             setattr(x, attr, 0)
     with pytest.raises(TypeError):
@@ -498,6 +551,12 @@ def test_literal_errors():
                  "T - O(T^6)", "O(T^6)", "T + O(6)", "T + O(T^6"]:
         with pytest.raises(FixtureError):
             parse_scalar(text, Q, E)
+    # a zero denominator, or a divisor that is 0 below the cutoff
+    for text, cutoff in [("1/T^2", 1),
+                         ("1/(T^2 + T^3) + O(T^(1/2))", Fraction(1, 2)),
+                         ("1/0", E), ("T^(1/0)", E)]:
+        with pytest.raises(FixtureError, match="division by zero"):
+            parse_scalar(text, Q, cutoff)
 
 
 def test_order_term_must_name_the_cutoff():
