@@ -23,18 +23,23 @@ Python ``int`` when the value is integral and a ``Fraction`` with
 denominator > 1 otherwise.  When ``den == 1`` the views ``terms`` and
 ``cutoff`` are the stored tuple and ``int`` themselves, so integral scalars
 (constants, integer Clifford and toric data) pay nothing for them.
-Rational coefficients and both parts of a ``QuadExt`` are kept in the same
-canonical form.  Both types may meet in one computation because equal
-values compare and hash equal, and both carry ``.numerator``/
-``.denominator``.  Because ``int / int`` is a ``float``, every division of
-a coefficient goes through ``Fraction``.  A ``float`` is never a
-coefficient.
+Rational coefficients are kept in the same canonical form.  Both types
+may meet in one computation because equal values compare and hash equal,
+and both carry ``.numerator``/``.denominator``.  Because ``int / int`` is
+a ``float``, every division of a rational coefficient goes through
+``Fraction``.  A ``float`` is never a coefficient.
+
+A ``QuadExt`` stores (p + q*sqrt d)/n as three ``int``s over one
+denominator, reduced: n > 0 and gcd(p, q, n) = 1, so each element has
+one triple and its arithmetic builds no ``Fraction``.  Its parts ``a`` =
+p/n and ``b`` = q/n are views in the canonical form above.
 
 Coefficient fields:
 
 * ``Rationals``          -- exact Q, elements are ``int`` or ``Fraction``;
-* ``QuadraticField(d)``  -- exact Q(sqrt d) for a square-free integer d
-                            (d may be negative), elements are ``QuadExt``.
+* ``QuadraticField(d)``  -- exact Q(sqrt d) for a square-free ``int`` d
+                            (d may be negative), elements are ``QuadExt``
+                            with a reduced integer triple (p, q, n).
 
 The valuation ``val`` of a nonzero scalar is its least exponent; ``val(0)`` is
 ``math.inf``.  It obeys  val(a*b) = val(a)+val(b)  and
@@ -46,16 +51,16 @@ precision is preserved; the result records that as its own cutoff).
 
 Input is canonicalized at the entry points: ``NovikovScalar(...)``,
 ``NovikovScalar.make`` (and ``zero``, ``one``, ``monomial``, ``constant``
-built on them), ``parse_scalar`` and the coefficient fields' ``coerce``.
-Arithmetic builds its results from lattice parts that are already
-canonical, by the private ``_scalar``, which neither copies nor checks them.
+built on them), ``parse_scalar``, ``QuadExt(a, b, d)`` and the coefficient
+fields' ``coerce``.  Arithmetic builds its results from lattice parts that
+are already canonical, by the private ``_scalar``, which neither copies nor
+checks them; ``QuadExt`` arithmetic builds its own by ``_reduced``.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (FieldMismatch, FixtureError, InsufficientCutoff,
@@ -70,6 +75,9 @@ __all__ = [
     "format_scalar",
     "field_power",
 ]
+
+
+_new = object.__new__
 
 
 def _exact(x):
@@ -115,118 +123,175 @@ def _fraction_sqrt(x: int | Fraction) -> int | Fraction | None:
     return None
 
 
-@dataclass(frozen=True)
 class QuadExt:
-    """Element a + b*sqrt(d) of the quadratic extension Q(sqrt d).
+    """Element (p + q*sqrt(d))/n of the quadratic extension Q(sqrt d).
 
-    d is a square-free integer (possibly negative) shared by both operands of
-    any arithmetic operation.  Supports mixed arithmetic with int / Fraction.
-    Parts are coerced into Q in the canonical form of the module docstring.
+    Immutable.  What is stored is three ``int``s ``p``, ``q`` and ``n``
+    with n > 0 and gcd(p, q, n) = 1, and d, a square-free integer
+    (possibly negative) shared by both operands of any arithmetic
+    operation.  The reduction makes the triple unique, so equal elements
+    store equal triples and zero is (0, 0, 1).  Sums, products and
+    inverses are ``int`` arithmetic with one gcd per result, built by the
+    private ``_reduced``, which checks nothing else.
+
+    ``a`` and ``b``, the parts of a + b*sqrt(d), are views in the
+    canonical form of the module docstring.  The constructor takes those
+    parts, ``int`` or ``Fraction``, and an ``int`` d (a float raises
+    NotRepresentable).  Supports mixed arithmetic with int / Fraction.
     """
 
-    a: int | Fraction
-    b: int | Fraction
-    d: int
+    __slots__ = ("p", "q", "n", "d")
 
-    def __post_init__(self):
-        if type(self.a) is not int:
-            object.__setattr__(self, "a", _RATIONALS.coerce(self.a))
-        if type(self.b) is not int:
-            object.__setattr__(self, "b", _RATIONALS.coerce(self.b))
+    def __new__(cls, a, b, d):
+        a, b, d = _RATIONALS.coerce(a), _RATIONALS.coerce(b), _integer(d)
+        n = math.lcm(a.denominator, b.denominator)
+        # over the lcm of two reduced denominators the triple is reduced
+        return _quad(a.numerator * (n // a.denominator),
+                     b.numerator * (n // b.denominator), n, d)
 
-    def _lift(self, other):
-        if isinstance(other, QuadExt):
+    def __setattr__(self, *a):
+        raise AttributeError("QuadExt is immutable")
+
+    @property
+    def a(self):
+        """The rational part p/n."""
+        return _ratio(self.p, self.n)
+
+    @property
+    def b(self):
+        """The coefficient q/n of sqrt(d)."""
+        return _ratio(self.q, self.n)
+
+    def _parts(self, other):
+        """(p, q, n) of an operand of this element's field, or None."""
+        t = type(other)
+        if t is QuadExt:
             if other.d != self.d:
                 raise FieldMismatch(f"sqrt({self.d}) vs sqrt({other.d})")
-            return other
+            return other.p, other.q, other.n
+        if t is int:
+            return other, 0, 1
         if isinstance(other, (int, Fraction)):
-            return QuadExt(other, 0, self.d)
+            other = _RATIONALS.coerce(other)  # a bool raises NotRepresentable
+            return other.numerator, 0, other.denominator
         return None
 
     def __add__(self, other):
-        if type(other) is QuadExt and other.d == self.d:
-            o = other
-        else:
-            o = self._lift(other)
+        o = self._parts(other)
         if o is None:
             return NotImplemented
-        return QuadExt(self.a + o.a, self.b + o.b, self.d)
+        p, q, n = o
+        if n == self.n:
+            return _reduced(self.p + p, self.q + q, n, self.d)
+        return _reduced(self.p * n + p * self.n, self.q * n + q * self.n,
+                        self.n * n, self.d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadExt(-self.a, -self.b, self.d)
+        return _quad(-self.p, -self.q, self.n, self.d)
 
     def __sub__(self, other):
-        if type(other) is QuadExt and other.d == self.d:
-            o = other
-        else:
-            o = self._lift(other)
+        o = self._parts(other)
         if o is None:
             return NotImplemented
-        return QuadExt(self.a - o.a, self.b - o.b, self.d)
+        p, q, n = o
+        if n == self.n:
+            return _reduced(self.p - p, self.q - q, n, self.d)
+        return _reduced(self.p * n - p * self.n, self.q * n - q * self.n,
+                        self.n * n, self.d)
 
     def __rsub__(self, other):
-        o = self._lift(other)
+        o = self._parts(other)
         if o is None:
             return NotImplemented
-        return o - self
+        return _quad(*o, self.d) - self
 
     def __mul__(self, other):
-        if type(other) is QuadExt and other.d == self.d:
-            o = other
-        else:
-            o = self._lift(other)
+        o = self._parts(other)
         if o is None:
             return NotImplemented
-        return QuadExt(
-            self.a * o.a + self.b * o.b * self.d,
-            self.a * o.b + self.b * o.a,
-            self.d,
-        )
+        p, q, n = o
+        sp, sq = self.p, self.q
+        return _reduced(sp * p + sq * q * self.d, sp * q + sq * p,
+                        self.n * n, self.d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "QuadExt":
-        n = self.a * self.a - self.b * self.b * self.d
-        if n == 0:
+        # n/(p + q sqrt d) = n (p - q sqrt d) / (p^2 - q^2 d)
+        p, q, n = self.p, self.q, self.n
+        norm = p * p - q * q * self.d
+        if norm == 0:
             raise ZeroDivisionError("zero element of quadratic field")
-        return QuadExt(Fraction(self.a, n), Fraction(-self.b, n), self.d)
+        if norm < 0:
+            return _reduced(-n * p, n * q, -norm, self.d)
+        return _reduced(n * p, -n * q, norm, self.d)
 
     def __truediv__(self, other):
-        o = self._lift(other)
+        o = self._parts(other)
         if o is None:
             return NotImplemented
-        return self * o.inverse()
+        return self * _quad(*o, self.d).inverse()
 
     def __rtruediv__(self, other):
-        o = self._lift(other)
+        o = self._parts(other)
         if o is None:
             return NotImplemented
-        return o * self.inverse()
+        return _quad(*o, self.d) * self.inverse()
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.b == 0 and self.a == other
         if isinstance(other, QuadExt):
-            return self.d == other.d and self.a == other.a and self.b == other.b
+            return (self.d == other.d and self.p == other.p
+                    and self.q == other.q and self.n == other.n)
+        if isinstance(other, (int, Fraction)):
+            return (not self.q and self.p == other.numerator
+                    and self.n == other.denominator)
         return NotImplemented
 
     def __hash__(self):
-        if self.b == 0:
+        if not self.q:
             return hash(self.a)
-        return hash((self.a, self.b, self.d))
+        return hash((self.p, self.q, self.n, self.d))
 
     def __bool__(self):
-        return self.a != 0 or self.b != 0
+        return self.p != 0 or self.q != 0
 
     def __complex__(self):
+        a, b = self.p / self.n, self.q / self.n
         if self.d >= 0:
-            return complex(float(self.a) + float(self.b) * math.sqrt(self.d))
-        return complex(float(self.a), float(self.b) * math.sqrt(-self.d))
+            return complex(a + b * math.sqrt(self.d))
+        return complex(a, b * math.sqrt(-self.d))
 
     def __repr__(self):
         return f"QuadExt({self.a}, {self.b}, d={self.d})"
+
+
+_set_p = QuadExt.p.__set__
+_set_q = QuadExt.q.__set__
+_set_n = QuadExt.n.__set__
+_set_d = QuadExt.d.__set__
+
+
+def _quad(p, q, n, d):
+    """The element (p + q*sqrt(d))/n of a reduced triple; nothing is
+    checked."""
+    x = _new(QuadExt)
+    _set_p(x, p)
+    _set_q(x, q)
+    _set_n(x, n)
+    _set_d(x, d)
+    return x
+
+
+def _reduced(p, q, n, d):
+    """(p + q*sqrt(d))/n for n > 0, divided by gcd(p, q, n)."""
+    g = math.gcd(p, q, n)
+    if g != 1:
+        p //= g
+        q //= g
+        n //= g
+    return _quad(p, q, n, d)
 
 
 def _squarefree_decompose(n: int) -> tuple[int, int]:
@@ -269,7 +334,7 @@ class Rationals:
     def coerce(self, x):
         if isinstance(x, (int, Fraction)):
             return _exact(x)
-        if isinstance(x, QuadExt) and x.b == 0:
+        if isinstance(x, QuadExt) and not x.q:
             return x.a
         raise NotRepresentable(f"cannot coerce {x!r} into Q")
 
@@ -295,13 +360,14 @@ class QuadraticField:
     """Q adjoin sqrt(d), d a square-free integer (possibly negative)."""
 
     def __init__(self, d: int):
+        d = _integer(d)
         s, k = _squarefree_decompose(d)
         if k != 1 or s in (0, 1):
             raise ValueError(f"d must be square-free and not 0 or 1, got {d}")
         self.d = d
-        self.zero = QuadExt(0, 0, d)
-        self.one = QuadExt(1, 0, d)
-        self.root = QuadExt(0, 1, d)  # the element sqrt(d)
+        self.zero = _quad(0, 0, 1, d)
+        self.one = _quad(1, 0, 1, d)
+        self.root = _quad(0, 1, 1, d)  # the element sqrt(d)
 
     def __repr__(self):
         return f"QuadraticField({self.d})"
@@ -313,6 +379,8 @@ class QuadraticField:
         return hash(("q-sqrt", self.d))
 
     def coerce(self, x):
+        if type(x) is int:
+            return _quad(x, 0, 1, self.d)
         if isinstance(x, QuadExt):
             if x.d != self.d:
                 raise FieldMismatch(f"sqrt({x.d}) element in Q(sqrt {self.d})")
@@ -406,13 +474,13 @@ class NovikovScalar:
         den = self.lattice[0]
         if den == 1:
             return self.lterms
-        return tuple([(_exponent(k, den), c) for k, c in self.lterms])
+        return tuple([(_ratio(k, den), c) for k, c in self.lterms])
 
     @property
     def cutoff(self):
         """The cutoff; ``lcut`` itself when den == 1."""
         den, lcut = self.lattice
-        return lcut if den == 1 else _exponent(lcut, den)
+        return lcut if den == 1 else _ratio(lcut, den)
 
     # -- construction ------------------------------------------------------
 
@@ -450,14 +518,14 @@ class NovikovScalar:
         if not self.lterms:
             return math.inf
         k, den = self.lterms[0][0], self.lattice[0]
-        return k if den == 1 else _exponent(k, den)
+        return k if den == 1 else _ratio(k, den)
 
     def leading(self):
         """(exponent, coefficient) of the lowest-order term."""
         if not self.lterms:
             raise ZeroDivisionError("zero scalar has no leading term")
         k, c = self.lterms[0]
-        return _exponent(k, self.lattice[0]), c
+        return _ratio(k, self.lattice[0]), c
 
     def coefficient(self, exponent):
         e = _exact(exponent)
@@ -710,7 +778,6 @@ class NovikovScalar:
         return format_scalar(self)
 
 
-_new = object.__new__
 _set_field = NovikovScalar.field.__set__
 _set_lattice = NovikovScalar.lattice.__set__
 _set_lterms = NovikovScalar.lterms.__set__
@@ -726,8 +793,8 @@ def _scalar(field, lattice, lterms):
     return x
 
 
-def _exponent(k, den):
-    """k/den in canonical exact form."""
+def _ratio(k, den):
+    """k/den in canonical exact form, ``den`` > 0."""
     return k // den if not k % den else Fraction(k, den)
 
 

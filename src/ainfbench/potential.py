@@ -51,6 +51,7 @@ from .novikov import (
     Rationals,
     _exact,
     _integer,
+    _scalar,
     _squarefree_decompose,
     field_power,
     format_scalar,
@@ -288,10 +289,12 @@ class NovikovLaurentPolynomial:
                 for v, k in zip(self.variables, a)
                 if k
             )
+            # one monomial prints as one term: a coefficient that is a sum
+            # comes bracketed by the field's format, so none is added here
             if mono and lit in ("1", "-1"):
                 lit = lit[:-1] + mono  # unit coefficients print bare
             elif mono:
-                lit = f"({lit})*{mono}" if ("+" in lit or "-" in lit[1:]) else f"{lit}*{mono}"
+                lit = f"{lit}*{mono}"
             pieces.append(lit)
         out = pieces[0]
         for piece in pieces[1:]:
@@ -309,8 +312,9 @@ def _weighted_sum(table, weight):
     """Sum of weight(a) * value over a monomial table, cut at its cutoff.
 
     Zero weights are skipped and the others scale the coefficients
-    directly: a product with a constant scalar would lower the cutoff of
-    terms with negative valuation.
+    directly, on the value's lattice: a product with a constant scalar
+    would lower the cutoff of terms with negative valuation.  A nonzero
+    ``int`` weight keeps the terms sorted and nonzero.
     """
     field, cutoff, entries = table
     total = NovikovScalar.zero(field, _EXACT)
@@ -319,10 +323,8 @@ def _weighted_sum(table, weight):
         if not w:
             continue
         if w != 1:
-            value = NovikovScalar(
-                field, value.cutoff,
-                [(e, field.coerce(w * c)) for e, c in value.terms]
-            )
+            value = _scalar(field, value.lattice, tuple(
+                [(k, field.coerce(w * c)) for k, c in value.lterms]))
         total = total + value
     if total.cutoff > cutoff:
         total = total.truncate(cutoff)

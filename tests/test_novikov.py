@@ -10,6 +10,7 @@ from ainfbench.errors import (
     FixtureError,
     InsufficientCutoff,
     NotRepresentable,
+    StructureError,
 )
 from ainfbench.novikov import (
     NovikovScalar,
@@ -470,6 +471,113 @@ def test_quadraticfield_rejects_bad_d():
         QuadraticField(1)
 
 
+def test_quadraticfield_takes_only_integer_d():
+    with pytest.raises(NotRepresentable):
+        QuadraticField(2.0)
+    with pytest.raises(NotRepresentable):
+        QuadraticField(True)
+    with pytest.raises(StructureError):
+        QuadraticField(Fraction(3, 2))
+    K = QuadraticField(Fraction(3))
+    assert type(K.d) is int and K == QuadraticField(3)
+    assert type(K.root.d) is int and K.root * K.root == 3
+
+
+# -- QuadExt against a reference of two Fraction parts ----------------------
+# The class stores one reduced integer triple (p + q*sqrt(d))/n; the
+# reference keeps a + b*sqrt(d) as the pair (a, b) of Fractions.
+
+quad_ds = st.sampled_from([5, -3, 2, -1])
+rationals = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+quad_parts = st.one_of(st.just(Fraction(0)), rationals)
+
+
+@st.composite
+def quad_operands(draw, d):
+    """An int, a Fraction or a QuadExt, with its reference pair."""
+    kind = draw(st.sampled_from(["int", "fraction", "quad"]))
+    if kind == "int":
+        a = draw(st.integers(min_value=-9, max_value=9))
+        return a, (Fraction(a), Fraction(0))
+    if kind == "fraction":
+        a = draw(rationals)
+        return a, (a, Fraction(0))
+    a, b = draw(rationals), draw(quad_parts)
+    return QuadExt(a, b, d), (a, b)
+
+
+def ref_mul(x, y, d):
+    (a, b), (c, e) = x, y
+    return a * c + b * e * d, a * e + b * c
+
+
+def ref_inverse(x, d):
+    a, b = x
+    norm = a * a - b * b * d
+    return a / norm, -b / norm
+
+
+def assert_quad(r, want, d):
+    """r is the element ``want`` of Q(sqrt d), stored reduced."""
+    assert type(r) is QuadExt and r.d == d
+    assert r.n > 0 and math.gcd(r.p, r.q, r.n) == 1
+    assert all(type(v) is int for v in (r.p, r.q, r.n))
+    assert (r.a, r.b) == want and canonical_coeff(r)
+
+
+@given(d=quad_ds, data=st.data())
+@settings(max_examples=200)
+def test_quadext_matches_fraction_pairs(d, data):
+    a, b = data.draw(rationals), data.draw(quad_parts)
+    x, xr = QuadExt(a, b, d), (a, b)
+    y, yr = data.draw(quad_operands(d))
+    assert_quad(x, xr, d)
+    add = (a + yr[0], b + yr[1])
+    sub = (a - yr[0], b - yr[1])
+    mul = ref_mul(xr, yr, d)
+    for r, want in [(x + y, add), (y + x, add), (x - y, sub),
+                    (y - x, (-sub[0], -sub[1])), (x * y, mul), (y * x, mul),
+                    (-x, (-a, -b))]:
+        assert_quad(r, want, d)
+    zero = (Fraction(0), Fraction(0))
+    if xr != zero:
+        assert_quad(x.inverse(), ref_inverse(xr, d), d)
+        assert_quad(y / x, ref_mul(yr, ref_inverse(xr, d), d), d)
+    if yr != zero:
+        assert_quad(x / y, ref_mul(xr, ref_inverse(yr, d), d), d)
+    assert (x == y) is (xr == yr) and (y == x) is (xr == yr)
+    if xr == yr:
+        assert hash(x) == hash(y)
+    if b == 0:
+        assert x == a and hash(x) == hash(a)
+    assert bool(x) is (xr != zero)
+
+
+def test_quadratic_arithmetic_builds_no_fraction(monkeypatch):
+    K = QuadraticField(-3)
+    zeta = (K.coerce(-1) + K.root) / 2
+    built = []
+    fraction_new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return fraction_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    powers = [K.one]
+    for _ in range(5):
+        powers.append(powers[-1] * zeta)
+    inverses = [z.inverse() for z in powers]
+    total = K.zero
+    for z, w in zip(powers, inverses):
+        total = total + z - w * K.coerce(2)
+    coerced = [K.coerce(k) for k in range(-3, 4)]
+    assert powers[3] == 1 and inverses[1] == powers[2]
+    root = 2 * zeta + 1
+    assert total == 0 and coerced[0] == -3 and root * root == -3
+    assert built == []
+
+
 # -- float operands --------------------------------------------------------
 
 @pytest.mark.parametrize("field", [Q, Q5])
@@ -484,6 +592,8 @@ def test_float_operands_are_not_representable(field):
 def test_float_parts_and_field_arguments_are_not_representable():
     with pytest.raises(NotRepresentable):
         NovikovScalar.make(Q5, 6, [(0, QuadExt(0.5, 0, 5))])
+    with pytest.raises(NotRepresentable):
+        QuadExt(1, 1, 2.0)
     with pytest.raises(NotRepresentable):
         Q.invert(0.5)
     with pytest.raises(NotRepresentable):

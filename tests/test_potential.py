@@ -86,6 +86,17 @@ def test_potential_prints_unit_coefficients_bare():
     assert str(w) == "1 - 3/2*y1^2"
 
 
+@pytest.mark.parametrize("energy, exponents, coeff, want", [
+    (1, (1, 0), 1 + QuadraticField(-3).root, "(1 + s-3)*T*y1"),
+    (0, (1, 0), (QuadraticField(-3).root - 1) / 2, "(-1/2 + 1/2*s-3)*y1"),
+    (0, (0, 1), -QuadraticField(-3).root, "-s-3*y2"),
+])
+def test_potential_brackets_only_sums(energy, exponents, coeff, want):
+    w = NovikovLaurentPolynomial.make(
+        QuadraticField(-3), 2, [(energy, exponents, coeff)])
+    assert str(w) == want
+
+
 # Per point: valuations, residual valuation, lift schedule, coordinates,
 # value, Hessian entries (row-major) and Hessian determinant, each scalar
 # as (format_scalar text, cutoff).
