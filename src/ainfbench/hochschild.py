@@ -39,6 +39,7 @@ from .linalg import (
     blocked_rank,
     kernel_coefficients,
     quotient_representatives,
+    seeded_quotient,
     solve_combination,
 )
 from .novikov import NovikovScalar
@@ -721,14 +722,16 @@ def _stable_dims(basis, diff, of_len, windows, drop):
     largest build window, so the rows of every small and build window are a
     prefix of its rows, and one blocked elimination gives the rank of each
     prefix.  Only the parts sticking out get eliminations of their own.
-    Returns ``({window: dims}, eliminators)``.
+    Returns ``({window: dims}, eliminators, {p: full-window blocks})``: the
+    blocks of parity p eliminate the boundaries that the chain class basis
+    of parity 1 - p divides by.
     """
-    elims, rows, lens, pivots = [], {}, {}, {}
+    elims, rows, lens, pivots, full = [], {}, {}, {}, {}
     for p in (0, 1):
         lens[p] = [of_len(e) for e in basis[p]]
         rows[p] = [diff(e) for e in basis[p]]
-        blocks, pivots[p] = blocked_rank(rows[p])
-        elims.extend(blocks)
+        full[p], pivots[p] = blocked_rank(rows[p])
+        elims.extend(full[p])
 
     dims = {}
     for n in windows:
@@ -736,30 +739,34 @@ def _stable_dims(basis, diff, of_len, windows, drop):
         cycles, bounds = {}, {}
         for p in (0, 1):
             small = bisect.bisect_right(lens[p], m)
-            full = bisect.bisect_right(lens[p], n - drop)
+            end = bisect.bisect_right(lens[p], n - drop)
             cycles[p] = small - bisect.bisect_left(pivots[p], small)
             blocks, out = blocked_rank(
                 [{k: v for k, v in row.items() if of_len(k) > m}
-                 for row in rows[p][:full]])
+                 for row in rows[p][:end]])
             elims.extend(blocks)
-            bounds[p] = bisect.bisect_left(pivots[p], full) - len(out)
+            bounds[p] = bisect.bisect_left(pivots[p], end) - len(out)
         dims[n] = {p: cycles[p] - bounds[1 - p] for p in (0, 1)}
-    return dims, elims
+    return dims, elims, full
+
+
+def _kernel(cat, cols, sources):
+    """Kernel vectors of the columns of ``sources``, keyed by source."""
+    rels = kernel_coefficients([cols[e] for e in sources],
+                               cat.field, cat.cutoff)
+    return [{sources[i]: c for i, c in rel.items()} for rel in rels]
 
 
 def _class_basis(cat, cols, sources, images, keep):
-    """Kernel vectors on ``sources`` modulo the columns of ``images``.
+    """Cochain classes: kernel vectors on ``sources`` modulo ``images``.
 
-    Both sides are cut down to their ``keep`` entries before the quotient.
-    Both eliminations run per support-connected block, and the quotient
-    skips every block without a kernel vector, so the returned eliminators
-    certify only the blocks the representatives depend on; the ranks stay
-    certified by ``_stable_dims``.
+    Both sides are cut down to their ``keep`` entries, so the coboundaries
+    are not rows the rank count eliminated; ``quotient_representatives``
+    eliminates only their blocks holding a kernel vector, and the ranks
+    stay certified by ``_stable_dims``.
     """
-    rels = kernel_coefficients([cols[e] for e in sources],
-                               cat.field, cat.cutoff)
-    kernel = [{sources[i]: c for i, c in rel.items() if keep(sources[i])}
-              for rel in rels]
+    kernel = [{e: c for e, c in vec.items() if keep(e)}
+              for vec in _kernel(cat, cols, sources)]
     bounds = [{k: v for k, v in cols[g].items() if keep(k)} for g in images]
     return quotient_representatives(kernel, bounds)
 
@@ -771,6 +778,9 @@ def homology(cat, length, side="chains", want_basis=False) -> HomologyReport:
     differential on cochains.  Dimensions are per parity; ``stabilized``
     compares against the window two steps down.  One table of columns, at
     the build window of ``length``, serves both windows and the class basis.
+    The chain class basis divides by the boundaries of the whole build
+    window, the very rows ``_stable_dims`` eliminated block by block in the
+    same order, so it inserts only its cycles into those eliminations.
     """
     _require_flat(cat)
     if side not in ("chains", "cochains"):
@@ -793,7 +803,7 @@ def homology(cat, length, side="chains", want_basis=False) -> HomologyReport:
                 rows.setdefault(e, {})[f] = c
         diff = lambda e: rows.get(e, {})
     windows = (length, length - 2) if length >= 4 else (length,)
-    at, elims = _stable_dims(basis, diff, of_len, windows, drop)
+    at, elims, full = _stable_dims(basis, diff, of_len, windows, drop)
     dims, previous = at[length], at.get(length - 2)
     stabilized = previous is not None and previous == dims
     representatives = None
@@ -805,9 +815,10 @@ def homology(cat, length, side="chains", want_basis=False) -> HomologyReport:
         representatives = {}
         for p in (0, 1):
             if side == "chains":
-                found, el = _class_basis(
-                    cat, cols, [w for w in basis[p] if of_len(w) <= m],
-                    basis[1 - p], lambda k: True)
+                found, el = seeded_quotient(
+                    _kernel(cat, cols,
+                            [w for w in basis[p] if of_len(w) <= m]),
+                    full[1 - p])
             else:
                 found, el = _class_basis(
                     cat, cols, basis[p],

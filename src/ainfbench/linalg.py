@@ -17,12 +17,17 @@ comparable (used only to break valuation ties deterministically).
 Ranks, kernels and quotients are computed per support-connected block
 (``partition_rows``): rows of different blocks never meet in a reduction,
 so each block runs its own ``Eliminator`` and every residual is the one a
-single elimination over all rows would give.  A quotient eliminates only
-the blocks holding a numerator; blocks of denominators alone cannot touch
-a representative and are skipped, so the margins it reports cover only
-the blocks its answer depends on.  A blocked rank also reports which
-rows installed a pivot, so one elimination gives the rank of every prefix
-of its rows.
+single elimination over all rows would give.  A blocked rank also reports
+which rows installed a pivot, so one elimination gives the rank of every
+prefix of its rows.
+
+A quotient inserts only its numerators into eliminated denominator blocks
+(``seeded_quotient``), merging the blocks a numerator touches by
+concatenating their pivot rows; blocks share no key, so the pivots are
+those of one elimination fed the denominators first.  Blocks of
+denominators alone are skipped, so the margins a quotient reports cover
+only the blocks its answer depends on.  The chain class basis seeds it
+with the rank count's own blocks and eliminates no boundary twice.
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ __all__ = [
     "inverse",
     "kernel_coefficients",
     "quotient_representatives",
+    "seeded_quotient",
 ]
 
 
@@ -325,28 +331,57 @@ def kernel_coefficients(vectors, field, cutoff):
     return out
 
 
-def quotient_representatives(numerators, denominators):
-    """Rows of ``numerators`` surviving modulo the span of ``denominators``.
+def seeded_quotient(numerators, blocks):
+    """Rows of ``numerators`` surviving modulo eliminated denominator blocks.
 
-    Denominators and numerators are blocked together; each block holding a
-    numerator gets one ``Eliminator``, fed its denominators and then its
-    numerators in input order, and blocks of denominators alone are never
-    eliminated.  Returns ``(representatives, eliminators)``: each
-    representative is the reduced residual installed as a fresh pivot, in
-    numerator order.
+    ``blocks`` are eliminators over disjoint keys, as ``blocked_rank``
+    returns them; each enters ``partition_rows`` as one row over its keys.
+    Each group holding a numerator gets one ``Eliminator`` seeded with its
+    blocks' pivot rows, then fed its numerators in input order; the other
+    groups are skipped.  Residual entries, cutoffs and pivot valuations are
+    those of one elimination fed the denominators first; only the order in
+    which a residual lists its fill may differ.  Returns
+    ``(representatives, eliminators)``: each representative is the reduced
+    residual installed as a fresh pivot, in numerator order.
     """
     # fresh copies, so identity marks a numerator even when the same row
-    # object is passed twice or also as a denominator
+    # object is passed twice
     nums = [dict(row) for row in numerators]
     index = {id(row): i for i, row in enumerate(nums)}
+    spans = [dict.fromkeys(k for row in el.rows for k in row)
+             for el in blocks]
+    owner = {id(span): el for span, el in zip(spans, blocks)}
     found, elims = {}, []
-    for grp in partition_rows(list(denominators) + nums):
+    for grp in partition_rows(spans + nums):
         if not any(id(row) in index for row in grp):
             continue
         elim = Eliminator()
         for row in grp:
-            key, res = elim.insert(row)
-            if key is not None and id(row) in index:
-                found[index[id(row)]] = res
+            block = owner.get(id(row))
+            if block is None:
+                key, res = elim.insert(row)
+                if key is not None:
+                    found[index[id(row)]] = res
+                continue
+            base = elim.rank
+            elim.pivot_index.update(
+                (key, base + i) for i, key in enumerate(block.pivot_keys))
+            elim.rows += block.rows
+            elim.pivot_keys += block.pivot_keys
+            elim.pivot_valuations += block.pivot_valuations
         elims.append(elim)
     return [found[i] for i in sorted(found)], elims
+
+
+def quotient_representatives(numerators, denominators):
+    """Rows of ``numerators`` surviving modulo the span of ``denominators``.
+
+    Partitions the denominators, eliminates only the blocks sharing a key
+    with a numerator and hands them to ``seeded_quotient``.  A caller that
+    holds a blocked elimination of these very rows, as the chain class
+    basis holds the rank count's, calls ``seeded_quotient`` directly.
+    """
+    held = {k for row in numerators for k in row}
+    blocks = [matrix_rank(grp) for grp in partition_rows(list(denominators))
+              if any(k in held for row in grp for k in row)]
+    return seeded_quotient(numerators, blocks)

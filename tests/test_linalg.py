@@ -12,6 +12,7 @@ from ainfbench.linalg import (
     matrix_rank,
     partition_rows,
     quotient_representatives,
+    seeded_quotient,
     solve_combination,
 )
 from ainfbench.novikov import (
@@ -406,3 +407,43 @@ def test_blocked_quotient_matches_unblocked(seed, t_adic):
     held = {k for row in nums for k in row}
     for el in elims:
         assert any(k in held for row in el.rows for k in row)
+
+
+@pytest.mark.parametrize("t_adic", [False, True])
+@pytest.mark.parametrize("seed", range(8))
+def test_seeded_quotient_matches_unblocked(seed, t_adic):
+    # numerators inserted into the blocks of a finished blocked_rank give
+    # the survivors of one elimination fed the denominators first
+    rng = random.Random(200 + seed)
+    dens = [row for row in random_blocked_rows(rng, 5, 14, t_adic) if row]
+    nums = random_blocked_rows(rng, 4, 4, t_adic)
+    den_blocks = partition_rows(dens)
+    # one numerator bridging three denominator blocks, one over keys no
+    # denominator holds, an empty one and a copy of a denominator
+    bridge = {}
+    for grp in den_blocks[:3]:
+        bridge[next(iter(grp[0]))] = random_scalar(rng, t_adic) + sc("1")
+    nums.insert(1, bridge)
+    nums.insert(rng.randrange(len(nums) + 1), {"free": sc("1 + T")})
+    nums.insert(rng.randrange(len(nums) + 1), {})
+    nums.append(dict(rng.choice(dens)))
+    assert len({id(grp) for grp in den_blocks
+                if any(k in bridge for row in grp for k in row)}) == 3
+    blocks, _ = blocked_rank(dens)
+    reps, elims = seeded_quotient(nums, blocks)
+    want, ref = unblocked_quotient(nums, dens)
+    # a residual lists its fill in pivot order, which the seeded blocks
+    # keep within a block only; its entries and cutoffs are the same
+    assert [sorted(texts(r)) for r in reps] == \
+        [sorted(texts(r)) for r in want]
+    # the seeded blocks hold every denominator pivot, the returned ones
+    # those of the blocks a numerator touches and the numerators' own
+    assert min_margin(blocks + elims) == min_margin([ref])
+    held = {k for row in nums for k in row}
+    touched = [v for el in blocks
+               if any(k in held for row in el.rows for k in row)
+               for v in el.pivot_valuations]
+    own = ref.pivot_valuations[sum(el.rank for el in blocks):]
+    assert sorted(v for el in elims for v in el.pivot_valuations) == \
+        sorted(touched + own)
+    assert seeded_quotient(nums[-1:], blocks)[0] == []

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from ainfbench import ainfinity
+from ainfbench import ainfinity, splitgen
 from ainfbench.ainfinity import AInfCategory, subcategory
 from ainfbench.errors import NotStabilized, StructureError
 from ainfbench.graded import GradedSpace, MultilinearMap
@@ -265,6 +265,71 @@ def test_orthogonal_band_leaves_the_unit_obstructed():
     assert cert.witness == {}
     assert set(cert.residual) == {"1"}
     assert scalar_is(cert.residual["1"], 1)
+
+
+def dg_quotient():
+    # the dg algebra Q[x]/(x^2 - 1) (x) Lambda[y] with dy = 1 + x, hence
+    # d(xy) = x + x^2 = 1 + x; the pairing is the odd trace y -> 1,
+    # xy -> 0.  The unit is not exact, and modulo the exact 1 + x it is -x
+    labels = ("1", "x", "y", "xy")
+    parity = {"1": 0, "x": 0, "y": 1, "xy": 1}
+    sp = GradedSpace(labels, tuple(parity[lab] for lab in labels))
+    m1 = MultilinearMap((sp,), sp, parity=1)
+    for lab in ("y", "xy"):
+        m1.add_entry((lab,), "1", one())
+        m1.add_entry((lab,), "x", one())
+    m2 = MultilinearMap((sp, sp), sp, parity=0)
+    times = {("1", "1"): "1", ("1", "x"): "x", ("x", "1"): "x",
+             ("x", "x"): "1", ("1", "y"): "y", ("y", "1"): "y",
+             ("x", "y"): "xy", ("y", "x"): "xy", ("1", "xy"): "xy",
+             ("xy", "1"): "xy", ("x", "xy"): "y", ("xy", "x"): "y"}
+    # the product carries the sign (-1)^|a| of the toy above
+    for (a, b), out in times.items():
+        m2.add_entry((a, b), out, -one() if parity[a] else one())
+    o = "D"
+    return AInfCategory(Q, Fraction(E), (o,), {(o, o): sp},
+                        {(o, o): m1, (o, o, o): m2},
+                        units={o: {"1": one()}},
+                        pairing={(o, o): {("1", "y"): one(),
+                                          ("y", "1"): -one(),
+                                          ("x", "xy"): one(),
+                                          ("xy", "x"): -one()}},
+                        cyclic_degree=1, name="dg-quotient")
+
+
+def test_dg_quotient_is_a_cyclic_unital_fixture():
+    cat = dg_quotient()
+    for check in (ainfinity.check_ainf, ainfinity.check_unital,
+                  ainfinity.check_cyclic):
+        assert check(cat).violations == []
+
+
+def test_obstructed_residual_is_reduced_by_the_exact_terms():
+    a = clifford_model(Q, E, [[Fraction(2)]], object_name="A", name="a")
+    cert = split_generation_check(direct_sum_category(a, dg_quotient()),
+                                  ("A",), "D", 4)
+    assert cert.verdict == "obstructed" and cert.witness == {}
+    assert set(cert.residual) == {"x"}
+    assert scalar_is(cert.residual["x"], -1)
+
+
+def test_certificate_rejects_a_witness_that_fails_to_replay(monkeypatch):
+    # the first solve returns doubled coefficients; the replay, through the
+    # real solver, finds that twice the unit is not the unit modulo the
+    # (absent) exact terms
+    real = splitgen.solve_combination
+    calls = []
+
+    def doubled(vectors, target, field, cutoff):
+        out = real(vectors, target, field, cutoff)
+        calls.append(out)
+        return [c + c for c in out] if len(calls) == 1 else out
+
+    monkeypatch.setattr(splitgen, "solve_combination", doubled)
+    with pytest.raises(StructureError,
+                       match="witness fails to replay against the unit"):
+        split_generation_check(cl1(beta=2), ("T",), "T", 4)
+    assert len(calls) == 2
 
 
 def paired_acyclic_toy():
