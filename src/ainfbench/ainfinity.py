@@ -115,7 +115,7 @@ class AInfCategory:
         name="",
     ):
         self.field = field
-        self.cutoff = Fraction(_exact(cutoff))
+        self.cutoff = _exact(cutoff)
         self.objects = tuple(objects)
         self.hom = dict(hom)
         self.ops = dict(ops)
@@ -607,7 +607,7 @@ class DiskClass:
     into constant Novikov scalars when they use them.
     """
 
-    energy: Fraction
+    energy: int | Fraction
     maslov: int
     boundary: tuple
     ops: dict
@@ -633,10 +633,9 @@ class EnergyGradedAlgebra:
         dimension: int,
         loop_rank: int,
         name="",
-        complete=True,
     ):
         self.field = field
-        self.cutoff = Fraction(_exact(cutoff))
+        self.cutoff = _exact(cutoff)
         self.space = space
         self.unit_label = unit_label
         self.cup = cup
@@ -645,9 +644,6 @@ class EnergyGradedAlgebra:
         self.dimension = dimension
         self.loop_rank = loop_rank
         self.name = name
-        # complete=False marks fixtures whose beta-tables only carry the
-        # odd-degree slots needed for potentials, not full operations
-        self.complete = complete
         self.validate()
 
     def one(self) -> NovikovScalar:
@@ -719,8 +715,6 @@ class EnergyGradedAlgebra:
                         raise FixtureError(
                             "disk operations must kill unit insertions"
                         )
-                    if not self.complete:
-                        continue
                     din = sum(sp.zdegree(a) for a in args)
                     for out, c in row.items():
                         if self.field.is_zero(c):
@@ -736,7 +730,7 @@ def check_energy_cyclic(alg: EnergyGradedAlgebra, max_arity=6) -> CheckReport:
     """Rotation identity of the per-class operations under the pairing."""
     report = CheckReport("energy-level cyclic symmetry")
     sp = alg.space
-    tables = [(Fraction(0), {2: _cup_table(alg)})]
+    tables = [(0, {2: _cup_table(alg)})]
     tables += [(d.energy, d.ops) for d in alg.disks]
     for _, ops in tables:
         for s, table in ops.items():

@@ -121,7 +121,7 @@ class Eliminator:
         res = self.reduce(row)
         best = None
         for k, v in res.items():
-            if v.is_zero() or isinstance(k, AugKey):
+            if isinstance(k, AugKey):
                 continue
             cand = (v.valuation(), k)
             if best is None or cand < best:

@@ -9,7 +9,6 @@ integral, and all parities derive from integer degrees.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 from .ainfinity import AInfCategory, DiskClass, EnergyGradedAlgebra
 from .errors import FixtureError, StructureError
@@ -335,7 +334,7 @@ def eq42_disk(field, energy, boundary, n_beta, odd_labels, s_max):
         if table:
             ops[s] = table
     return DiskClass(
-        energy=Fraction(_exact(energy)),
+        energy=_exact(energy),
         maslov=2,
         boundary=tuple(boundary),
         ops=ops,
@@ -364,7 +363,7 @@ def circle_fiber_algebra(field, cutoff, energies, s_max=12,
     ]
     return EnergyGradedAlgebra(
         field, cutoff, sp, "1", cup, integral, disks,
-        dimension=1, loop_rank=1, name=name, complete=True,
+        dimension=1, loop_rank=1, name=name,
     )
 
 
@@ -375,8 +374,9 @@ def torus_surface_algebra(field, cutoff, disk_data, s_max=12,
     ``disk_data`` is a list of (energy, boundary pair, n_beta).  Only the
     odd-generator slots of the operations are populated (the symmetric
     boundary formula does not determine slots involving the top class), so
-    the fixture is marked incomplete and serves potential and divisor
-    computations, not full relation checks.
+    the fixture serves potential and divisor computations, not full
+    relation checks.  Every populated slot lands on the unit at Maslov
+    index two, so the tables pass the dimension rule.
     """
     sp = GradedSpace(
         ("1", "x1", "x2", "x12"), (0, 1, 1, 0), (0, 1, 1, 2)
@@ -412,5 +412,5 @@ def torus_surface_algebra(field, cutoff, disk_data, s_max=12,
     ]
     return EnergyGradedAlgebra(
         field, cutoff, sp, "1", cup, integral, disks,
-        dimension=2, loop_rank=2, name=name, complete=False,
+        dimension=2, loop_rank=2, name=name,
     )

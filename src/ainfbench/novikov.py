@@ -59,6 +59,7 @@ checks them; ``QuadExt`` arithmetic builds its own by ``_reduced``.
 
 from __future__ import annotations
 
+import ast
 import math
 import re
 from fractions import Fraction
@@ -852,151 +853,25 @@ def _rescaled(x, m):
 
 
 # --------------------------------------------------------------------------
-# Literal syntax: sums of terms  COEFF*T^EXP, e.g. "(5/2 + 5/2*s5)*T^1 - T^(1/2)".
-# "s5" denotes sqrt(5); "s-3" denotes sqrt(-3).  Fractional or negative
-# exponents are written T^(1/2), T^-2.  Plain coefficients have exponent 0.
-# A trailing "+ O(T^c)", as format_scalar(show_order=True) prints it, is c.
+# Literal syntax: a Python expression in T such as format_scalar prints,
+# "(5/2 + 5/2*s5)*T - T^(1/2) + O(T^6)", read by ast.parse after "^" becomes
+# "**" and "sD" (sqrt D, D may be negative) the call s(D).  So T^2/3 is
+# T^2 / 3 and T^-1/2 is T^-1 / 2; format_scalar prints T^(2/3).  The tree
+# may hold + - * /, unary + and -, T, T^q (q a signed int or a quotient of
+# two), s(D) and int or decimal constants, read exactly from their digits;
+# a trailing "+ O(T^c)" at the root names the cutoff c.  Python also admits
+# line breaks, "**", 1_000, .5, 5., 1e+5, O(T) and parentheses around the
+# whole literal.  Anything else (0x10, 2j, T^1.5, other names, comments)
+# raises FixtureError, as does a literal deeper than ast.parse reads: a sum
+# of more than about 3,000 terms at recursion limit 1,000 (three fewer per
+# frame on the caller's stack), or more than 200 nested parentheses.
 # --------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<sq>s-?\d+)|(?P<num>\d+(?:\.\d+)?(?:[eE]-?\d+)?)"
-    r"|(?P<T>T)|(?P<op>[()+\-*/^O]))"
-)
-
-
-def _tokenize(text: str):
-    pos = 0
-    out = []
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise FixtureError(f"bad scalar literal near {text[pos:pos+12]!r}")
-        pos = m.end()
-        if m.lastgroup == "sq":
-            out.append(("sq", int(m.group("sq")[1:])))
-        elif m.lastgroup == "num":
-            out.append(("num", m.group("num")))
-        elif m.lastgroup == "T":
-            out.append(("T", "T"))
-        else:
-            out.append(("op", m.group("op")))
-    out.append(("end", ""))
-    return out
-
-
-class _Parser:
-    def __init__(self, tokens, field, cutoff):
-        self.toks = tokens
-        self.i = 0
-        self.field = field
-        self.cutoff = _exact(cutoff)
-
-    def peek(self):
-        return self.toks[self.i]
-
-    def next(self):
-        t = self.toks[self.i]
-        self.i += 1
-        return t
-
-    def expect(self, v):
-        if self.next()[1] != v:
-            raise FixtureError(f"expected {v!r} in scalar literal")
-
-    def parse_expr(self) -> NovikovScalar:
-        negate = False
-        k, v = self.peek()
-        if k == "op" and v in "+-":
-            self.next()
-            negate = v == "-"
-        acc = self.parse_term()
-        if negate:
-            acc = -acc
-        while True:
-            k, v = self.peek()
-            # "+ O(" is the order term, which ends the literal
-            if k == "op" and v in "+-" and self.toks[self.i + 1][1] != "O":
-                self.next()
-                t = self.parse_term()
-                acc = acc - t if v == "-" else acc + t
-            else:
-                return acc
-
-    def parse_term(self) -> NovikovScalar:
-        acc = self.parse_factor()
-        while True:
-            k, v = self.peek()
-            if k == "op" and v == "*":
-                self.next()
-                acc = acc * self.parse_factor()
-            elif k == "op" and v == "/":
-                self.next()
-                acc = acc / self.parse_factor()
-            else:
-                return acc
-
-    def parse_factor(self) -> NovikovScalar:
-        k, v = self.peek()
-        if k == "op" and v == "-":
-            self.next()
-            return -self.parse_factor()
-        if k == "op" and v == "(":
-            self.next()
-            inner = self.parse_expr()
-            self.expect(")")
-            return inner
-        if k == "T":
-            self.next()
-            exp = Fraction(1)
-            kk, vv = self.peek()
-            if kk == "op" and vv == "^":
-                self.next()
-                exp = self.parse_exponent()
-            return NovikovScalar.monomial(self.field, self.cutoff, exp, self.field.one)
-        if k == "sq":
-            self.next()
-            d = v
-            if not isinstance(self.field, QuadraticField) or self.field.d != d:
-                raise NotRepresentable(
-                    f"literal uses s{d} but field is {self.field!r}"
-                )
-            return NovikovScalar.constant(self.field, self.cutoff, self.field.root)
-        if k == "num":
-            self.next()
-            return NovikovScalar.constant(self.field, self.cutoff, self._num(v))
-        raise FixtureError("unexpected end of scalar literal")
-
-    def parse_exponent(self) -> Fraction:
-        k, v = self.peek()
-        if k == "op" and v == "(":
-            self.next()
-            e = self._signed_rational()
-            self.expect(")")
-            return e
-        return self._signed_rational()
-
-    def _signed_rational(self) -> Fraction:
-        sign = 1
-        k, v = self.peek()
-        if k == "op" and v == "-":
-            self.next()
-            sign = -1
-        k, v = self.next()
-        if k != "num" or "." in v:
-            raise FixtureError("exponents must be rational")
-        num = int(v)
-        k, vv = self.peek()
-        if k == "op" and vv == "/":
-            self.next()
-            k2, v2 = self.next()
-            if k2 != "num" or "." in v2:
-                raise FixtureError("exponents must be rational")
-            return Fraction(sign * num, int(v2))
-        return Fraction(sign * num)
-
-    def _num(self, text: str):
-        # decimals stay exact; a following '/' is consumed by parse_term
-        return self.field.coerce(Fraction(text))
+_SQRT_RE = re.compile(r"s(-?\d+)")
+_SIGNS = {ast.UAdd: 1, ast.USub: -1}
+_ARITHMETIC = {ast.Add: NovikovScalar.__add__, ast.Sub: NovikovScalar.__sub__,
+               ast.Mult: NovikovScalar.__mul__,
+               ast.Div: NovikovScalar.__truediv__}
 
 
 def parse_scalar(text: str, field, cutoff) -> NovikovScalar:
@@ -1006,35 +881,104 @@ def parse_scalar(text: str, field, cutoff) -> NovikovScalar:
     exactly.  Malformed literals raise ``FixtureError``, and so does a
     division by zero, a divisor that is 0 below the cutoff included.
     """
-    value, order = _parse(text, field, cutoff)
-    if order is None:
-        return value
-    if order != _exact(cutoff):
-        raise FixtureError(f"order term of {text!r} is not O(T^{cutoff})")
-    if value.cutoff < order:
-        # negative powers lowered the working cutoff by d; every operation's
-        # cutoff grows at least as fast as its inputs', so parsing again at
-        # order + d keeps every term below the order term
-        value = _parse(text, field, 2 * order - value.cutoff)[0]
-    return NovikovScalar.make(field, order, value.terms)
-
-
-def _parse(text, field, cutoff):
-    """Value at ``cutoff`` and the c of the literal's ``O(T^c)``, or None."""
-    p = _Parser(_tokenize(text), field, cutoff)
+    cutoff = _exact(cutoff)
     try:
-        value, order = p.parse_expr(), None
-        if p.peek() == ("op", "+"):
-            for v in "+O(T^":
-                p.expect(v)
-            order = p.parse_exponent()
-            p.expect(")")
+        src = " ".join(text.split())
+        if not src.isascii() or "#" in src:
+            raise FixtureError(f"bad character in scalar literal {text!r}")
+        src = _SQRT_RE.sub(r"s(\1)", src.replace("^", "**"))
+        root = ast.parse(src, mode="eval").body
+        order = None
+        if type(root) is ast.BinOp and type(root.op) is ast.Add and (
+                c := _argument(root.right, "O")) is not None:
+            order, root = _exponent(src, c), root.left
+        value = _value(src, root, field, cutoff)
+        if order is None:
+            return value
+        if order != cutoff:
+            raise FixtureError(f"order term of {text!r} is not O(T^{cutoff})")
+        if value.cutoff < order:
+            # negative powers lowered the working cutoff by d; every
+            # operation's cutoff grows at least as fast as its inputs', so
+            # reading again at order + d keeps every term below the order term
+            value = _value(src, root, field, 2 * order - value.cutoff)
     except ZeroDivisionError as exc:
         # a zero denominator, or a divisor that is 0 below the cutoff
         raise FixtureError(f"division by zero in scalar literal {text!r}") from exc
-    if p.peek()[0] != "end":
-        raise FixtureError(f"trailing garbage in scalar literal {text!r}")
-    return value, order
+    except (SyntaxError, ValueError, RecursionError) as exc:
+        raise FixtureError(f"bad scalar literal {text!r}: {exc}") from exc
+    return NovikovScalar.make(field, order, value.terms)
+
+
+def _value(src, node, field, cutoff) -> NovikovScalar:
+    """The scalar of the tree ``node`` of ``src`` at ``cutoff``.
+
+    A chain of binary operations is walked down its left side by a loop, so
+    a long sum costs no recursion depth.
+    """
+    chain = []
+    while type(node) is ast.BinOp and type(node.op) in _ARITHMETIC:
+        chain.append(node)
+        node = node.left
+    if type(node) is ast.UnaryOp and type(node.op) in _SIGNS:
+        acc = _value(src, node.operand, field, cutoff)
+        if type(node.op) is ast.USub:
+            acc = -acc
+    elif type(node) is ast.Constant:
+        acc = NovikovScalar.constant(
+            field, cutoff, _number(src, node, (int, float)))
+    elif (arg := _argument(node, "s")) is not None:
+        d = _signed(src, arg)
+        if not isinstance(field, QuadraticField) or field.d != d:
+            raise NotRepresentable(f"literal uses s{d} but field is {field!r}")
+        acc = NovikovScalar.constant(field, cutoff, field.root)
+    else:
+        acc = NovikovScalar.monomial(field, cutoff, _exponent(src, node),
+                                     field.one)
+    for op in reversed(chain):
+        acc = _ARITHMETIC[type(op.op)](acc, _value(src, op.right, field, cutoff))
+    return acc
+
+
+def _argument(node, name):
+    """The one argument of the call ``name(x)``, or None."""
+    if (type(node) is ast.Call and type(node.func) is ast.Name
+            and node.func.id == name and len(node.args) == 1
+            and not node.keywords):
+        return node.args[0]
+    return None
+
+
+def _exponent(src, node) -> Fraction:
+    """q of ``T`` (1) or of ``T**q``, q a signed integer or a quotient of two."""
+    if type(node) is ast.Name and node.id == "T":
+        return Fraction(1)
+    if (type(node) is not ast.BinOp or type(node.op) is not ast.Pow
+            or type(node.left) is not ast.Name or node.left.id != "T"):
+        raise _unexpected(src, node)
+    q = node.right
+    if type(q) is ast.BinOp and type(q.op) is ast.Div:
+        return _signed(src, q.left) / _signed(src, q.right)
+    return _signed(src, q)
+
+
+def _signed(src, node) -> Fraction:
+    """An int constant with an optional sign."""
+    if type(node) is ast.UnaryOp and type(node.op) in _SIGNS:
+        return _SIGNS[type(node.op)] * _number(src, node.operand, (int,))
+    return _number(src, node, (int,))
+
+
+def _number(src, node, kinds) -> Fraction:
+    """A constant of a type in ``kinds``, exact from its digits in ``src``."""
+    if type(node) is not ast.Constant or type(node.value) not in kinds:
+        raise _unexpected(src, node)
+    return Fraction(src[node.col_offset:node.end_col_offset])
+
+
+def _unexpected(src, node) -> FixtureError:
+    text = src[node.col_offset:node.end_col_offset]
+    return FixtureError(f"unexpected {text!r} in scalar literal")
 
 
 def _format_exponent(e: Fraction) -> str:

@@ -21,15 +21,17 @@ Two rules keep the solve from computing anything twice:
   a_i*a_j - delta_ij*a_i).  Each Newton iterate builds one table for its
   residuals and Jacobian, and the lifted point one more for its value
   and Hessian.
-* One pass over the tropical candidates, whatever the field, and one
-  leading system per candidate.  The system (its eliminant and the
-  columns that back-substitute) is built once over the field of the
-  potential; only its roots and the lifted coordinates live in the root
-  field.  The first leading root that needs sqrt(d) switches the root
-  field to Q(sqrt d) in place: the roots of that candidate are extracted
-  again from the same eliminant, the rational points lifted so far are
-  lifted again, and later candidates are solved in Q(sqrt d) directly.
-  Evaluation coerces coefficients into the field of the point.
+* One pass over the tropical candidates, whatever the field, one leading
+  system per candidate and one lift per point.  The system (its
+  eliminant and the columns that back-substitute) is built once over the
+  field of the potential; only its roots and the lifted coordinates live
+  in the root field.  The first leading root that needs sqrt(d) switches
+  the root field to Q(sqrt d) in place: the roots of that candidate are
+  extracted again from the same eliminant, and later candidates are
+  solved in Q(sqrt d) directly.  Points are lifted only once every
+  candidate is solved, in the final root field, the rational roots found
+  before the switch coerced into it.  Evaluation coerces coefficients
+  into the field of the point.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from .errors import (
     InsufficientCutoff,
     NotRepresentable,
     StructureError,
+    WorkbenchError,
 )
 from .novikov import (
     NovikovScalar,
@@ -75,7 +78,7 @@ __all__ = [
 
 # Effectively-exact cutoff for monomial prefactors; multiplication takes
 # the min with the other operand's window, so this never cuts anything.
-_EXACT = Fraction(10**9)
+_EXACT = 10**9
 
 
 class DegenerateRootWarning(UserWarning):
@@ -166,7 +169,7 @@ class NovikovLaurentPolynomial:
         n = len(variables)
         acc: dict = {}
         for energy, exponents, coeff in entries:
-            energy = Fraction(_exact(energy))
+            energy = _exact(energy)
             if energy < 0:
                 raise StructureError(
                     f"negative energy {energy} violates the Gromov bound"
@@ -620,7 +623,7 @@ def _vec(u) -> str:
 
 
 def _term_weight(e, a, u):
-    return e + sum(Fraction(k) * s for k, s in zip(a, u))
+    return e + sum(k * s for k, s in zip(a, u))
 
 
 def _tropical_candidates(eqs):
@@ -656,7 +659,7 @@ def _tropical_candidates(eqs):
             if all(any(row) for row in rows) and not any(dets):
                 flat = True
             continue
-        u = tuple(Fraction(d) / det for d in dets)
+        u = tuple(_exact(Fraction(d, det)) for d in dets)
         if u in seen:
             continue
         ok = True
@@ -807,7 +810,7 @@ class CriticalPoint:
     value: NovikovScalar
     hessian: tuple
     hessian_det: NovikovScalar
-    residual_valuation: Fraction
+    residual_valuation: int | Fraction
     lift_schedule: tuple
 
 
@@ -847,12 +850,12 @@ def _lift_point(pot, u, mus, z0, cutoff, field):
         _term_weight(e, a, u) for e, a, _ in pot.terms()
     ]
     pad = max(
-        [Fraction(0)]
+        [0]
         + [-w for w in weights if w < 0]
         + [-s for s in u if s < 0]
         + [-m for m in mus if m < 0]
     )
-    work = Fraction(cutoff) + pad
+    work = cutoff + pad
     shifts = [NovikovScalar.monomial(field, _EXACT, s) for s in u]
     unshift = [NovikovScalar.monomial(field, _EXACT, -m) for m in mus]
     z = [NovikovScalar.constant(field, work, c) for c in z0]
@@ -952,13 +955,14 @@ def critical_points(pot, cutoff):
     time.  Over the rationals the first quadratic irrationality in the
     leading roots switches the root field to the matching quadratic
     field: the roots of that candidate are extracted again from the same
-    eliminant, the rational points lifted so far are lifted again in the
-    new field, and every later candidate is solved there directly, so the
-    returned scalars may live in an extension.  Degenerate leading roots
-    are reported as warnings, once each, never lifted.
+    eliminant, and every later candidate is solved there directly.  Every
+    point is lifted once, after all candidates are solved, in the final
+    root field, so the returned scalars may live in an extension.
+    Degenerate leading roots are reported as warnings, once each, never
+    lifted.
     """
     pot = _potential_of(pot)
-    cutoff = Fraction(_exact(cutoff))
+    cutoff = _exact(cutoff)
     if cutoff <= 0:
         raise StructureError("cutoff must be positive")
     field = pot.field
@@ -979,35 +983,40 @@ def critical_points(pot, cutoff):
             "admits a continuum of valuation vectors"
         )
     root = field
-    lifted = []     # (u, mus, z0) of every point, to lift again on a switch
-    points = []
-    for u in cands:
-        mus, leads = _leading_parts(eqs, u)
-        system = _leading_system(leads, field, n)
-        try:
-            sols = _leading_roots(system, root)
-        except _ExtensionNeeded as need:
-            root = QuadraticField(need.d)
-            sols = _leading_roots(system, root)
-            points = [
-                _lift_point(pot, v, m, tuple(map(root.coerce, z)), cutoff,
-                            root)
-                for v, m, z in lifted
-            ]
-        sols.sort(key=lambda sm: tuple(root.format(c) for c in sm[0]))
-        for z0, hint in sols:
-            jac0 = _leading_jacobian(leads, z0, root, n)
-            if root.is_zero(_det(jac0)):
-                coords = ", ".join(root.format(c) for c in z0)
-                warnings.warn(
-                    f"degenerate leading root ({coords}) at valuation "
-                    f"{_vec(u)} (multiplicity hint {hint}); not lifted",
-                    DegenerateRootWarning,
-                    stacklevel=2,
-                )
-                continue
-            lifted.append((u, mus, z0))
-            points.append(_lift_point(pot, u, mus, z0, cutoff, root))
+    found = []      # (u, mus, z0) of every nondegenerate leading root
+
+    def lift():
+        return [_lift_point(pot, u, mus, tuple(map(root.coerce, z0)),
+                            cutoff, root) for u, mus, z0 in found]
+
+    try:
+        for u in cands:
+            mus, leads = _leading_parts(eqs, u)
+            system = _leading_system(leads, field, n)
+            try:
+                sols = _leading_roots(system, root)
+            except _ExtensionNeeded as need:
+                root = QuadraticField(need.d)
+                sols = _leading_roots(system, root)
+            sols.sort(key=lambda sm: tuple(root.format(c) for c in sm[0]))
+            for z0, hint in sols:
+                jac0 = _leading_jacobian(leads, z0, root, n)
+                if root.is_zero(_det(jac0)):
+                    coords = ", ".join(root.format(c) for c in z0)
+                    warnings.warn(
+                        f"degenerate leading root ({coords}) at valuation "
+                        f"{_vec(u)} (multiplicity hint {hint}); not lifted",
+                        DegenerateRootWarning,
+                        stacklevel=2,
+                    )
+                    continue
+                found.append((u, mus, z0))
+    except WorkbenchError:
+        # a point of an earlier candidate that cannot be lifted is the
+        # first error in candidate order
+        lift()
+        raise
+    points = lift()
     points.sort(
         key=lambda p: (
             p.valuations,
@@ -1055,9 +1064,9 @@ def _fm_feasible(rows, n):
             for nco, nc in neg:
                 pa, na = pco[var], -nco[var]
                 co = tuple(
-                    x / pa + y / na for x, y in zip(pco, nco)
+                    Fraction(x, pa) + Fraction(y, na) for x, y in zip(pco, nco)
                 )
-                new.append((co, pc / pa + nc / na))
+                new.append((co, Fraction(pc, pa) + Fraction(nc, na)))
         cur = new
     return all(c >= 0 for _, c in cur)
 
@@ -1087,7 +1096,7 @@ class MomentPolytope:
                 g = math.gcd(g, abs(x))
             if g != 1:
                 raise StructureError(f"ray {ray} is not primitive")
-        offsets = tuple(Fraction(_exact(x)) for x in offsets)
+        offsets = tuple(_exact(x) for x in offsets)
         if len(offsets) != len(rays):
             raise StructureError("one offset per ray")
         if basis is None:
@@ -1105,23 +1114,17 @@ class MomentPolytope:
         self.rays = rays
         self.offsets = offsets
         self.basis = basis
-        cons = [
-            (tuple(Fraction(x) for x in ray), off)
-            for ray, off in zip(rays, offsets)
-        ]
-        if not _fm_feasible(cons, n):
+        if not _fm_feasible(list(zip(rays, offsets)), n):
             raise StructureError("empty moment polytope")
 
     @property
     def dim(self) -> int:
         return len(self.rays[0])
 
-    def support(self, u, i: int) -> Fraction:
+    def support(self, u, i: int):
         """Affine support number <v_i, u> + lambda_i."""
         ray = self.rays[i]
-        return sum(
-            Fraction(a) * Fraction(x) for a, x in zip(ray, u)
-        ) + self.offsets[i]
+        return _exact(sum(a * x for a, x in zip(ray, u)) + self.offsets[i])
 
     def supports(self, u):
         return tuple(self.support(u, i) for i in range(len(self.rays)))
@@ -1156,10 +1159,9 @@ def build_toric_potential(polytope: MomentPolytope, field=None) -> ToricPotentia
     for i, ray in enumerate(polytope.rays):
         det, dets = _cramer(bmat, ray)
         a = tuple(d * det for d in dets)    # det is +-1
-        omega = polytope.offsets[i] - sum(
-            Fraction(aj) * polytope.offsets[bj]
-            for aj, bj in zip(a, polytope.basis)
-        )
+        omega = _exact(polytope.offsets[i] - sum(
+            aj * polytope.offsets[bj] for aj, bj in zip(a, polytope.basis)
+        ))
         if omega < 0:
             raise StructureError(
                 f"ray {ray} gets negative energy {omega}: the designated "
@@ -1205,7 +1207,7 @@ def u_of_c(toric, point) -> FiberPoint:
     rows = [poly.rays[i] for i in poly.basis]
     rhs = [v - poly.offsets[i] for v, i in zip(vals, poly.basis)]
     det, dets = _cramer(rows, rhs)
-    u = tuple(Fraction(d * det) for d in dets)    # det is +-1
+    u = tuple(_exact(d * det) for d in dets)    # det is +-1
     for i in range(len(poly.rays)):
         s = poly.support(u, i)
         if s <= 0:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from ainfbench import ainfinity as ainf
 from ainfbench.ainfinity import (
     AInfCategory,
+    DiskClass,
     EnergyGradedAlgebra,
     _gap_inserted_op,
     _rho_tables,
@@ -19,7 +21,12 @@ from ainfbench.ainfinity import (
     divisor_element,
     mc_family_category,
 )
-from ainfbench.errors import InsufficientCutoff, NotRepresentable, StructureError
+from ainfbench.errors import (
+    FixtureError,
+    InsufficientCutoff,
+    NotRepresentable,
+    StructureError,
+)
 from ainfbench.graded import GradedSpace, MultilinearMap
 from ainfbench.models import (
     circle_fiber_algebra,
@@ -629,3 +636,72 @@ def test_energy_cyclic_on_circle_fixture():
 def test_float_cutoffs_and_energies_are_not_representable(build):
     with pytest.raises(NotRepresentable):
         build()
+
+
+# one object X whose endomorphisms have an even e and an odd o
+SP = GradedSpace(("e", "o"), (0, 1))
+BAD_CATEGORIES = {
+    "bad op chain": dict(ops={("X", "Y", "X"): MultilinearMap(
+        (SP, SP), SP, parity=0)}),
+    "op sources mismatch": dict(ops={("X", "X", "X"): MultilinearMap(
+        (SP,), SP, parity=0)}),
+    "op target mismatch": dict(ops={("X", "X", "X"): MultilinearMap(
+        (SP, SP), GradedSpace(("e",), (0,)), parity=0)}),
+    "must have parity 0": dict(ops={("X", "X", "X"): MultilinearMap(
+        (SP, SP), SP, parity=1)}),
+    "unit of X is not even": dict(units={"X": {"o": sc("1")}}),
+    "pairing declared without its degree": dict(
+        pairing={("X", "X"): {("e", "e"): sc("1")}}),
+    "violates the declared degree": dict(
+        pairing={("X", "X"): {("e", "o"): sc("1")}}, cyclic_degree=0),
+}
+
+
+@pytest.mark.parametrize("message", list(BAD_CATEGORIES))
+def test_category_validation_names_the_fault(message):
+    data = dict(ops={}, units=None, pairing=None, cyclic_degree=None)
+    data.update(BAD_CATEGORIES[message])
+    with pytest.raises(StructureError, match=message):
+        AInfCategory(Q, E, ("X",), {("X", "X"): SP}, **data)
+
+
+def _circle_algebra(**changes):
+    """A one-disk circle algebra, its data altered by ``changes``."""
+    d = dict(
+        space=GradedSpace(("1", "x"), (0, 1), (0, 1)), unit_label="1",
+        cup={("1", "1"): {"1": 1}, ("1", "x"): {"x": 1},
+             ("x", "1"): {"x": 1}},
+        energy=1, maslov=2, boundary=(1,), ops={1: {("x",): {"1": 1}}})
+    d.update(changes)
+    disk = DiskClass(d["energy"], d["maslov"], d["boundary"], d["ops"])
+    return EnergyGradedAlgebra(Q, E, d["space"], d["unit_label"], d["cup"],
+                               {}, [disk], dimension=1, loop_rank=1)
+
+
+BAD_ALGEBRAS = {
+    "needs integer degrees": dict(space=GradedSpace(("1", "x"), (0, 1))),
+    "unit label missing": dict(unit_label="u"),
+    "unit must sit in degree zero": dict(
+        space=GradedSpace(("1", "x"), (0, 1), (2, 1))),
+    "cup(1, x) is not x": dict(
+        cup={("1", "1"): {"1": 1}, ("1", "x"): {}, ("x", "1"): {"x": 1}}),
+    "cup(x, 1) is not x": dict(
+        cup={("1", "1"): {"1": 1}, ("1", "x"): {"x": 1},
+             ("x", "1"): {"x": 2}}),
+    "breaks the integer grading": dict(
+        cup={("1", "1"): {"1": 1}, ("1", "x"): {"x": 1},
+             ("x", "1"): {"x": 1}, ("x", "x"): {"x": 1}}),
+    "Maslov indices must be even": dict(maslov=1),
+    "boundary vector has wrong rank": dict(boundary=(1, 0)),
+    "need positive energy": dict(energy=0),
+    "arity mismatch": dict(ops={2: {("x",): {"1": 1}}}),
+    "must kill unit insertions": dict(ops={1: {("1",): {"1": 1}}}),
+    "breaks the dimension rule": dict(ops={1: {("x",): {"x": 1}}}),
+}
+
+
+@pytest.mark.parametrize("message", list(BAD_ALGEBRAS))
+def test_algebra_validation_names_the_fault(message):
+    _circle_algebra()
+    with pytest.raises(FixtureError, match=re.escape(message)):
+        _circle_algebra(**BAD_ALGEBRAS[message])

@@ -57,6 +57,7 @@ from ainfbench.models import (
     summand_category,
 )
 from ainfbench.novikov import NovikovScalar, Rationals, format_scalar
+from ainfbench.potential import MomentPolytope, build_toric_potential
 
 from random_elements import random_chain, random_cochain
 
@@ -1284,3 +1285,13 @@ def test_cochain_homology_forms_only_in_window_products(monkeypatch):
     monkeypatch.setattr(NovikovScalar, "__mul__", mul)
     assert homology(cat, 4, side="cochains").dims == {0: 1, 1: 0}
     assert calls["mul"] < 5000
+
+
+def test_integral_input_keeps_int_cutoffs_margins_and_energies():
+    cat = cl2()
+    assert type(cat.cutoff) is int
+    assert type(homology(cat, 4).margin) is int
+    pot = build_toric_potential(MomentPolytope(
+        [(1, 0), (0, 1), (-1, 0), (-1, -1)], [0, 0, 2, 1])).potential
+    assert [e for e, _, _ in pot.terms()] == [0, 0, 1, 2]
+    assert all(type(e) is int for e, _, _ in pot.terms())

@@ -679,6 +679,32 @@ def test_order_term_must_name_the_cutoff():
     assert typed(x) == typed(nov([(Fraction(-2, 3), 2)]))
 
 
+def test_literals_read_with_python_precedence():
+    # forms format_scalar never prints, read as Python reads them
+    assert parse_scalar("T^2/3", Q, E) == nov([(2, Fraction(1, 3))])
+    assert parse_scalar("T^-1/2", Q, E) == nov([(-1, Fraction(1, 2))])
+    assert parse_scalar("T\n+ 1", Q, E) == nov([(0, 1), (1, 1)])
+
+
+def test_long_literal_round_trips():
+    x = NovikovScalar.make(Q, 1500, [(k, k + 1) for k in range(1500)])
+    text = format_scalar(x, show_order=True)
+    assert typed(parse_scalar(text, Q, 1500)) == typed(x)
+
+
+@pytest.mark.parametrize("text", [
+    " + ".join(["T"] * 50_000), "(" * 300 + "1" + ")" * 300,
+    "0x10", "2j", "T^1.5", "1 # + T", "\N{MATHEMATICAL BOLD CAPITAL T}",
+], ids=["sum-50000", "parentheses-300", "hex", "complex", "float-exponent",
+        "comment", "non-ascii"])
+def test_literal_reader_raises_only_fixture_errors(text):
+    # no SyntaxError, ValueError or RecursionError escapes the reader; a
+    # comment would drop the rest of the literal, and Python reads the
+    # bold T as the name T
+    with pytest.raises(FixtureError):
+        parse_scalar(text, Q, E)
+
+
 @pytest.mark.parametrize("field", [Q, Q_3], ids=repr)
 @given(data=st.data())
 @settings(max_examples=100)

@@ -480,6 +480,37 @@ def test_critical_points_is_one_pass(monkeypatch):
                      "_leading_roots": 2, "_sylvester": 1}
 
 
+# (coordinate and value below T^4, residual valuation, lift schedule) of
+# every point of _degenerate_then_sqrt2() at cutoff 8
+SQRT2_SWITCH_POINTS = [
+    ("-T^(1/2) + T - 2*T^(3/2) + 5*T^2 - 14*T^(5/2) + 42*T^3 - 131*T^(7/2)",
+     "-2*T^(1/2) - T + 2/3*T^(3/2) - T^2 + 2*T^(5/2) - 14/3*T^3 "
+     "+ 38/3*T^(7/2)", "17/2", ("1/2", "1", "2", "4", "8")),
+    ("T^(1/2) + T + 2*T^(3/2) + 5*T^2 + 14*T^(5/2) + 42*T^3 + 131*T^(7/2)",
+     "2*T^(1/2) - T - 2/3*T^(3/2) - T^2 - 2*T^(5/2) - 14/3*T^3 "
+     "- 38/3*T^(7/2)", "17/2", ("1/2", "1", "2", "4", "8")),
+    ("-s2*T^2", "-1/3*s2*T^-1 - s2*T^2", "8", ("3", "6", "9")),
+    ("s2*T^2", "1/3*s2*T^-1 + s2*T^2", "8", ("3", "6", "9")),
+]
+
+
+def test_base_change_lifts_each_point_once(monkeypatch):
+    calls = _count_calls(monkeypatch, "_lift_point")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        points = critical_points(_degenerate_then_sqrt2(), 8)
+    # the rational roots at valuation 1/2 come before the switch to
+    # Q(sqrt 2) and are lifted once, after it
+    assert calls == {"_lift_point": len(points)}
+    assert [str(c.message) for c in caught] == [
+        "degenerate leading root (1) at valuation (0) (multiplicity hint 2);"
+        " not lifted"]
+    assert [(format_scalar(p.coordinates[0].truncate(4)),
+             format_scalar(p.value.truncate(4)), str(p.residual_valuation),
+             tuple(str(v) for v in p.lift_schedule))
+            for p in points] == SQRT2_SWITCH_POINTS
+
+
 def test_toric_potential_is_unwrapped():
     toric = build_toric_potential(MomentPolytope(P2_RAYS, [0, 0, 1]))
     points = critical_points(toric, 6)
@@ -719,6 +750,24 @@ def test_integer_inputs_reject_fractions_and_keep_integral_ones(build):
     with pytest.raises(StructureError, match="3/2 is not an integer"):
         build(Fraction(3, 2))
     build(Fraction(2, 2))
+
+
+@pytest.mark.parametrize("rays, offsets, basis, message", [
+    ([], [], None, "at least one ray"),
+    ([()], [0], None, "positive dimension"),
+    ([(1, 0), (1,)], [0, 0], None, "share one dimension"),
+    ([(2, 0), (0, 1)], [0, 0], None, r"ray \(2, 0\) is not primitive"),
+    (P2_RAYS, [0, 0], None, "one offset per ray"),
+    (P2_RAYS, [0, 0, 1], (0, 0), "must pick 2 distinct rays"),
+    (P2_RAYS, [0, 0, 1], (0, 3), "basis index 3 out of range"),
+    ([(1, 0), (1, 2), (0, 1)], [0, 0, 0], (0, 1), "not unimodular"),
+    ([(1,), (-1,)], [0, -1], None, "empty moment polytope"),
+], ids=["no-ray", "dimension-0", "mixed-dimensions", "not-primitive",
+        "offsets", "repeated-basis", "basis-range", "not-unimodular", "empty"])
+def test_moment_polytope_rejects_malformed_data(rays, offsets, basis,
+                                                message):
+    with pytest.raises(StructureError, match=message):
+        MomentPolytope(rays, offsets, basis)
 
 
 def test_newton_step_with_singular_jacobian_is_named():
