@@ -9,25 +9,32 @@ the field of truncated universal Novikov series, not just the ring).
 A scalar stores its exponents and cutoff on a lattice (1/den)Z: one
 positive ``int`` ``den`` per scalar and the ``int`` numerator ``lcut`` of
 its cutoff, kept as the pair ``lattice = (den, lcut)``, and the terms as
-``lterms``, pairs (k, a) that stand for a * T^(k/den).  Sums and products
-of equal ``den`` are ``int`` arithmetic; unequal ``den`` rescale both
-operands to their lcm.  ``make`` and the constructor pick the least
-``den`` for their input, while arithmetic keeps its operands' ``den`` (or
-their lcm), so ``den`` is a denominator of the scalar, not always the
-least one.  One slot for the pair, not two, keeps every result at three
-slot stores, and a sum or a negation reuses its operand's pair.
+``lterms``, pairs (k, n) that stand for (n/cden) * T^(k/den).  ``cden`` is
+the scalar's coefficient denominator: over Q every n is an ``int`` and
+``cden`` a positive ``int`` with gcd(cden, every n) = 1, so zero and
+integral scalars have cden = 1; over Q(sqrt d) every n is a ``QuadExt``
+and cden = 1 always.  Sums and products of equal ``den`` and ``cden`` are
+``int`` arithmetic; unequal ones rescale the operands to their lcm, and a
+result whose ``cden`` is not 1 is divided once by the gcd of its parts
+when a sum collided, a term was dropped or coefficients were multiplied.
+``make`` and the constructor pick the least ``den`` for their input, while
+arithmetic keeps its operands' ``den`` (or their lcm), so ``den`` is a
+denominator of the scalar, not always the least one.  One slot for the
+lattice pair, not two, keeps every result at four slot stores, and a sum
+or a negation reuses its operand's pair.
 
 ``terms``, ``cutoff``, ``valuation()``, ``leading()`` and ``coefficient()``
-are views: they give exponents and cutoffs in canonical exact form, a
-Python ``int`` when the value is integral and a ``Fraction`` with
-denominator > 1 otherwise.  When ``den == 1`` the views ``terms`` and
-``cutoff`` are the stored tuple and ``int`` themselves, so integral scalars
-(constants, integer Clifford and toric data) pay nothing for them.
-Rational coefficients are kept in the same canonical form.  Both types
-may meet in one computation because equal values compare and hash equal,
-and both carry ``.numerator``/``.denominator``.  Because ``int / int`` is
-a ``float``, every division of a rational coefficient goes through
-``Fraction``.  A ``float`` is never a coefficient.
+are views: they give exponents, coefficients and cutoffs in canonical
+exact form, a Python ``int`` when the value is integral and a ``Fraction``
+with denominator > 1 otherwise.  When den = cden = 1 the views ``terms``
+and ``cutoff`` are the stored tuple and ``int`` themselves, so integral
+scalars (constants, integer Clifford and toric data) pay nothing for them.
+Both types may meet in one computation because equal values compare and
+hash equal, and both carry ``.numerator``/``.denominator``.  Because
+``int / int`` is a ``float``, a division of rational coefficients outside
+a scalar goes through ``Fraction``; inside one, scalar arithmetic over Q
+is ``int`` arithmetic on the numerators and builds no ``Fraction``.  A
+``float`` is never a coefficient.
 
 A ``QuadExt`` stores (p + q*sqrt d)/n as three ``int``s over one
 denominator, reduced: n > 0 and gcd(p, q, n) = 1, so each element has
@@ -54,7 +61,8 @@ Input is canonicalized at the entry points: ``NovikovScalar(...)``,
 built on them), ``parse_scalar``, ``QuadExt(a, b, d)`` and the coefficient
 fields' ``coerce``.  Arithmetic builds its results from lattice parts that
 are already canonical, by the private ``_scalar``, which neither copies nor
-checks them; ``QuadExt`` arithmetic builds its own by ``_reduced``.
+checks them (``_lowest`` reduces them first where needed); ``QuadExt``
+arithmetic builds its own by ``_reduced``.
 """
 
 from __future__ import annotations
@@ -345,7 +353,10 @@ class Rationals:
     def invert(self, x):
         if x == 0:
             raise ZeroDivisionError("inverting 0 in Q")
-        return _exact(1 / Fraction(self.coerce(x)))
+        x = self.coerce(x)
+        if type(x) is int:
+            return x if x in (1, -1) else Fraction(1, x)
+        return _exact(Fraction(x.denominator, x.numerator))
 
     def sqrt(self, x):
         return _fraction_sqrt(self.coerce(x))
@@ -443,20 +454,22 @@ class NovikovScalar:
 
     Immutable.  What is stored is the lattice form of the module docstring:
     ``lattice``, the pair (den, lcut) of a positive ``int`` ``den`` and the
-    cutoff times ``den``; and ``lterms``, a tuple of (k, coefficient)
-    pairs, k the exponent times ``den``, with strictly increasing k, no
-    zero coefficients and every k below ``lcut``.  Rational coefficients
-    are ``int`` when integral, else ``Fraction``.
+    cutoff times ``den``; ``cden``, the positive coefficient denominator;
+    and ``lterms``, a tuple of (k, n) pairs, k the exponent times ``den``
+    and n the coefficient times ``cden``, with strictly increasing k, no
+    zero n and every k below ``lcut``.  Over Q every n is an ``int`` and
+    gcd(cden, every n) = 1, so cden = 1 for zero and integral scalars;
+    over Q(sqrt d) every n is a ``QuadExt`` and cden = 1.
 
     ``terms`` and ``cutoff`` are views in canonical exact form: the
-    (exponent, coefficient) pairs and the cutoff, each number an ``int``
-    when integral, else a ``Fraction``.  When ``den == 1`` they are
+    (exponent, coefficient) pairs and the cutoff, each rational an ``int``
+    when integral, else a ``Fraction``.  When den = cden = 1 they are
     ``lterms`` and ``lcut`` themselves; otherwise every read builds them
     anew, so hot code reads ``lterms``, whose truth value is the scalar's.
     The constructor canonicalizes its input like ``make``.
     """
 
-    __slots__ = ("field", "lattice", "lterms")
+    __slots__ = ("field", "lattice", "cden", "lterms")
 
     def __new__(cls, field, cutoff, terms):
         return _scalar(field, *_canonical(field, cutoff, terms))
@@ -471,11 +484,13 @@ class NovikovScalar:
 
     @property
     def terms(self):
-        """(exponent, coefficient) pairs; ``lterms`` itself when den == 1."""
-        den = self.lattice[0]
-        if den == 1:
+        """(exponent, coefficient) pairs; ``lterms`` itself when
+        den = cden = 1."""
+        den, cden = self.lattice[0], self.cden
+        if den == 1 and cden == 1:
             return self.lterms
-        return tuple([(_ratio(k, den), c) for k, c in self.lterms])
+        return tuple([(_ratio(k, den), _coefficient(c, cden))
+                      for k, c in self.lterms])
 
     @property
     def cutoff(self):
@@ -526,7 +541,7 @@ class NovikovScalar:
         if not self.lterms:
             raise ZeroDivisionError("zero scalar has no leading term")
         k, c = self.lterms[0]
-        return _ratio(k, self.lattice[0]), c
+        return _ratio(k, self.lattice[0]), _coefficient(c, self.cden)
 
     def coefficient(self, exponent):
         e = _exact(exponent)
@@ -535,7 +550,7 @@ class NovikovScalar:
             k = e.numerator * (den // e.denominator)
             for kk, c in self.lterms:
                 if kk == k:
-                    return c
+                    return _coefficient(c, self.cden)
                 if kk > k:
                     break
         return self.field.zero
@@ -550,26 +565,30 @@ class NovikovScalar:
         if isinstance(other, (int, Fraction, QuadExt, float, complex)):
             # the constant on this scalar's lattice, at its cutoff
             c = self.field.coerce(other)
-            keep = self.lattice[1] > 0 and not self.field.is_zero(c)
-            return _scalar(self.field, self.lattice, ((0, c),) if keep else ())
+            if self.lattice[1] <= 0 or self.field.is_zero(c):
+                return _scalar(self.field, self.lattice, 1, ())
+            if type(c) is Fraction:
+                return _scalar(self.field, self.lattice, c.denominator,
+                               ((0, c.numerator),))
+            return _scalar(self.field, self.lattice, 1, ((0, c),))
         return None
 
     def _merge(self, o, negate):
         """self + o, or self - o when ``negate``; the fields already agree."""
-        lattice = self.lattice
+        lattice, cden = self.lattice, self.cden
         ta, tb = self.lterms, o.lterms
-        if o.lattice != lattice:
+        if o.lattice != lattice or o.cden != cden:
             den, cut = lattice
-            if o.lattice[0] == den:
+            if o.lattice[0] == den and o.cden == cden:
                 ocut = o.lattice[1]
             else:
-                den, (cut, ta), (ocut, tb) = _common(self, o)
+                den, cden, (cut, ta), (ocut, tb) = _common(self, o)
             if cut != ocut:
                 if negate:
                     tb = [(e, -c) for e, c in tb]
                 cut = min(cut, ocut)
-                return _scalar(self.field, (den, cut),
-                               _collect(self.field, cut, list(ta) + list(tb)))
+                return _scalar(self.field, (den, cut), *_lowest(
+                    cden, _collect(cut, list(ta) + list(tb))))
             lattice = (den, cut)
         if not ta:
             return -o if negate else o
@@ -590,8 +609,6 @@ class NovikovScalar:
                 j += 1
             else:
                 c = ca - cb if negate else ca + cb
-                if type(c) is Fraction:
-                    c = _exact(c)
                 if c:  # field elements are falsy exactly when zero
                     append((ea, c))
                 i += 1
@@ -600,10 +617,15 @@ class NovikovScalar:
             merged.extend(ta[i:])
         if j < nb:
             merged.extend([(e, -c) for e, c in tb[j:]] if negate else tb[j:])
+        lterms = tuple(merged)
+        # without a collision the union of reduced numerators stays reduced
+        if cden != 1 and len(lterms) != na + nb:
+            cden, lterms = _lowest(cden, lterms)
         x = _new(NovikovScalar)  # _scalar, inlined on the hottest result
         _set_field(x, self.field)
         _set_lattice(x, lattice)
-        _set_lterms(x, tuple(merged))
+        _set_cden(x, cden)
+        _set_lterms(x, lterms)
         return x
 
     def __add__(self, other):
@@ -617,7 +639,7 @@ class NovikovScalar:
     __radd__ = __add__
 
     def __neg__(self):
-        return _scalar(self.field, self.lattice,
+        return _scalar(self.field, self.lattice, self.cden,
                        tuple([(e, -c) for e, c in self.lterms]))
 
     def __sub__(self, other):
@@ -643,42 +665,51 @@ class NovikovScalar:
                 return NotImplemented
         (den, ca), (oden, cb) = self.lattice, o.lattice
         ta, tb = self.lterms, o.lterms
+        ma = mb = 1
         if oden != den:
-            den, (ca, ta), (cb, tb) = _common(self, o)
+            # on the lcm lattice; each exponent is scaled as its pair forms
+            g = math.gcd(den, oden)
+            ma, mb = oden // g, den // g
+            den, ca, cb = den * ma, ca * ma, cb * mb
         # a = A + O(T^Ea), b = B + O(T^Eb) determine ab only below
         # min(Ea + val b, Eb + val a, Ea + Eb); with val >= 0 operands this
         # is at least min(Ea, Eb), but negative valuations genuinely amplify
         # the unknown tails.
         cutoff = ca + cb
-        if tb and ca + tb[0][0] < cutoff:
-            cutoff = ca + tb[0][0]
-        if ta and cb + ta[0][0] < cutoff:
-            cutoff = cb + ta[0][0]
+        if tb and ca + tb[0][0] * mb < cutoff:
+            cutoff = ca + tb[0][0] * mb
+        if ta and cb + ta[0][0] * ma < cutoff:
+            cutoff = cb + ta[0][0] * ma
         field = self.field
         if not ta or not tb:
-            return _scalar(field, (den, cutoff), ())
+            return _scalar(field, (den, cutoff), 1, ())
+        cden = self.cden * o.cden
         if len(ta) == 1 and len(tb) == 1:
             e1, c1 = ta[0]
             e2, c2 = tb[0]
-            e = e1 + e2
+            e = e1 * ma + e2 * mb
             if e >= cutoff:
-                return _scalar(field, (den, cutoff), ())
+                return _scalar(field, (den, cutoff), 1, ())
             # nonzero coefficients of a field have a nonzero product
             c = c1 * c2
-            if type(c) is Fraction:
-                c = _exact(c)
+            if cden != 1:
+                g = math.gcd(c, cden)
+                c, cden = c // g, cden // g
             x = _new(NovikovScalar)  # _scalar, inlined
             _set_field(x, field)
             _set_lattice(x, (den, cutoff))
+            _set_cden(x, cden)
             _set_lterms(x, ((e, c),))
             return x
         pairs = []
         for e1, c1 in ta:
+            e1 *= ma
             for e2, c2 in tb:
-                e = e1 + e2
+                e = e1 + e2 * mb
                 if e < cutoff:
                     pairs.append((e, c1 * c2))
-        return _scalar(field, (den, cutoff), _collect(field, cutoff, pairs))
+        return _scalar(field, (den, cutoff),
+                       *_lowest(cden, _collect(cutoff, pairs)))
 
     __rmul__ = __mul__
 
@@ -694,12 +725,20 @@ class NovikovScalar:
                 f"inverse of valuation-{self.valuation()} scalar not visible "
                 f"below cutoff {self.cutoff}"
             )
-        inv0 = field.invert(c0)
         # u = self / (c0 T^v) = 1 + r with val(r) > 0, known below cutoff - v.
+        # Over Q the leading coefficient is c0/cden, so r's numerators are
+        # the others times unit = ±1 over uden = |c0|, and its inverse is
+        # inv0/uden = ±cden/|c0|.
+        if type(c0) is int:
+            unit, uden = (1, c0) if c0 > 0 else (-1, -c0)
+            inv0 = unit * self.cden
+        else:
+            unit = inv0 = field.invert(c0)
+            uden = 1
         rel = lcut - v
-        r = _scalar(field, (den, rel), _collect(
-            field, rel, [(e - v, c * inv0) for e, c in self.lterms[1:]]))
-        geom = power = _scalar(field, (den, rel), ((0, field.one),))
+        r = _scalar(field, (den, rel), *_lowest(
+            uden, tuple([(e - v, c * unit) for e, c in self.lterms[1:]])))
+        geom = power = _scalar(field, (den, rel), 1, ((0, field.one),))
         if r.lterms:
             step = r.lterms[0][0]
             k = 1
@@ -709,8 +748,10 @@ class NovikovScalar:
                     break
                 geom = geom + power
                 k += 1
-        return _scalar(field, (den, new_cutoff), _collect(
-            field, new_cutoff, [(e - v, c * inv0) for e, c in geom.lterms]))
+        # every term of geom lies below rel, so below new_cutoff once shifted
+        return _scalar(field, (den, new_cutoff), *_lowest(
+            geom.cden * uden,
+            tuple([(e - v, c * inv0) for e, c in geom.lterms])))
 
     def __truediv__(self, other):
         o = self._coerce_other(other)
@@ -756,12 +797,12 @@ class NovikovScalar:
         # a cutoff off the lattice moves it to lcm(den, c.denominator)
         m = c.denominator // math.gcd(den, c.denominator)
         den *= m
-        lcut, lterms = _rescaled(self, m)
+        lcut, lterms = _rescaled(self, m, 1)
         k = c.numerator * (den // c.denominator)
         if k >= lcut:
             return self
-        return _scalar(self.field, (den, k),
-                       tuple([t for t in lterms if t[0] < k]))
+        return _scalar(self.field, (den, k), *_lowest(
+            self.cden, tuple([t for t in lterms if t[0] < k])))
 
     def __eq__(self, other):
         o = self._coerce_other(other)
@@ -781,15 +822,17 @@ class NovikovScalar:
 
 _set_field = NovikovScalar.field.__set__
 _set_lattice = NovikovScalar.lattice.__set__
+_set_cden = NovikovScalar.cden.__set__
 _set_lterms = NovikovScalar.lterms.__set__
 
 
-def _scalar(field, lattice, lterms):
+def _scalar(field, lattice, cden, lterms):
     """A scalar from canonical lattice parts, ``lterms`` a tuple; nothing is
     checked."""
     x = _new(NovikovScalar)
     _set_field(x, field)
     _set_lattice(x, lattice)
+    _set_cden(x, cden)
     _set_lterms(x, lterms)
     return x
 
@@ -799,57 +842,80 @@ def _ratio(k, den):
     return k // den if not k % den else Fraction(k, den)
 
 
-def _collect(field, cutoff, pairs):
-    """Sorted terms of ``pairs`` below ``cutoff``: equal exponents summed,
-    zero sums dropped, exponents and coefficients canonical.
+def _coefficient(n, cden):
+    """The coefficient of the stored numerator ``n``: n/cden in canonical
+    form, or ``n`` itself when cden == 1."""
+    return n if cden == 1 else _ratio(n, cden)
 
-    Exponents and ``cutoff`` are exact values or lattice numerators alike.
+
+def _lowest(cden, lterms):
+    """``cden`` and the tuple ``lterms`` divided by the gcd of ``cden`` and
+    every numerator; nothing is divided when cden == 1."""
+    if cden != 1:
+        g = math.gcd(cden, *[c for _, c in lterms])
+        if g != 1:
+            return cden // g, tuple([(k, c // g) for k, c in lterms])
+    return cden, lterms
+
+
+def _collect(cutoff, pairs):
+    """Sorted ``pairs`` below ``cutoff``, equal exponents summed (a
+    ``Fraction`` sum in canonical form) and zero sums dropped.
+
+    Exponents and ``cutoff`` are exact values or lattice numerators alike,
+    and coefficients field elements or stored numerators alike.
     """
     acc: dict = {}
-    coerce = field.coerce
     for e, c in pairs:
-        if type(e) is not int:
-            e = _exact(e)
-        if e >= cutoff:
-            continue
-        c = coerce(c)
-        if e in acc:
-            c = acc[e] + c
-            if type(c) is Fraction:
-                c = _exact(c)
-        acc[e] = c
-    is_zero = field.is_zero
-    return tuple([(e, c) for e, c in sorted(acc.items()) if not is_zero(c)])
+        if e < cutoff:
+            if e in acc:
+                c = acc[e] + c
+                if type(c) is Fraction:
+                    c = _exact(c)
+            acc[e] = c
+    return tuple([(e, c) for e, c in sorted(acc.items()) if c])
 
 
 def _canonical(field, cutoff, pairs):
-    """(lattice, lterms) of arbitrary pairs, den the least denominator."""
+    """(lattice, cden, lterms) of arbitrary pairs, den and cden the least."""
     if type(cutoff) is not int:
         cutoff = _exact(cutoff)
-    terms = _collect(field, cutoff, pairs)
-    den = cutoff.denominator
-    for e, _ in terms:
+    coerce = field.coerce
+    pairs = [(e if type(e) is int else _exact(e), c) for e, c in pairs]
+    terms = _collect(cutoff, [(e, coerce(c)) for e, c in pairs if e < cutoff])
+    den, cden = cutoff.denominator, 1
+    for e, c in terms:
         if type(e) is not int:
             den = math.lcm(den, e.denominator)
-    if den == 1:
-        return (1, cutoff), terms
-    return (den, cutoff.numerator * (den // cutoff.denominator)), tuple(
-        [(e.numerator * (den // e.denominator), c) for e, c in terms])
+        if type(c) is Fraction:
+            cden = math.lcm(cden, c.denominator)
+    if den == 1 and cden == 1:
+        return (1, cutoff), 1, terms
+    # over the lcm of reduced denominators the numerators stay reduced
+    return (den, cutoff.numerator * (den // cutoff.denominator)), cden, tuple(
+        [(e.numerator * (den // e.denominator),
+          c if cden == 1 else c.numerator * (cden // c.denominator))
+         for e, c in terms])
 
 
 def _common(a, b):
-    """den = lcm(a.den, b.den) and both operands' (lcut, lterms) over it."""
-    den = math.lcm(a.lattice[0], b.lattice[0])
-    return (den, _rescaled(a, den // a.lattice[0]),
-            _rescaled(b, den // b.lattice[0]))
+    """The lcm ``den`` and ``cden`` of both operands and each one's
+    (lcut, lterms) over them."""
+    (da, _), (db, _) = a.lattice, b.lattice
+    den, cden = math.lcm(da, db), math.lcm(a.cden, b.cden)
+    return (den, cden, _rescaled(a, den // da, cden // a.cden),
+            _rescaled(b, den // db, cden // b.cden))
 
 
-def _rescaled(x, m):
-    """``x``'s (lcut, lterms) over the denominator ``x.den * m``."""
+def _rescaled(x, m, f):
+    """``x``'s (lcut, lterms) over the denominators ``x.den * m`` and
+    ``x.cden * f``."""
     lcut = x.lattice[1]
-    if m == 1:
-        return lcut, x.lterms
-    return lcut * m, tuple([(k * m, c) for k, c in x.lterms])
+    if f != 1:
+        return lcut * m, tuple([(k * m, c * f) for k, c in x.lterms])
+    if m != 1:
+        return lcut * m, tuple([(k * m, c) for k, c in x.lterms])
+    return lcut, x.lterms
 
 
 # --------------------------------------------------------------------------
@@ -862,11 +928,15 @@ def _rescaled(x, m):
 # a trailing "+ O(T^c)" at the root names the cutoff c.  Python also admits
 # line breaks, "**", 1_000, .5, 5., 1e+5, O(T) and parentheses around the
 # whole literal.  Anything else (0x10, 2j, T^1.5, other names, comments)
-# raises FixtureError, as does a literal deeper than ast.parse reads: a sum
-# of more than about 3,000 terms at recursion limit 1,000 (three fewer per
-# frame on the caller's stack), or more than 200 nested parentheses.
+# raises FixtureError, as do more than 200 nested parentheses and more than
+# _MAX_SIGNS = 2,000 signs + and - (a sum of 2,000 terms with its order
+# term has 2,000).  ast.parse reads a sum only to a depth that shrinks with
+# the caller's stack, about 3,000 terms at recursion limit 1,000 and three
+# fewer per frame; the sign bound, checked before parsing, still reads 200
+# frames deep, so the accepted literals do not depend on the caller.
 # --------------------------------------------------------------------------
 
+_MAX_SIGNS = 2_000
 _SQRT_RE = re.compile(r"s(-?\d+)")
 _SIGNS = {ast.UAdd: 1, ast.USub: -1}
 _ARITHMETIC = {ast.Add: NovikovScalar.__add__, ast.Sub: NovikovScalar.__sub__,
@@ -887,6 +957,9 @@ def parse_scalar(text: str, field, cutoff) -> NovikovScalar:
         if not src.isascii() or "#" in src:
             raise FixtureError(f"bad character in scalar literal {text!r}")
         src = _SQRT_RE.sub(r"s(\1)", src.replace("^", "**"))
+        if src.count("+") + src.count("-") > _MAX_SIGNS:
+            raise FixtureError(f"scalar literal with more than {_MAX_SIGNS} "
+                               "signs + and -")
         root = ast.parse(src, mode="eval").body
         order = None
         if type(root) is ast.BinOp and type(root.op) is ast.Add and (

@@ -54,6 +54,7 @@ from .novikov import (
     Rationals,
     _exact,
     _integer,
+    _lowest,
     _scalar,
     _squarefree_decompose,
     field_power,
@@ -314,10 +315,11 @@ class NovikovLaurentPolynomial:
 def _weighted_sum(table, weight):
     """Sum of weight(a) * value over a monomial table, cut at its cutoff.
 
-    Zero weights are skipped and the others scale the coefficients
-    directly, on the value's lattice: a product with a constant scalar
-    would lower the cutoff of terms with negative valuation.  A nonzero
-    ``int`` weight keeps the terms sorted and nonzero.
+    Zero weights are skipped and the others scale the stored numerators
+    directly, on the value's lattice and over its coefficient denominator:
+    a product with a constant scalar would lower the cutoff of terms with
+    negative valuation.  A nonzero ``int`` weight keeps the terms sorted
+    and nonzero; ``_lowest`` removes a factor it shares with ``cden``.
     """
     field, cutoff, entries = table
     total = NovikovScalar.zero(field, _EXACT)
@@ -326,8 +328,8 @@ def _weighted_sum(table, weight):
         if not w:
             continue
         if w != 1:
-            value = _scalar(field, value.lattice, tuple(
-                [(k, field.coerce(w * c)) for k, c in value.lterms]))
+            value = _scalar(field, value.lattice, *_lowest(value.cden, tuple(
+                [(k, w * c) for k, c in value.lterms])))
         total = total + value
     if total.cutoff > cutoff:
         total = total.truncate(cutoff)

@@ -206,10 +206,24 @@ cutoffs = st.one_of(st.integers(min_value=1, max_value=8),
                     st.fractions(min_value=1, max_value=8, max_denominator=3))
 
 
+# rationals over denominators up to 60 that share factors, so that sums and
+# products often share a factor with their coefficient denominator
+kernel_coeffs = st.builds(Fraction, st.integers(min_value=-60, max_value=60),
+                          st.sampled_from([1, 2, 3, 4, 5, 6, 9, 12, 20, 30, 60]))
+
+
+@st.composite
+def kernel_elements(draw, field):
+    a = draw(kernel_coeffs)
+    if isinstance(field, QuadraticField):
+        return QuadExt(a, draw(kernel_coeffs), field.d)
+    return a
+
+
 @st.composite
 def kernel_scalars(draw, field):
     n = draw(st.integers(min_value=0, max_value=4))
-    pairs = [(draw(exponents), draw(field_elements(field))) for _ in range(n)]
+    pairs = [(draw(exponents), draw(kernel_elements(field))) for _ in range(n)]
     return NovikovScalar.make(field, draw(cutoffs), pairs)
 
 
@@ -220,6 +234,21 @@ def typed(x):
             return (number(v.a), number(v.b), v.d)
         return (type(v), v)
     return number(x.cutoff), [(number(e), number(c)) for e, c in x.terms]
+
+
+def assert_reduced(x):
+    """Stored coefficient parts: over Q ``int`` numerators over a positive
+    ``cden`` sharing no factor with them, 1 for zero; over Q(sqrt d)
+    ``QuadExt`` numerators over cden = 1."""
+    numerators = [c for _, c in x.lterms]
+    assert type(x.cden) is int and x.cden > 0
+    if isinstance(x.field, QuadraticField):
+        assert x.cden == 1 and all(type(c) is QuadExt for c in numerators)
+    else:
+        assert all(type(c) is int and c for c in numerators)
+        assert math.gcd(x.cden, *numerators) == 1
+    if not numerators:
+        assert x.cden == 1
 
 
 def ref_negated(x):
@@ -244,7 +273,8 @@ def ref_product(a, b):
 def test_kernel_matches_make_reference(fields, data):
     a = data.draw(kernel_scalars(fields[0]))
     b = data.draw(kernel_scalars(fields[1]))
-    k = data.draw(st.one_of(st.integers(min_value=-4, max_value=4), coeffs))
+    k = data.draw(st.one_of(st.integers(min_value=-4, max_value=4),
+                            kernel_coeffs))
     # denominators up to 5: often off the lattice of a's exponents and cutoff
     t = data.draw(st.fractions(min_value=-2, max_value=9, max_denominator=5))
     cutoff = min(a.cutoff, b.cutoff)
@@ -259,7 +289,14 @@ def test_kernel_matches_make_reference(fields, data):
     ]
     for got, want in cases:
         assert typed(got) == typed(want)
+        assert_reduced(got)
+        assert got.cden == want.cden
     assert (a == b) == (not (a - b).terms)
+    try:
+        inverse = a.invert()
+    except (ZeroDivisionError, InsufficientCutoff):
+        return
+    assert_reduced(inverse)
 
 
 def stretched(x, m):
@@ -293,8 +330,18 @@ def test_lattice_grows_to_the_lcm():
 
 
 def test_integral_views_are_the_stored_parts():
-    x = nov([(0, 2), (1, Fraction(1, 3))])
-    assert x.den == 1 and x.terms is x.lterms and x.cutoff is x.lattice[1]
+    x = nov([(0, 2), (1, -3)])
+    assert (x.den, x.cden) == (1, 1)
+    assert x.terms is x.lterms and x.cutoff is x.lattice[1]
+    # 2 + 1/3*T stores the numerators (6, 1) over one coefficient
+    # denominator 3; its views are built
+    w = nov([(0, 2), (1, Fraction(1, 3))])
+    assert (w.den, w.lattice, w.cden, w.lterms) == (1, (1, 6), 3,
+                                                    ((0, 6), (1, 1)))
+    assert typed(w) == ((int, 6), [((int, 0), (int, 2)),
+                                   ((int, 1), (Fraction, Fraction(1, 3)))])
+    assert w.leading() == (0, 2) and type(w.leading()[1]) is int
+    assert w.coefficient(1) == Fraction(1, 3)
     y = nov([(Fraction(1, 2), 1)], cutoff=Fraction(11, 2))
     assert (y.den, y.lattice, y.lterms) == (2, (2, 11), ((1, 1),))
     assert typed(y) == ((Fraction, Fraction(11, 2)),
@@ -336,8 +383,8 @@ def kernel_results():
 @pytest.mark.parametrize("name", sorted(kernel_results()))
 def test_kernel_results_stay_immutable_and_unhashable(name):
     x = kernel_results()[name]
-    for attr in ("field", "cutoff", "terms", "den", "lattice", "lterms",
-                 "other"):
+    for attr in ("field", "cutoff", "terms", "den", "lattice", "cden",
+                 "lterms", "other"):
         with pytest.raises(AttributeError):
             setattr(x, attr, 0)
     with pytest.raises(TypeError):
@@ -578,6 +625,37 @@ def test_quadratic_arithmetic_builds_no_fraction(monkeypatch):
     assert built == []
 
 
+def test_rational_arithmetic_builds_no_fraction(monkeypatch):
+    third = Fraction(1, 3)
+    a = nov([(0, third), (Fraction(1, 2), Fraction(2, 9)), (1, Fraction(-5, 6))])
+    b = nov([(0, 3), (Fraction(1, 3), Fraction(2, 9)), (2, Fraction(7, 4))],
+            cutoff=Fraction(17, 3))
+    c = nov([(0, Fraction(2, 9)), (1, Fraction(-2, 9))])
+    t, cut, scale = NovikovScalar.monomial(Q, E, 1), Fraction(7, 2), Fraction(9, 2)
+    built = []
+    fraction_new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return fraction_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    results = [a + b, a - b, b - a, a * b, b * a, -a, a.invert(), b.invert(),
+               (a * b).invert(), a.truncate(cut), a.truncate(1),
+               c + c, c - c, c * c, a + third, third - a, a * third]
+    equal = [a == a + 0, a * a.invert() == 1, c - c == 0, a == third,
+             c * scale == 1 - t]
+    assert built == []
+    # the views build their Fractions only when read
+    monkeypatch.undo()
+    assert equal == [True, True, True, False, True]
+    assert typed(c + c) == typed(nov([(0, Fraction(4, 9)), (1, Fraction(-4, 9))]))
+    assert typed(a.truncate(1)) == typed(nov([(0, third), (Fraction(1, 2),
+                                               Fraction(2, 9))], cutoff=1))
+    for x in results:
+        assert_reduced(x)
+
+
 # -- float operands --------------------------------------------------------
 
 @pytest.mark.parametrize("field", [Q, Q5])
@@ -690,6 +768,26 @@ def test_long_literal_round_trips():
     x = NovikovScalar.make(Q, 1500, [(k, k + 1) for k in range(1500)])
     text = format_scalar(x, show_order=True)
     assert typed(parse_scalar(text, Q, 1500)) == typed(x)
+
+
+def at_depth(n, f):
+    """f() called n frames deeper than this call."""
+    return f() if n == 0 else at_depth(n - 1, f)
+
+
+def test_literal_sign_bound_does_not_depend_on_the_stack():
+    # the longest format_scalar text read has 2,000 signs: 1,999 between
+    # its 2,000 terms and one before its order term
+    longest = NovikovScalar.make(Q, 2000, [(k, k + 1) for k in range(2000)])
+    text = format_scalar(longest, show_order=True)
+    assert text.count("+") + text.count("-") == 2000
+    over = NovikovScalar.make(Q, 2001, [(k, k + 1) for k in range(2001)])
+    over_text = format_scalar(over, show_order=True)
+    for depth in (0, 200):
+        read = at_depth(depth, lambda: parse_scalar(text, Q, 2000))
+        assert typed(read) == typed(longest)
+        with pytest.raises(FixtureError, match="more than 2000 signs"):
+            at_depth(depth, lambda: parse_scalar(over_text, Q, 2001))
 
 
 @pytest.mark.parametrize("text", [
