@@ -72,6 +72,9 @@ class GradedSpace:
             for p, z in zip(self.parities, self.zdegrees):
                 if z % 2 != p:
                     raise StructureError("zdegree parity mismatch")
+        # label -> parity, read by every sign computation; not a field
+        object.__setattr__(self, "_parity_of",
+                           dict(zip(self.labels, self.parities)))
 
     @property
     def dim(self) -> int:
@@ -79,8 +82,8 @@ class GradedSpace:
 
     def parity(self, label: str) -> int:
         try:
-            return self.parities[self.labels.index(label)]
-        except ValueError:
+            return self._parity_of[label]
+        except (KeyError, TypeError):
             raise StructureError(f"unknown basis label {label!r}") from None
 
     def zdegree(self, label: str) -> int:

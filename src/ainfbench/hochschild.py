@@ -11,7 +11,12 @@ Cochains of length s are multilinear maps
 Hom(X0,X1) (x) ... (x) Hom(X_{s-1},X_s) -> Hom(X0,Xs), stored sparsely as
 entries (object chain, argument labels) -> output vector.  The differential
 never lowers the length, so lengths > N span a subcomplex and the truncation
-is the quotient by it.
+is the quotient by it.  One enumeration, ``_differential_terms``, lists its
+two families of terms and their signs.  ``cochain_differential`` multiplies
+each term out; a column of the rank count, the differential of one
+elementary cochain, reads its terms off a structure index holding each
+structure map value times the unit, a product formed once per entry, and
+gets its parity from the enumeration of the basis.
 
 Either way the truncated homology depends on the window N.  What gets
 reported is the part stable under moving the window: the rank of the map
@@ -66,12 +71,8 @@ def word_letter_parities(cat, word):
 
 
 def word_parity(cat, word) -> int:
-    """|x0| + |x1|' + ... + |xs|' mod 2."""
-    ps = word_letter_parities(cat, word)
-    total = ps[0]
-    for p in ps[1:]:
-        total += reduced(p)
-    return total & 1
+    """|x0| + |x1|' + ... + |xs|' mod 2, i.e. 1 + the last prefix sum."""
+    return (_word_prefixes(cat, word)[-1] + 1) & 1
 
 
 def validate_word(cat, word):
@@ -160,11 +161,7 @@ class HCochain:
         if len(args) > self.max_length:
             self.truncated = True
             return
-        key = (tuple(chain), tuple(args))
-        row = self.table.setdefault(key, {})
-        _acc(row, out, coeff)
-        if not row:
-            del self.table[key]
+        _table_add(self.table, (tuple(chain), tuple(args)), out, coeff)
 
     def entry(self, chain, args) -> dict:
         return self.table.get((tuple(chain), tuple(args)), {})
@@ -244,6 +241,14 @@ class HCochain:
         return self
 
 
+def _table_add(table, key, out, coeff):
+    """table[key][out] += coeff, in place, dropping a row that cancels."""
+    row = table.setdefault(key, {})
+    _acc(row, out, coeff)
+    if not row:
+        del table[key]
+
+
 def cochain_from_vector(cat, parity, max_length, vec: dict) -> HCochain:
     phi = HCochain(cat, parity, max_length)
     for (chain, args, out), c in vec.items():
@@ -286,18 +291,29 @@ def _elementary_parity(cat, chain, args, out) -> int:
     return psum & 1
 
 
-def iter_elementaries(cat, max_length, parity=None):
-    """Elementary cochains (chain, args, out) up to the length bound."""
+def _elementaries(cat, max_length):
+    """Elementary cochains (chain, args, out) up to the length bound, each
+    with its parity; the arguments' share is summed once for all outputs."""
     for s in range(max_length + 1):
         for chain in cat.chains(s):
             target = cat.hom_space(chain[0], chain[-1])
             if target.dim == 0:
                 continue
+            spaces = [cat.hom_space(chain[k], chain[k + 1]) for k in range(s)]
+            outs = list(zip(target.labels, target.parities))
             for args in cat.basis_tuples(chain):
-                for out in target.labels:
-                    if parity is None or \
-                            _elementary_parity(cat, chain, args, out) == parity:
-                        yield (chain, args, out)
+                psum = s
+                for sp, a in zip(spaces, args):
+                    psum += sp.parity(a)
+                for out, p in outs:
+                    yield (chain, args, out), (psum + p) & 1
+
+
+def iter_elementaries(cat, max_length, parity=None):
+    """Elementary cochains (chain, args, out) up to the length bound."""
+    for elem, p in _elementaries(cat, max_length):
+        if parity is None or p == parity:
+            yield elem
 
 
 def elementary_cochain(cat, elem, max_length) -> HCochain:
@@ -328,98 +344,133 @@ def _cochain_index(phi: HCochain):
     return index
 
 
-def _op_index(cat):
-    """Structure map entries regrouped the same way; curvature excluded."""
-    index = {}
-    for chainM, mop in cat.ops.items():
-        if len(chainM) == 1:
-            continue
-        for argsM, outs in mop.table.items():
-            for o, v in outs.items():
-                index.setdefault((chainM[0], chainM[-1], o), []).append(
-                    (chainM, argsM, v))
-    return index
-
-
-def _structure_index(cat):
-    """The structure maps indexed for ``cochain_differential``.
+def _structure_index(cat, unit=None):
+    """The structure maps indexed for ``_differential_terms``.
 
     Returns ``(slots, ops)``: ``slots`` maps (X_i, X_{i+1}, label of slot i)
     to every structure map entry taking that letter in slot i, as (chain,
-    args, i, reduced prefix before slot i, outputs); ``ops`` is
-    ``_op_index``.  Curvature is excluded from both.
+    args, i, reduced prefix before slot i, outputs); ``ops`` maps (first
+    object, last object, output label) to every entry with that output, as
+    (chain, args, value).  Curvature is excluded from both.  Given a
+    ``unit``, each value v is stored as the product unit * v, formed once
+    per entry, and products that vanish are left out.
     """
-    slots = {}
+    slots, ops = {}, {}
     for chainM, mop in cat.ops.items():
         a = len(chainM) - 1
         if a == 0:
             continue
         for argsM, outsM in mop.table.items():
+            if unit is not None:
+                outsM = {o: u for o, v in outsM.items()
+                         if not (u := unit * v).is_zero()}
             pref = _arg_reduced_prefix(cat, chainM, argsM)
             for i in range(a):
                 slots.setdefault((chainM[i], chainM[i + 1], argsM[i]),
                                  []).append((chainM, argsM, i, pref[i], outsM))
-    return slots, _op_index(cat)
+            for o, v in outsM.items():
+                ops.setdefault((chainM[0], chainM[-1], o), []).append(
+                    (chainM, argsM, v))
+    return slots, ops
 
 
-def cochain_differential(phi: HCochain, index=None) -> HCochain:
-    """The Hochschild differential of a cochain.
+def _differential_terms(cat, table, parity, top, index):
+    """The terms of the Hochschild differential of the cochain ``table``.
 
     Two families of terms: the cochain inserted as an argument of a
     structure map, signed by its reduced degree times the reduced prefix of
     the assembled word, and a structure map inserted as an argument of the
-    cochain, signed by the full degree plus the reduced prefix.  Terms
-    longer than ``phi.max_length`` are never formed; skipping one sets
-    ``truncated``.  ``index`` is ``_structure_index(phi.cat)``, built here
-    when not given.
+    cochain, signed by the full degree plus the reduced prefix.  Yields
+    (chain, args, sgn, x, vec) for the term adding sgn * x * y at each
+    output (o, y) of ``vec``: x is the cochain's coefficient and vec the
+    structure map's outputs in the first family, x the structure map's
+    value and vec the cochain's outputs in the second.  Terms longer than
+    ``top`` are never formed; the first one skipped yields None.
     """
-    cat = phi.cat
-    _require_flat(cat)
-    top = phi.max_length
-    out = HCochain(cat, phi.parity + 1, top, truncated=phi.truncated)
-    rphi = reduced(phi.parity)
-    slots, ops = _structure_index(cat) if index is None else index
-
-    for (chainP, argsP), outsP in phi.table.items():
+    rphi = reduced(parity)
+    slots, ops = index
+    dropped = False
+    for (chainP, argsP), outsP in table.items():
         s = len(argsP)
         for o, c in outsP.items():
             for chainM, argsM, i, pre, outsM in slots.get(
                     (chainP[0], chainP[-1], o), ()):
                 if len(argsM) + s - 1 > top:
-                    out.truncated = True
+                    if not dropped:
+                        dropped = True
+                        yield None
                     continue
-                sgn = sign_of(rphi * pre)
-                new_chain = chainM[:i + 1] + chainP[1:] + chainM[i + 2:]
-                new_args = argsM[:i] + argsP + argsM[i + 1:]
-                for o2, v in outsM.items():
-                    out.add(new_chain, new_args, o2, _signed(c * v, sgn))
+                yield (chainM[:i + 1] + chainP[1:] + chainM[i + 2:],
+                       argsM[:i] + argsP + argsM[i + 1:],
+                       sign_of(rphi * pre), c, outsM)
 
-    for (chainP, argsP), outsP in phi.table.items():
+    for (chainP, argsP), outsP in table.items():
         pref = _arg_reduced_prefix(cat, chainP, argsP)
         s = len(argsP)
         for i in range(s):
             hits = ops.get((chainP[i], chainP[i + 1], argsP[i]))
             if not hits:
                 continue
-            sgn = sign_of(phi.parity + pref[i])
+            sgn = sign_of(parity + pref[i])
             for chainM, argsM, v in hits:
                 if len(argsM) + s - 1 > top:
-                    out.truncated = True
+                    if not dropped:
+                        dropped = True
+                        yield None
                     continue
-                new_chain = chainP[:i + 1] + chainM[1:] + chainP[i + 2:]
-                new_args = argsP[:i] + argsM + argsP[i + 1:]
-                for o, w in outsP.items():
-                    out.add(new_chain, new_args, o, _signed(v * w, sgn))
+                yield (chainP[:i + 1] + chainM[1:] + chainP[i + 2:],
+                       argsP[:i] + argsM + argsP[i + 1:], sgn, v, outsP)
+
+
+def cochain_differential(phi: HCochain, index=None) -> HCochain:
+    """The Hochschild differential of a cochain, term by term as
+    ``_differential_terms`` lists them.
+
+    Terms longer than ``phi.max_length`` are never formed; skipping one
+    sets ``truncated``.  ``index`` is ``_structure_index(phi.cat)``, built
+    here when not given.
+    """
+    cat = phi.cat
+    _require_flat(cat)
+    out = HCochain(cat, phi.parity + 1, phi.max_length,
+                   truncated=phi.truncated)
+    if index is None:
+        index = _structure_index(cat)
+    for term in _differential_terms(cat, phi.table, phi.parity,
+                                    phi.max_length, index):
+        if term is None:
+            out.truncated = True
+            continue
+        chain, args, sgn, x, vec = term
+        for o, y in vec.items():
+            out.add(chain, args, o, _signed(x * y, sgn))
     return out
 
 
 def _elementary_columns(cat, elems, max_length):
     """Differential of each elementary cochain in the ``max_length`` window,
-    as a vector, with one structure index for all of them."""
-    index = _structure_index(cat)
-    return [cochain_differential(elementary_cochain(cat, f, max_length),
-                                 index).as_vector()
-            for f in elems]
+    as a vector; ``elems`` lists (elementary, parity) pairs.
+
+    The terms are ``cochain_differential``'s.  An elementary's coefficient
+    is the unit, so its terms are the unit products the structure index
+    holds: each is formed once per structure map entry, not once per term.
+    """
+    _require_flat(cat)
+    index = _structure_index(cat, NovikovScalar.one(cat.field, cat.cutoff))
+    cols = []
+    for (chain, args, out), parity in elems:
+        # None stands for the unit coefficient of the one entry
+        table = {}
+        for term in _differential_terms(cat, {(chain, args): {out: None}},
+                                        parity, max_length, index):
+            if term is not None:
+                new_chain, new_args, sgn, x, vec = term
+                for o, y in vec.items():
+                    _table_add(table, (new_chain, new_args), o,
+                               _signed(x if y is None else y, sgn))
+        cols.append({(c, a, o): v for (c, a), outs in table.items()
+                     for o, v in outs.items()})
+    return cols
 
 
 def cochain_m2(phi: HCochain, psi: HCochain) -> HCochain:
@@ -478,12 +529,14 @@ def cup(phi: HCochain, psi: HCochain) -> HCochain:
 
 # -- chain differential ----------------------------------------------------
 
-def b_word(cat, word) -> dict:
-    """Boundary of a single basis word, as a chain."""
+def b_word(cat, word, pre=None) -> dict:
+    """Boundary of a single basis word, as a chain; ``pre`` is
+    ``_word_prefixes(cat, word)`` when the caller holds it."""
     objects, labels = word
     n = len(objects)
     s = n - 1
-    pre = _word_prefixes(cat, word)
+    if pre is None:
+        pre = _word_prefixes(cat, word)
     total = pre[n]
     arities = cat.arities()
     out: dict = {}
@@ -697,13 +750,16 @@ def _columns(cat, top, side):
     cols = {}
     if side == "chains":
         for w in words_up_to(cat, top):
-            basis[word_parity(cat, w)].append(w)
-            cols[w] = b_word(cat, w)
+            # word_parity, read off the prefixes b_word needs
+            pre = _word_prefixes(cat, w)
+            basis[(pre[-1] + 1) & 1].append(w)
+            cols[w] = b_word(cat, w, pre)
     else:
-        for p in (0, 1):
-            basis[p] = list(iter_elementaries(cat, top, p))
-        elems = basis[0] + basis[1]
-        cols = dict(zip(elems, _elementary_columns(cat, elems, top)))
+        for f, p in _elementaries(cat, top):
+            basis[p].append(f)
+        elems = [(f, p) for p in (0, 1) for f in basis[p]]
+        cols = dict(zip(basis[0] + basis[1],
+                        _elementary_columns(cat, elems, top)))
     return basis, cols
 
 
@@ -894,7 +950,8 @@ def raise_length(phi: HCochain, target_length: int):
         target = cur - cup(cur, cur)
         if elems is None:
             elems = list(iter_elementaries(cat, budget, odd))
-            cols = _elementary_columns(cat, elems, budget)
+            cols = _elementary_columns(cat, [(f, odd) for f in elems],
+                                       budget)
         sol = solve_combination(cols, target.as_vector(),
                                 cat.field, cat.cutoff)
         if sol is None:

@@ -8,7 +8,9 @@ stable under refining the truncation.
 
 One engine, ``Eliminator``, does every rank, kernel, quotient and square
 solve of the package; ``inverse`` adds the precision check that a square
-solve needs before it calls a matrix invertible.
+solve needs before it calls a matrix invertible.  A pivot row stores its
+pivot entry as exactly 1, so neither normalizing a row nor reducing by it
+ever forms that entry's product: the result is known to cancel.
 
 Rows are sparse dicts ``{column key: NovikovScalar}``.  Column keys are
 arbitrary hashable objects; keys eligible as pivots must be mutually
@@ -63,7 +65,9 @@ class Eliminator:
 
     Pivot rows are normalized (pivot coefficient 1) and each contains no
     pivot key installed before it, so reducing a fresh row is a single
-    worklist pass in installation order.
+    worklist pass in installation order.  Applying a pivot row skips its
+    pivot key, whose term would cancel the row's entry exactly; the entry
+    is dropped instead.
     """
 
     def __init__(self):
@@ -94,9 +98,12 @@ class Eliminator:
             if c is None or not c.lterms:
                 row.pop(key, None)
                 continue
-            # subtract c * piv: negate once per pivot row, add per entry
+            # subtract c * piv: negate once per pivot row, add per entry;
+            # the pivot's own entry is 1, so its term would cancel c exactly
             c = -c
             for k, x in rows[i].items():
+                if k is key:
+                    continue
                 y = c * x
                 cur = row.get(k)
                 s = y if cur is None else cur + y
@@ -130,12 +137,15 @@ class Eliminator:
             return None, res
         val, key = best
         inv = res[key].invert()
+        one = NovikovScalar.one(inv.field, inv.cutoff)
         normalized = {}
         for k, v in res.items():
+            if k is key:
+                normalized[k] = one
+                continue
             y = inv * v
             if not y.is_zero():
                 normalized[k] = y
-        normalized[key] = NovikovScalar.one(inv.field, inv.cutoff)
         idx = len(self.rows)
         self.rows.append(normalized)
         self.pivot_keys.append(key)

@@ -928,15 +928,19 @@ def _rescaled(x, m, f):
 # a trailing "+ O(T^c)" at the root names the cutoff c.  Python also admits
 # line breaks, "**", 1_000, .5, 5., 1e+5, O(T) and parentheses around the
 # whole literal.  Anything else (0x10, 2j, T^1.5, other names, comments)
-# raises FixtureError, as do more than 200 nested parentheses and more than
+# raises FixtureError, as do more than 200 nested parentheses, more than
 # _MAX_SIGNS = 2,000 signs + and - (a sum of 2,000 terms with its order
-# term has 2,000).  ast.parse reads a sum only to a depth that shrinks with
-# the caller's stack, about 3,000 terms at recursion limit 1,000 and three
-# fewer per frame; the sign bound, checked before parsing, still reads 200
-# frames deep, so the accepted literals do not depend on the caller.
+# term has 2,000) and more than _MAX_PRODUCTS = 100 operators * and / on
+# one path down the tree (a format_scalar term has at most 4).  ast.parse
+# reads a chain of operators only to a depth that shrinks with the caller's
+# stack, about 3,000 at recursion limit 1,000 and three fewer per frame; a
+# path meets at most 2,000 signs and 100 products, so with both bounds
+# checked before parsing every accepted literal still reads 200 frames
+# deep, and the accepted literals do not depend on the caller.
 # --------------------------------------------------------------------------
 
 _MAX_SIGNS = 2_000
+_MAX_PRODUCTS = 100
 _SQRT_RE = re.compile(r"s(-?\d+)")
 _SIGNS = {ast.UAdd: 1, ast.USub: -1}
 _ARITHMETIC = {ast.Add: NovikovScalar.__add__, ast.Sub: NovikovScalar.__sub__,
@@ -960,6 +964,9 @@ def parse_scalar(text: str, field, cutoff) -> NovikovScalar:
         if src.count("+") + src.count("-") > _MAX_SIGNS:
             raise FixtureError(f"scalar literal with more than {_MAX_SIGNS} "
                                "signs + and -")
+        if _path_products(src) > _MAX_PRODUCTS:
+            raise FixtureError(f"scalar literal with more than {_MAX_PRODUCTS}"
+                               " operators * and / on one path")
         root = ast.parse(src, mode="eval").body
         order = None
         if type(root) is ast.BinOp and type(root.op) is ast.Add and (
@@ -981,6 +988,33 @@ def parse_scalar(text: str, field, cutoff) -> NovikovScalar:
     except (SyntaxError, ValueError, RecursionError) as exc:
         raise FixtureError(f"bad scalar literal {text!r}: {exc}") from exc
     return NovikovScalar.make(field, order, value.terms)
+
+
+def _path_products(src) -> int:
+    """Most operators * and / that one path down the tree of ``src`` meets.
+
+    A term counts its own * and / plus the most that any parenthesized group
+    inside it counts.  A sign after an operand (a digit, T, a point or a
+    closing parenthesis) starts a new term; any other sign is unary, and **
+    is a power.
+    """
+    # per open group: [own count, deepest group] of its current term, and
+    # its deepest finished term
+    stack, prev = [[0, 0, 0]], ""
+    for ch in src.replace("**", "^").replace(" ", ""):
+        if ch == "(":
+            stack.append([0, 0, 0])
+        elif ch == ")" and len(stack) > 1:
+            own, inner, most = stack.pop()
+            stack[-1][1] = max(stack[-1][1], most, own + inner)
+        elif ch in "*/":
+            stack[-1][0] += 1
+        elif ch in "+-" and (prev.isdigit() or prev in ("T", ".", ")")):
+            group = stack[-1]
+            group[:] = [0, 0, max(group[2], group[0] + group[1])]
+        prev = ch
+    own, inner, most = stack[0]
+    return max(most, own + inner)
 
 
 def _value(src, node, field, cutoff) -> NovikovScalar:

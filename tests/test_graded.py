@@ -55,6 +55,20 @@ def test_space_validation():
         sp.parity("c")
 
 
+@pytest.mark.parametrize("label", ["c", ("a",), 0, None, ["a"], {"a": 1}],
+                         ids=["unknown", "tuple", "int", "none", "list",
+                              "dict"])
+def test_parity_of_a_label_outside_the_basis_raises(label):
+    # unknown labels, hashable or not, never reach the caller as KeyError
+    # or TypeError
+    sp = GradedSpace(("a", "b"), (0, 1))
+    with pytest.raises(StructureError, match="unknown basis label"):
+        sp.parity(label)
+    assert [sp.parity(x) for x in sp.labels] == [0, 1]
+    assert sp == GradedSpace(("a", "b"), (0, 1))
+    assert hash(sp) == hash(GradedSpace(("a", "b"), (0, 1)))
+
+
 def test_vector_helpers():
     v = {"a": sc("2"), "b": sc("T")}
     w = {"a": sc("-2")}

@@ -1,3 +1,4 @@
+import heapq
 import random
 from fractions import Fraction
 
@@ -447,3 +448,110 @@ def test_seeded_quotient_matches_unblocked(seed, t_adic):
     assert sorted(v for el in elims for v in el.pivot_valuations) == \
         sorted(touched + own)
     assert seeded_quotient(nums[-1:], blocks)[0] == []
+
+
+# -- Eliminator against the loop that multiplies out each pivot entry -----
+
+class SelfProductEliminator(Eliminator):
+    """Elimination that forms every pivot entry's product: applying a pivot
+    row multiplies and adds its unit entry, which cancels the row's entry,
+    and normalizing forms inv * pivot before overwriting it with one."""
+
+    def reduce(self, row):
+        row = {k: v for k, v in row.items() if v.lterms}
+        pend = [self.pivot_index[k] for k in row if k in self.pivot_index]
+        heapq.heapify(pend)
+        done = set()
+        while pend:
+            i = heapq.heappop(pend)
+            if i in done:
+                continue
+            done.add(i)
+            key = self.pivot_keys[i]
+            c = row.get(key)
+            if c is None or not c.lterms:
+                row.pop(key, None)
+                continue
+            c = -c
+            for k, x in self.rows[i].items():
+                y = c * x
+                s = y if k not in row else row[k] + y
+                if s.lterms:
+                    row[k] = s
+                else:
+                    row.pop(k, None)
+                j = self.pivot_index.get(k)
+                if j is not None and j > i and j not in done:
+                    heapq.heappush(pend, j)
+            row.pop(key, None)
+        return row
+
+    def insert(self, row):
+        res = self.reduce(row)
+        cands = [(v.valuation(), k) for k, v in res.items()
+                 if not isinstance(k, AugKey)]
+        if not cands:
+            return None, res
+        val, key = min(cands)
+        inv = res[key].invert()
+        normalized = {}
+        for k, v in res.items():
+            y = inv * v
+            if not y.is_zero():
+                normalized[k] = y
+        normalized[key] = NovikovScalar.one(inv.field, inv.cutoff)
+        self.rows.append(normalized)
+        self.pivot_keys.append(key)
+        self.pivot_valuations.append(val)
+        self.pivot_index[key] = len(self.rows) - 1
+        return key, res
+
+
+def random_t_adic_entry(rng):
+    """A sparse T-adic scalar at one of several cutoffs; about one in six
+    is zero only to its cutoff, its one term sitting at or above it."""
+    cutoff = rng.choice([E, E - 1, 5, 3])
+    if rng.random() < 0.17:
+        return NovikovScalar.make(Q, cutoff, [(cutoff + rng.randint(0, 2), 1)])
+    pairs = [(Fraction(rng.randint(0, 6), rng.choice([1, 2])),
+              Fraction(rng.randint(-3, 3), rng.choice([1, 1, 2, 3])))
+             for _ in range(rng.randint(1, 3))]
+    return NovikovScalar.make(Q, cutoff, pairs)
+
+
+def random_aug_rows(rng, count):
+    """Rows over six pivot columns and two ``AugKey`` columns; later rows
+    are often combinations of earlier ones."""
+    keys = [f"c{j}" for j in range(6)] + [AugKey(0), AugKey(1)]
+    rows = []
+    for _ in range(count):
+        if len(rows) >= 2 and rng.random() < 0.35:
+            row = {}
+            for other in rng.sample(rows, 2):
+                c = random_t_adic_entry(rng)
+                for k, x in other.items():
+                    row[k] = row[k] + c * x if k in row else c * x
+        else:
+            row = {k: random_t_adic_entry(rng) for k in rng.sample(
+                keys, rng.randint(1, 4))}
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_eliminator_matches_loop_forming_pivot_self_products(seed):
+    # skipping the pivot's own entry changes no pivot, valuation, stored
+    # row or residual: not its keys, texts, cutoffs nor their order
+    rng = random.Random(300 + seed)
+    rows = random_aug_rows(rng, 14)
+    got, want = Eliminator(), SelfProductEliminator()
+    for row in rows:
+        (gk, gres), (wk, wres) = got.insert(dict(row)), want.insert(dict(row))
+        assert gk == wk
+        assert texts(gres) == texts(wres)
+    assert got.pivot_keys == want.pivot_keys
+    assert got.pivot_valuations == want.pivot_valuations
+    assert [texts(r) for r in got.rows] == [texts(r) for r in want.rows]
+    for row in random_aug_rows(rng, 4):
+        assert texts(got.reduce(dict(row))) == texts(want.reduce(dict(row)))
+    assert got.rank >= 2

@@ -790,6 +790,26 @@ def test_literal_sign_bound_does_not_depend_on_the_stack():
             at_depth(depth, lambda: parse_scalar(over_text, Q, 2001))
 
 
+@pytest.mark.parametrize("shape,value", [
+    (lambda n: "*".join(["1"] * (n + 1)), 1),
+    (lambda n: "/".join(["2"] * (n + 1)), Fraction(1, 2 ** 99)),
+    (lambda n: "2*(" * n + "1" + ")" * n, 2 ** 100),
+    (lambda n: "*".join(["1"] * (n + 1)) + " + 1" * 2000, 2001),
+    (lambda n: "*".join(["1"] * (n // 2)) + "*(1 + 1" + "/1" * (n - n // 2)
+     + ")", 2),
+], ids=["products", "quotients", "nested", "products-then-2000-signs",
+        "products-into-a-group"])
+def test_literal_product_bound_does_not_depend_on_the_stack(shape, value):
+    # the longest accepted literal of each shape chains 100 operators * and
+    # / on one path; it still reads 200 frames deep, after the longest sum
+    text, over_text = shape(100), shape(101)
+    for depth in (0, 200):
+        read = at_depth(depth, lambda: parse_scalar(text, Q, 2000))
+        assert typed(read) == typed(NovikovScalar.constant(Q, 2000, value))
+        with pytest.raises(FixtureError, match="more than 100 operators"):
+            at_depth(depth, lambda: parse_scalar(over_text, Q, 2000))
+
+
 @pytest.mark.parametrize("text", [
     " + ".join(["T"] * 50_000), "(" * 300 + "1" + ")" * 300,
     "0x10", "2j", "T^1.5", "1 # + T", "\N{MATHEMATICAL BOLD CAPITAL T}",
