@@ -108,6 +108,14 @@ def _acc(vec: dict, key, scalar):
         vec[key] = cur
 
 
+def _table_add(table: dict, key, out, scalar):
+    """table[key][out] += scalar, in place, dropping a row that cancels."""
+    row = table.setdefault(key, {})
+    _acc(row, out, scalar)
+    if not row:
+        del table[key]
+
+
 def vadd(a: dict, b: dict) -> dict:
     out = dict(a)
     for k, v in b.items():
@@ -174,11 +182,7 @@ class MultilinearMap:
         return len(self.sources)
 
     def add_entry(self, args, out, scalar) -> None:
-        args = tuple(args)
-        row = self.table.setdefault(args, {})
-        _acc(row, out, scalar)
-        if not row:
-            del self.table[args]
+        _table_add(self.table, tuple(args), out, scalar)
 
     def apply(self, args) -> dict:
         return dict(self.table.get(tuple(args), {}))

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 from .ainfinity import AInfCategory, subcategory
 from .errors import InsufficientCutoff, NotStabilized, StructureError
-from .graded import _acc, _signed, reduced, sign_of, vadd
+from .graded import _acc, _signed, _table_add, reduced, sign_of, vadd
 from .linalg import (
     blocked_rank,
     kernel_coefficients,
@@ -239,14 +239,6 @@ class HCochain:
                     raise StructureError(
                         f"entry {chain!r} / {args!r} -> {o!r} breaks parity")
         return self
-
-
-def _table_add(table, key, out, coeff):
-    """table[key][out] += coeff, in place, dropping a row that cancels."""
-    row = table.setdefault(key, {})
-    _acc(row, out, coeff)
-    if not row:
-        del table[key]
 
 
 def cochain_from_vector(cat, parity, max_length, vec: dict) -> HCochain:

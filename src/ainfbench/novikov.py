@@ -266,12 +266,6 @@ class QuadExt:
     def __bool__(self):
         return self.p != 0 or self.q != 0
 
-    def __complex__(self):
-        a, b = self.p / self.n, self.q / self.n
-        if self.d >= 0:
-            return complex(a + b * math.sqrt(self.d))
-        return complex(a, b * math.sqrt(-self.d))
-
     def __repr__(self):
         return f"QuadExt({self.a}, {self.b}, d={self.d})"
 

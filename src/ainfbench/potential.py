@@ -6,10 +6,11 @@ field are found the way one solves such systems by hand: read candidate
 valuation vectors off the balancing condition of the Newton polytopes,
 solve the leading-order system exactly over the coefficient field, then
 lift T-adically by Newton iteration.  Roots are read off the squarefree
-radical of each eliminant: factors of degree 1 or 2 are solved by the
-formula, and floating point only steers the splitting of a radical of
-degree >= 3, as a bounded Weierstrass (Durand-Kerner) iteration in plain
-``complex`` whose proposed factors are accepted by exact division.
+radical of each eliminant, in exact arithmetic only: while its degree is
+>= 3 it is split by a rational factor of degree 1 or 2, found among the
+finitely many candidates that Gauss's lemma leaves (the rational-root
+theorem, and Kronecker's method for quadratics), and every factor is
+solved by the formula.  A radical with no such factor is not recognized.
 Quadratic irrationalities trigger an automatic base change to the
 matching quadratic field.
 
@@ -52,6 +53,7 @@ from .novikov import (
     NovikovScalar,
     QuadraticField,
     Rationals,
+    _RATIONALS,
     _exact,
     _integer,
     _lowest,
@@ -438,10 +440,6 @@ class _Poly:
             acc = acc * x + c
         return acc
 
-    def embed(self):
-        """Coefficients as complex numbers, constant term first."""
-        return [complex(c) for c in self.coeffs]
-
     def __repr__(self):
         return f"<poly deg {self.degree}>"
 
@@ -487,51 +485,6 @@ def _sqrt_or_extend(field, disc):
     )
 
 
-_ROOT_SWEEPS = 500
-# distinct roots settle at rounding noise, up to about 1e-15 * rad; a
-# repeated root stalls near 1e-7 * rad
-_ROOT_TOL = 1e-12
-
-
-def _numeric_roots(p: _Poly):
-    """Complex roots of p by Weierstrass (Durand-Kerner) iteration.
-
-    Root k of the monic p starts at rad*(0.4 + 0.9i)^k, rad bounding every
-    root; a sweep moves each root z by p(z)/prod(z - w) over the others.
-    A repeated root never meets the tolerance and ends at the sweep cap.
-    """
-    coeffs = p.embed()       # constant first
-    lead = coeffs[-1]
-    coeffs = [c / lead for c in coeffs]
-    rad = 1 + max(abs(c) for c in coeffs[:-1])
-    rts = [rad * (0.4 + 0.9j) ** k for k in range(len(coeffs) - 1)]
-    for _ in range(_ROOT_SWEEPS):
-        step = 0.0
-        for i, z in enumerate(rts):
-            val = 0j
-            for c in reversed(coeffs):
-                val = val * z + c
-            delta = val / math.prod(z - w for j, w in enumerate(rts) if j != i)
-            rts[i] = z - delta
-            step = max(step, abs(delta))
-        if step < _ROOT_TOL * rad:
-            rts.sort(key=lambda z: (round(z.real, 9), round(z.imag, 9)))
-            return rts
-    raise NotRepresentable(
-        f"root iteration did not converge in {_ROOT_SWEEPS} sweeps "
-        f"(degree {p.degree})"
-    )
-
-
-def _rational_candidates(x: float):
-    out = []
-    for dens in (10**4, 10**8, 10**12):
-        f = Fraction(x).limit_denominator(dens)
-        if f not in out:
-            out.append(f)
-    return out
-
-
 def _multiplicity(p: _Poly, root):
     """How many times x - root divides p."""
     lin = _Poly(p.field, [-root, p.field.one])
@@ -554,38 +507,52 @@ def _formula_roots(p: _Poly):
     return [(-b + s) * half, (-b - s) * half]
 
 
-def _split_factor(p: _Poly, numeric):
-    """(factor, p / factor) for a monic factor of degree 1 or 2 of p.
+def _divisors(n: int):
+    """The positive divisors of a nonzero int, by trial division."""
+    n = abs(n)
+    small = [k for k in range(1, math.isqrt(n) + 1) if n % k == 0]
+    return small + [n // k for k in reversed(small) if k * k != n]
 
-    p is squarefree and monic.  The Weierstrass roots ``numeric`` of p
-    propose a rational root first, then a rational quadratic from a pair
-    of them; a factor is accepted only once exact division confirms it,
-    and the roots it accounts for leave ``numeric``.
+
+def _split_factor(p: _Poly):
+    """(factor, p / factor) for a monic rational factor of degree 1 or 2.
+
+    p is squarefree and monic.  Its factors over Q are those of R = p over
+    Q, the gcd over Q of the polynomial of the rational parts of p's
+    coefficients and that of their sqrt(d) parts, cleared to a primitive
+    integer polynomial.  By Gauss's lemma a factor of R of degree 1 or 2
+    is an integer polynomial whose leading coefficient divides lead(R),
+    whose constant term divides R(0) and whose value at 1 divides R(1).
+    So the roots s/t with s | R(0) and t | lead(R) are tried first, then
+    the quadratics a*x^2 + b*x + c with a | lead(R), c | R(0) and
+    a + b + c | R(1); the first candidate that divides R exactly is split
+    off.  When R(0) = 0 the factor is x.
     """
     field = p.field
-    for k, z in enumerate(numeric):
-        if abs(z.imag) > 1e-7 * (1 + abs(z)):
-            continue
-        for cand in _rational_candidates(z.real):
-            c = field.coerce(cand)
-            if field.is_zero(p.eval(c)):
-                del numeric[k]
-                lin = _Poly(field, [-c, field.one])
-                return lin, p.divmod(lin)[0]
-    for i, j in itertools.combinations(range(len(numeric)), 2):
-        s, m = numeric[i] + numeric[j], numeric[i] * numeric[j]
-        if abs(s.imag) > 1e-6 * (1 + abs(s)):
-            continue
-        if abs(m.imag) > 1e-6 * (1 + abs(m)):
-            continue
-        for sc, mc in itertools.product(
-            _rational_candidates(s.real), _rational_candidates(m.real)
-        ):
-            quad = _Poly(field, [field.coerce(mc), -field.coerce(sc), field.one])
-            q, r = p.divmod(quad)
-            if r.is_zero():
-                del numeric[j], numeric[i]
-                return quad, q
+    if isinstance(field, Rationals):
+        rat = p
+    else:
+        rat = _poly_gcd(_Poly(_RATIONALS, [c.a for c in p.coeffs]),
+                        _Poly(_RATIONALS, [c.b for c in p.coeffs]))
+    # rat is monic, so over the lcm of its denominators it is primitive
+    den = math.lcm(*(c.denominator for c in rat.coeffs))
+    r = [c.numerator * (den // c.denominator) for c in rat.coeffs]
+    lead, r0, r1 = r[-1], r[0], sum(r)
+    if not r0:
+        cands = [[0, 1]]
+    else:
+        cands = itertools.chain(
+            ([-s, t] for t in _divisors(lead)
+             for e in _divisors(r0) for s in (e, -e)),
+            ([c, v - a - c, a] for a in _divisors(lead)
+             for e in _divisors(r0) for c in (e, -e)
+             for f in _divisors(r1) for v in (f, -f)),
+        )
+    for cand in cands:
+        cand = _Poly(_RATIONALS, cand)
+        if rat.divmod(cand)[1].is_zero():
+            factor = _in_field(cand.monic(), field)
+            return factor, p.divmod(factor)[0]
     raise NotRepresentable(
         f"a degree-{p.degree} factor of the leading system has roots "
         f"not recognized over {field!r}"
@@ -595,21 +562,22 @@ def _split_factor(p: _Poly, numeric):
 def _exact_roots(p: _Poly):
     """All roots of p in the coefficient field, with multiplicities.
 
-    One path for every degree: with g = gcd(p, p'), only the monic radical
-    p/g is solved.  While it has degree >= 3, ``_split_factor`` splits off
-    a factor of degree 1 or 2; each factor, and what is left, is solved by
-    the formula.  A root r has multiplicity 1 + its multiplicity in g.
-    Raises _ExtensionNeeded over the rationals when a root generates a
-    quadratic extension, and NotRepresentable when recognition fails.
-    Roots come sorted by ``field.format``.
+    One exact path for every degree: with g = gcd(p, p'), only the monic
+    radical p/g is solved.  While it has degree >= 3, ``_split_factor``
+    splits off a rational factor of degree 1 or 2; each factor, and what
+    is left, is solved by the formula.  A root r has multiplicity 1 + its
+    multiplicity in g.  Raises _ExtensionNeeded over the rationals when a
+    root generates a quadratic extension, and NotRepresentable when a
+    root lies outside the field or the radical has degree >= 3 and no
+    rational factor of degree 1 or 2.  Roots come sorted by
+    ``field.format``.
     """
     field = p.field
     g = _poly_gcd(p, p.derivative())
     work = p.divmod(g)[0].monic()
-    numeric = _numeric_roots(work) if work.degree >= 3 else []
     roots = []
     while work.degree >= 3:
-        factor, work = _split_factor(work, numeric)
+        factor, work = _split_factor(work)
         roots += _formula_roots(factor)
     roots += _formula_roots(work)
     out = [(r, 1 + _multiplicity(g, r)) for r in roots]

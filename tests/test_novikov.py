@@ -505,8 +505,6 @@ def test_quadext_negative_d():
     zeta = (QuadExt(Fraction(-1), Fraction(1), -3)) / 2  # primitive cube root
     assert zeta * zeta * zeta == 1
     assert zeta * zeta + zeta + 1 == 0
-    z = complex(zeta)
-    assert abs(z - complex(-0.5, math.sqrt(3) / 2)) < 1e-12
 
 
 def test_quadraticfield_rejects_bad_d():

@@ -645,25 +645,31 @@ def test_two_square_roots_are_not_representable():
         (1, (-1,), 1), (5, (-3,), Fraction(-2, 3))])
     with pytest.raises(NotRepresentable, match="no tower"):
         critical_points(w, 6)
+    # y dW/dy = y^2 - 4/y^2: the eliminant y^4 - 4 = (y^2 - 2)(y^2 + 2)
+    # needs sqrt(2) and sqrt(-2), whichever factor splits first
+    w = NovikovLaurentPolynomial.make(Rationals(), 1, [
+        (0, (2,), Fraction(1, 2)), (0, (-2,), 2)])
+    with pytest.raises(NotRepresentable, match="no tower"):
+        critical_points(w, 4)
 
 
-def test_numeric_roots_are_bounded():
-    # (x - 1)^3 is not squarefree: the Weierstrass steps never meet the
-    # tolerance, and the sweep cap turns that into a named error
-    cube = potential._Poly(Rationals(), [-1, 3, -3, 1])
-    with pytest.raises(NotRepresentable, match="did not converge"):
-        potential._numeric_roots(cube)
-    roots = potential._numeric_roots(potential._Poly(Rationals(), [-6, 11, -6, 1]))
-    assert len(roots) == 3
-    assert all(abs(z - k) < 1e-12 for z, k in zip(roots, (1, 2, 3)))
-
-
-def test_numeric_roots_stop_at_rounding_noise():
-    # (x + 7/2)(x + 7/3)(x + 8/3): the steps settle at 1e-15 * rad, not below
+def test_exact_roots_split_rational_cubics():
+    # (x - 1)(x - 2)(x - 3) and (x + 7/2)(x + 7/3)(x + 8/3)
+    p = potential._Poly(Rationals(), [-6, 11, -6, 1])
+    assert potential._exact_roots(p) == [(1, 1), (2, 1), (3, 1)]
     p = potential._Poly(Rationals(), [Fraction(196, 9), Fraction(427, 18),
                                       Fraction(17, 2), 1])
     assert potential._exact_roots(p) == [
         (Fraction(-7, 2), 1), (Fraction(-7, 3), 1), (Fraction(-8, 3), 1)]
+
+
+@pytest.mark.parametrize("coeffs", [
+    [-2, 0, 0, 1],
+    [-11, -36, -8, 1, 1],
+], ids=["cube-root-of-two", "bl1-quartic"])
+def test_radical_without_a_small_rational_factor_is_not_recognized(coeffs):
+    with pytest.raises(NotRepresentable, match="not recognized"):
+        potential._exact_roots(potential._Poly(Rationals(), coeffs))
 
 
 def _expand(field, lead, roots):
@@ -681,10 +687,10 @@ def _by_format(field, roots):
 
 
 def test_radical_of_degree_two_takes_the_formula(monkeypatch):
-    calls = _count_calls(monkeypatch, "_numeric_roots")
+    calls = _count_calls(monkeypatch, "_split_factor")
     p = _expand(Rationals(), 1, [(1, 2), (-2, 2)])
     assert potential._exact_roots(p) == [(-2, 2), (1, 2)]
-    assert calls == {"_numeric_roots": 0}
+    assert calls == {"_split_factor": 0}
 
 
 def test_roots_without_their_conjugates_are_recognized():
@@ -694,6 +700,15 @@ def test_roots_without_their_conjugates_are_recognized():
     assert potential._exact_roots(p) == [(2 * r5, 1), (r5, 2)]
     p = _expand(K, 1, [(r5, 1), (2 * r5, 1), (K.one, 1)])
     assert potential._exact_roots(p) == [(K.one, 1), (2 * r5, 1), (r5, 1)]
+    # root 0 beside the irrational roots, which leave no rational factor
+    p = _expand(K, 1, [(K.zero, 1), (r5, 1), (2 * r5, 1)])
+    assert potential._exact_roots(p) == [(K.zero, 1), (2 * r5, 1), (r5, 1)]
+    # (x^2 - 2x - 4)(x - 1 - 8/3 sqrt 5): the rational parts alone give
+    # (x^2 - 2x - 4)(x - 1), whose root 1 is not a root of p
+    lone = QuadExt(1, Fraction(8, 3), 5)
+    p = _expand(K, 1, [(1 + r5, 1), (1 - r5, 1), (lone, 1)])
+    assert potential._exact_roots(p) == _by_format(
+        K, [(1 + r5, 1), (1 - r5, 1), (lone, 1)])
 
 
 _small = st.fractions(min_value=-4, max_value=4, max_denominator=3)
@@ -706,14 +721,23 @@ _small = st.fractions(min_value=-4, max_value=4, max_denominator=3)
     pairs=st.dictionaries(
         st.tuples(_small, _small.filter(lambda b: b > 0)),
         st.integers(1, 2), max_size=2),
+    lone=st.dictionaries(
+        st.tuples(_small, _small.filter(bool)), st.integers(1, 2),
+        max_size=2),
 )
-def test_exact_roots_recover_a_built_product(lead, rational, pairs):
-    # rational roots and conjugate pairs a +- b*sqrt(-3), the roots of
-    # x^2 - 2ax + a^2 + 3b^2, over Q(sqrt -3)
+def test_exact_roots_recover_a_built_product(lead, rational, pairs, lone):
+    # rational roots, conjugate pairs a +- b*sqrt(-3), the roots of
+    # x^2 - 2ax + a^2 + 3b^2, and roots a + b*sqrt(-3) without their
+    # conjugates, over Q(sqrt -3)
     K = QuadraticField(-3)
-    roots = [(K.coerce(r), m) for r, m in rational.items()]
+    roots = {K.coerce(r): m for r, m in rational.items()}
     for (a, b), m in pairs.items():
-        roots += [(QuadExt(a, b, -3), m), (QuadExt(a, -b, -3), m)]
+        for root in (QuadExt(a, b, -3), QuadExt(a, -b, -3)):
+            roots[root] = roots.get(root, 0) + m
+    for (a, b), m in lone.items():
+        root = QuadExt(a, b, -3)
+        roots[root] = roots.get(root, 0) + m
+    roots = list(roots.items())
     p = _expand(K, lead, roots)
     assert potential._exact_roots(p) == _by_format(K, roots)
 

@@ -86,3 +86,17 @@ def test_src_imports_are_used():
     for path in sorted((PYPROJECT.parent / "src" / "ainfbench").rglob("*.py")):
         unused = _unused_imports(path)
         assert not unused, f"{path.name} imports unused {unused}"
+
+
+def test_potential_has_no_floating_point():
+    """Root recognition is exact: potential.py names neither ``float`` nor
+    ``complex`` and holds no float or complex constant."""
+    path = PYPROJECT.parent / "src" / "ainfbench" / "potential.py"
+    found = [
+        f"line {node.lineno}"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Name) and node.id in ("float", "complex")
+        or isinstance(node, ast.Constant)
+        and isinstance(node.value, (float, complex))
+    ]
+    assert not found, f"potential.py uses floating point at {found}"
