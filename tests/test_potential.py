@@ -653,10 +653,19 @@ def test_two_square_roots_are_not_representable():
         critical_points(w, 4)
 
 
-def test_exact_roots_split_rational_cubics():
-    # (x - 1)(x - 2)(x - 3) and (x + 7/2)(x + 7/3)(x + 8/3)
+def test_numeric_roots_are_bounded():
+    # the cases that once bounded the numeric root iteration: (x - 1)^3,
+    # which is not squarefree, is split through its radical x - 1, and
+    # (x - 1)(x - 2)(x - 3) through its rational factors
+    cube = potential._Poly(Rationals(), [-1, 3, -3, 1])
+    assert potential._exact_roots(cube) == [(1, 3)]
     p = potential._Poly(Rationals(), [-6, 11, -6, 1])
     assert potential._exact_roots(p) == [(1, 1), (2, 1), (3, 1)]
+
+
+def test_numeric_roots_stop_at_rounding_noise():
+    # (x + 7/2)(x + 7/3)(x + 8/3), whose numeric steps once settled at
+    # rounding noise: the exact split gives the roots themselves
     p = potential._Poly(Rationals(), [Fraction(196, 9), Fraction(427, 18),
                                       Fraction(17, 2), 1])
     assert potential._exact_roots(p) == [
