@@ -14,14 +14,19 @@ solved by the formula.  A radical with no such factor is not recognized.
 Quadratic irrationalities trigger an automatic base change to the
 matching quadratic field.
 
-Two rules keep the solve from computing anything twice:
+Three rules keep the solve from computing anything twice:
 
-* One monomial table per point.  ``monomial_values`` evaluates every term
-  c*T^e*y^a once; the value, the logarithmic derivatives and the
-  logarithmic Hessian are weighted sums over that table (weights 1, a_i,
-  a_i*a_j - delta_ij*a_i).  Each Newton iterate builds one table for its
-  residuals and Jacobian, and the lifted point one more for its value
-  and Hessian.
+* One monomial table per point.  A table evaluates every term c*T^e*y^a
+  once, from the exact monomials c*T^e built once per root field and
+  call; the value, the logarithmic derivatives and the logarithmic
+  Hessian (symmetric: n(n+1)/2 sums) are weighted sums over that table
+  (weights 1, a_i, a_i*a_j - delta_ij*a_i).  Each Newton iterate builds
+  one table for its residuals and Jacobian, and the lifted point one
+  more for its value and Hessian.
+* One weighing per tropical candidate.  The minimal weights mu and the
+  leading parts found when a candidate is accepted are the ones its
+  leading system and lift use, and its points share one working
+  precision, the shifts T^u and the unshifts T^-mu.
 * One pass over the tropical candidates, whatever the field, one leading
   system per candidate and one lift per point.  The system (its
   eliminant and the columns that back-substitute) is built once over the
@@ -31,8 +36,7 @@ Two rules keep the solve from computing anything twice:
   extracted again from the same eliminant, and later candidates are
   solved in Q(sqrt d) directly.  Points are lifted only once every
   candidate is solved, in the final root field, the rational roots found
-  before the switch coerced into it.  Evaluation coerces coefficients
-  into the field of the point.
+  before the switch coerced into it.
 """
 
 from __future__ import annotations
@@ -107,9 +111,16 @@ def _det(mat):
     row are skipped, which keeps the sparse Sylvester eliminants cheap;
     when the whole row is zero its first entry is the determinant.  A
     Novikov zero is O(T^c), not exact: its piece carries that error into
-    the cutoff.
+    the cutoff.  A 2 x 2 matrix, the common case (Cramer steps, Hessians),
+    is expanded directly: the same pieces in the same order, no memo.
     """
     n = len(mat)
+    if n == 2:
+        (a, b), (c, d) = mat
+        out = a * d if a or isinstance(a, NovikovScalar) else None
+        if b or isinstance(b, NovikovScalar):
+            out = -(b * c) if out is None else out + -(b * c)
+        return a if out is None else out
     memo = {}
 
     def minor(cols):
@@ -238,33 +249,7 @@ class NovikovLaurentPolynomial:
                 raise StructureError("evaluation points are Novikov scalars")
         if not point:
             raise StructureError("a potential needs at least one variable")
-        field = point[0].field
-        cutoff = min(z.cutoff for z in point)
-        powers: dict = {}
-
-        def power(j, k):
-            if (j, k) not in powers:
-                if k == 0:
-                    powers[(j, k)] = NovikovScalar.one(field, _EXACT)
-                elif k > 0:
-                    powers[(j, k)] = power(j, k - 1) * point[j]
-                else:
-                    if (j, -1) not in powers:
-                        powers[(j, -1)] = point[j].invert()
-                    powers[(j, k)] = power(j, k + 1) * powers[(j, -1)]
-            return powers[(j, k)]
-
-        coerce = self.field is not field and self.field != field
-        entries = []
-        for (e, a), c in self._terms.items():
-            if coerce:
-                c = field.coerce(c)
-            term = NovikovScalar.monomial(field, _EXACT, e, c)
-            for j, k in enumerate(a):
-                if k:
-                    term = term * power(j, k)
-            entries.append((a, term))
-        return field, cutoff, entries
+        return _table(_term_monomials(self, point[0].field), point)
 
     def change_of_variables(self, matrix) -> "NovikovLaurentPolynomial":
         """Monomial substitution y_i = prod_j z_j^{M[i][j]}, M in GL(n, Z)."""
@@ -314,6 +299,39 @@ class NovikovLaurentPolynomial:
         return f"<laurent potential {self}>"
 
 
+def _term_monomials(pot, field):
+    """(exponents, c*T^e) of every term, c coerced into ``field``."""
+    return [(a, NovikovScalar.monomial(field, _EXACT, e, c))
+            for (e, a), c in pot._terms.items()]
+
+
+def _table(terms, point):
+    """The monomial table of ``monomial_values`` from ``_term_monomials``."""
+    field = point[0].field
+    cutoff = min(z.cutoff for z in point)
+    powers: dict = {}
+
+    def power(j, k):
+        if (j, k) not in powers:
+            if k == 0:
+                powers[(j, k)] = NovikovScalar.one(field, _EXACT)
+            elif k > 0:
+                powers[(j, k)] = power(j, k - 1) * point[j]
+            else:
+                if (j, -1) not in powers:
+                    powers[(j, -1)] = point[j].invert()
+                powers[(j, k)] = power(j, k + 1) * powers[(j, -1)]
+        return powers[(j, k)]
+
+    entries = []
+    for a, term in terms:
+        for j, k in enumerate(a):
+            if k:
+                term = term * power(j, k)
+        entries.append((a, term))
+    return field, cutoff, entries
+
+
 def _weighted_sum(table, weight):
     """Sum of weight(a) * value over a monomial table, cut at its cutoff.
 
@@ -339,12 +357,15 @@ def _weighted_sum(table, weight):
 
 
 def _log_hessian(table, n):
-    """y_i y_j d^2W/dy_i dy_j from a table: weights a_i a_j - delta_ij a_i."""
-    return tuple(
-        tuple(_weighted_sum(table, lambda a, i=i, j=j: a[i] * (a[j] - (i == j)))
-              for j in range(n))
-        for i in range(n)
-    )
+    """y_i y_j d^2W/dy_i dy_j from a table: weights a_i a_j - delta_ij a_i.
+
+    The matrix is symmetric: entry (j, i) is entry (i, j), summed once.
+    """
+    upper = {(i, j): _weighted_sum(
+        table, lambda a, i=i, j=j: a[i] * (a[j] - (i == j)))
+        for i in range(n) for j in range(i, n)}
+    return tuple(tuple(upper[min(i, j), max(i, j)] for j in range(n))
+                 for i in range(n))
 
 
 # -- dense univariate polynomials over a coefficient field -----------------
@@ -605,9 +626,11 @@ def _tropical_candidates(eqs):
     least twice is a candidate.  A singular selection is consistent, and
     flags a potentially positive-dimensional tropical set, when no row is
     zero (two terms of one exponent differ in energy) and every numerator
-    vanishes; in at most two variables that is exact.
+    vanishes; in at most two variables that is exact.  Each candidate u
+    comes sorted as (u, mus, leads): per equation its minimal weight and
+    its leading monomials {exponents: coefficient}, weighed once.  Two
+    terms of one equation and equal weight have distinct exponents.
     """
-    n = len(eqs)
     supports = [eq.terms() for eq in eqs]
     pair_lists = [
         list(itertools.combinations(range(len(sup)), 2)) for sup in supports
@@ -615,7 +638,7 @@ def _tropical_candidates(eqs):
     if any(not pairs for pairs in pair_lists):
         # an equation with a single monomial never vanishes on the torus
         return [], False
-    seen = set()
+    seen = {}
     flat = False
     for combo in itertools.product(*pair_lists):
         rows, rhs = [], []
@@ -632,32 +655,18 @@ def _tropical_candidates(eqs):
         u = tuple(_exact(Fraction(d, det)) for d in dets)
         if u in seen:
             continue
-        ok = True
+        mus, leads = [], []
         for sup in supports:
             ws = [_term_weight(e, a, u) for e, a, _ in sup]
-            lo = min(ws)
-            if sum(1 for w in ws if w == lo) < 2:
-                ok = False
+            mu = min(ws)
+            lead = {a: c for (_, a, c), w in zip(sup, ws) if w == mu}
+            if len(lead) < 2:
                 break
-        if ok:
-            seen.add(u)
-    return sorted(seen), flat
-
-
-def _leading_parts(eqs, u):
-    """Minimal weight and leading monomials of each equation at valuation u."""
-    mus, leads = [], []
-    for eq in eqs:
-        sup = eq.terms()
-        ws = [_term_weight(e, a, u) for e, a, _ in sup]
-        mu = min(ws)
-        lead = {}
-        for (e, a, c), w in zip(sup, ws):
-            if w == mu:
-                lead[a] = lead[a] + c if a in lead else c
-        mus.append(mu)
-        leads.append(lead)
-    return mus, leads
+            mus.append(mu)
+            leads.append(lead)
+        else:
+            seen[u] = (u, mus, leads)
+    return [seen[u] for u in sorted(seen)], flat
 
 
 def _univar_from_lead(lead, field):
@@ -809,110 +818,91 @@ def _leading_jacobian(leads, z0, field, n):
     return rows
 
 
-def _lift_point(pot, u, mus, z0, cutoff, field):
-    """Newton-lift a nondegenerate leading solution to the requested cutoff.
+def _lift_points(pot, terms, u, mus, roots, cutoff, field):
+    """Newton-lift the nondegenerate leading roots of one candidate.
 
-    ``field`` holds z0 and the coordinates.  Each iterate reads residuals
-    (weights a_i) and Jacobian (weights a_i a_j) off one monomial table.
+    ``field`` holds the roots and coordinates, ``terms`` are the
+    ``_term_monomials`` over it.  The points share the shifts T^u_j, the
+    unshifts T^-mu_i and the working precision cutoff + pad, with
+    pad = max(0, -min u, -min mus): a term with a_i != 0 lies in the i-th
+    log-derivative, so its weight is at least mu_i, and any other term has
+    energy >= 0.  Each iterate reads residuals (weights a_i) and Jacobian
+    (weights a_i a_j) off one monomial table.
     """
     n = pot.nvars
-    weights = [
-        _term_weight(e, a, u) for e, a, _ in pot.terms()
-    ]
-    pad = max(
-        [0]
-        + [-w for w in weights if w < 0]
-        + [-s for s in u if s < 0]
-        + [-m for m in mus if m < 0]
-    )
-    work = cutoff + pad
+    work = cutoff + max(0, -min(u), -min(mus))
     shifts = [NovikovScalar.monomial(field, _EXACT, s) for s in u]
     unshift = [NovikovScalar.monomial(field, _EXACT, -m) for m in mus]
-    z = [NovikovScalar.constant(field, work, c) for c in z0]
 
     def derivative(table, *idx):
         return _weighted_sum(table, lambda a: math.prod(a[k] for k in idx))
 
-    schedule = []
-    prev = None
-    for _ in range(80):
-        table = pot.monomial_values([shifts[j] * z[j] for j in range(n)])
-        res = [unshift[i] * derivative(table, i) for i in range(n)]
-        if all(r.is_zero() for r in res):
-            schedule.append(min(r.cutoff for r in res))
-            break
-        val = min(r.valuation() for r in res)
-        schedule.append(val)
-        if val <= 0:
+    def lift(z0):
+        z = [NovikovScalar.constant(field, work, c) for c in z0]
+        schedule = []
+        prev = None
+        for _ in range(80):
+            table = _table(terms, [shifts[j] * z[j] for j in range(n)])
+            res = [unshift[i] * derivative(table, i) for i in range(n)]
+            if all(r.is_zero() for r in res):
+                schedule.append(min(r.cutoff for r in res))
+                break
+            val = min(r.valuation() for r in res)
+            schedule.append(val)
+            if val <= 0:
+                raise StructureError("leading-order solution does not "
+                                     "cancel the leading residual")
+            if prev is not None and val < min(2 * prev, work):
+                raise StructureError(
+                    "Newton lifting failed to double the correct range; "
+                    "the leading root appears degenerate")
+            prev = val
+            jac = [
+                [unshift[i] * derivative(table, i, j) for j in range(n)]
+                for i in range(n)
+            ]
+            # critical_points lifts only roots whose leading Jacobian is
+            # invertible, so a singular Jacobian here is a broken
+            # invariant; otherwise Cramer's rule gives the unique correction
+            det, dets = _cramer(jac, res)
+            if det.is_zero():
+                raise StructureError(
+                    "Newton step has a singular Jacobian; the leading root "
+                    "appears degenerate")
+            inv = det.invert()
+            z = [z[j] - z[j] * (dets[j] * inv) for j in range(n)]
+        else:
+            raise StructureError("Newton lifting did not terminate")
+
+        # the loop only stops on a zero residual, which is that of the final z
+        res_val = min(m + (r.cutoff if r.is_zero() else r.valuation())
+                      for m, r in zip(mus, res))
+        if res_val < cutoff:
             raise StructureError(
-                "leading-order solution does not cancel the leading residual"
-            )
-        if prev is not None and val < min(2 * prev, work):
-            raise StructureError(
-                "Newton lifting failed to double the correct range; "
-                "the leading root appears degenerate"
-            )
-        prev = val
-        jac = [
-            [unshift[i] * derivative(table, i, j) for j in range(n)]
-            for i in range(n)
-        ]
-        # critical_points lifts only roots whose leading Jacobian is
-        # invertible, so a singular Jacobian here is a broken invariant;
-        # otherwise Cramer's rule gives the unique correction
-        det, dets = _cramer(jac, res)
+                f"lifted point misses the residual bound: valuation {res_val}")
+
+        units = tuple(zj.truncate(cutoff) for zj in z)
+        coords = tuple((shifts[j] * z[j]).truncate(cutoff) for j in range(n))
+        for name, c in zip(pot.variables, coords):
+            if c.is_zero():
+                raise InsufficientCutoff(
+                    f"coordinate {name} of the critical point at valuation "
+                    f"{_vec(u)} vanishes below T^{cutoff}; raise the cutoff")
+        table = _table(terms, coords)
+        value = _weighted_sum(table, lambda a: 1).truncate(cutoff)
+        hess = tuple(tuple(h.truncate(cutoff) for h in row)
+                     for row in _log_hessian(table, n))
+        det = _det(hess).truncate(cutoff)
         if det.is_zero():
-            raise StructureError(
-                "Newton step has a singular Jacobian; the leading root "
-                "appears degenerate"
-            )
-        inv = det.invert()
-        z = [z[j] - z[j] * (dets[j] * inv) for j in range(n)]
-    else:
-        raise StructureError("Newton lifting did not terminate")
-
-    # the loop only stops on a zero residual, which is that of the final z
-    res_val = min(
-        mus[i] + (res[i].cutoff if res[i].is_zero() else res[i].valuation())
-        for i in range(n)
-    )
-    if res_val < cutoff:
-        raise StructureError(
-            f"lifted point misses the residual bound: valuation {res_val}"
-        )
-
-    units = tuple(zj.truncate(cutoff) for zj in z)
-    coords = tuple(
-        (shifts[j] * z[j]).truncate(cutoff) for j in range(n)
-    )
-    for name, c in zip(pot.variables, coords):
-        if c.is_zero():
             raise InsufficientCutoff(
-                f"coordinate {name} of the critical point at valuation "
-                f"{_vec(u)} vanishes below T^{cutoff}; raise the cutoff")
-    table = pot.monomial_values(coords)
-    value = _weighted_sum(table, lambda a: 1).truncate(cutoff)
-    hess = tuple(
-        tuple(h.truncate(cutoff) for h in row)
-        for row in _log_hessian(table, n)
-    )
-    det = _det(hess)
-    det = det.truncate(cutoff)
-    if det.is_zero():
-        raise InsufficientCutoff(
-            "Hessian determinant of a lifted point is invisible below "
-            f"T^{cutoff}; raise the cutoff"
-        )
-    return CriticalPoint(
-        coordinates=coords,
-        units=units,
-        valuations=tuple(u),
-        value=value,
-        hessian=hess,
-        hessian_det=det,
-        residual_valuation=res_val,
-        lift_schedule=tuple(schedule),
-    )
+                "Hessian determinant of a lifted point is invisible below "
+                f"T^{cutoff}; raise the cutoff")
+        return CriticalPoint(
+            coordinates=coords, units=units, valuations=tuple(u),
+            value=value, hessian=hess, hessian_det=det,
+            residual_valuation=res_val, lift_schedule=tuple(schedule))
+
+    return [lift(z0) for z0 in roots]
 
 
 def critical_points(pot, cutoff):
@@ -927,9 +917,10 @@ def critical_points(pot, cutoff):
     field: the roots of that candidate are extracted again from the same
     eliminant, and every later candidate is solved there directly.  Every
     point is lifted once, after all candidates are solved, in the final
-    root field, so the returned scalars may live in an extension.
-    Degenerate leading roots are reported as warnings, once each, never
-    lifted.
+    root field, so the returned scalars may live in an extension; the
+    term monomials are built once in it, and each candidate's weights,
+    shifts and working precision once for all its points.  Degenerate
+    leading roots are reported as warnings, once each, never lifted.
     """
     pot = _potential_of(pot)
     cutoff = _exact(cutoff)
@@ -953,15 +944,15 @@ def critical_points(pot, cutoff):
             "admits a continuum of valuation vectors"
         )
     root = field
-    found = []      # (u, mus, z0) of every nondegenerate leading root
+    found = []      # (u, mus, nondegenerate leading roots) per candidate
 
     def lift():
-        return [_lift_point(pot, u, mus, tuple(map(root.coerce, z0)),
-                            cutoff, root) for u, mus, z0 in found]
+        terms = _term_monomials(pot, root)
+        return [p for u, mus, roots in found for p in
+                _lift_points(pot, terms, u, mus, roots, cutoff, root)]
 
     try:
-        for u in cands:
-            mus, leads = _leading_parts(eqs, u)
+        for u, mus, leads in cands:
             system = _leading_system(leads, field, n)
             try:
                 sols = _leading_roots(system, root)
@@ -969,18 +960,21 @@ def critical_points(pot, cutoff):
                 root = QuadraticField(need.d)
                 sols = _leading_roots(system, root)
             sols.sort(key=lambda sm: tuple(root.format(c) for c in sm[0]))
+            roots = []
             for z0, hint in sols:
                 jac0 = _leading_jacobian(leads, z0, root, n)
-                if root.is_zero(_det(jac0)):
-                    coords = ", ".join(root.format(c) for c in z0)
-                    warnings.warn(
-                        f"degenerate leading root ({coords}) at valuation "
-                        f"{_vec(u)} (multiplicity hint {hint}); not lifted",
-                        DegenerateRootWarning,
-                        stacklevel=2,
-                    )
+                if not root.is_zero(_det(jac0)):
+                    roots.append(z0)
                     continue
-                found.append((u, mus, z0))
+                coords = ", ".join(root.format(c) for c in z0)
+                warnings.warn(
+                    f"degenerate leading root ({coords}) at valuation "
+                    f"{_vec(u)} (multiplicity hint {hint}); not lifted",
+                    DegenerateRootWarning,
+                    stacklevel=2,
+                )
+            if roots:
+                found.append((u, mus, roots))
     except WorkbenchError:
         # a point of an earlier candidate that cannot be lifted is the
         # first error in candidate order

@@ -3,9 +3,9 @@ import warnings
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from ainfbench import potential
+from ainfbench import novikov, potential
 from ainfbench.errors import (
     InsufficientCutoff,
     NotRepresentable,
@@ -27,12 +27,14 @@ from ainfbench.potential import (
     hessian,
     morse_count_check,
     u_of_c,
-    _lift_point,
+    _lift_points,
+    _term_monomials,
 )
 
 SQUARE_RAYS = [(1, 0), (0, 1), (-1, 0), (0, -1)]
 P2_RAYS = [(1, 0), (0, 1), (-1, -1)]
 MOVE = [[1, 1], [1, 2]]
+SHEAR = [[1, -2], [0, 1]]
 
 
 def _toric(rays, offsets):
@@ -47,6 +49,8 @@ CASES = {
     "skew": (_toric(SQUARE_RAYS, [0, 0, 1, 2]), None, 6),
     "p2_moved": (_toric(P2_RAYS, [0, 0, 1]), MOVE, 6),
     "square_moved": (_toric(SQUARE_RAYS, [0, 0, 1, 1]), MOVE, 6),
+    "p2_sheared": (_toric(P2_RAYS, [0, 0, 1]), SHEAR, 6),
+    "square_sheared": (_toric(SQUARE_RAYS, [0, 0, 1, 1]), SHEAR, 6),
     "pentagon": (_toric(SQUARE_RAYS + [(1, 1)], [0, 0, 2, 2, 1]), None, 6),
 }
 
@@ -231,6 +235,55 @@ GOLDEN = {
           ("6*T^(1/2)", "6"), ("10*T^(1/2)", "6")),
          ("4*T", "6")),
     ],
+    # value and Hessian come from a table of the coordinates cut at 6, where
+    # inverting a coordinate of positive valuation lowers the cutoff (16/3
+    # and 5); the last Newton table, at the padded precision, would not
+    "p2_sheared": [
+        (("1", "1/3"), "19/3", ("6",),
+         (("T", "6"), ("(-1/2 + 1/2*s-3)*T^(1/3)", "6")),
+         ("(-3/2 + 3/2*s-3)*T^(1/3)", "16/3"),
+         (("(-1 + s-3)*T^(1/3)", "16/3"), ("(3/2 - 3/2*s-3)*T^(1/3)", "16/3"),
+          ("(3/2 - 3/2*s-3)*T^(1/3)", "16/3"), ("(-3 + 3*s-3)*T^(1/3)", "16/3")),
+         ("(-3/2 - 3/2*s-3)*T^(2/3)", "17/3")),
+        (("1", "1/3"), "19/3", ("6",),
+         (("T", "6"), ("(-1/2 - 1/2*s-3)*T^(1/3)", "6")),
+         ("(-3/2 - 3/2*s-3)*T^(1/3)", "16/3"),
+         (("(-1 - s-3)*T^(1/3)", "16/3"), ("(3/2 + 3/2*s-3)*T^(1/3)", "16/3"),
+          ("(3/2 + 3/2*s-3)*T^(1/3)", "16/3"), ("(-3 - 3*s-3)*T^(1/3)", "16/3")),
+         ("(-3/2 + 3/2*s-3)*T^(2/3)", "17/3")),
+        (("1", "1/3"), "19/3", ("6",),
+         (("T", "6"), ("T^(1/3)", "6")),
+         ("3*T^(1/3)", "16/3"),
+         (("2*T^(1/3)", "16/3"), ("-3*T^(1/3)", "16/3"),
+          ("-3*T^(1/3)", "16/3"), ("6*T^(1/3)", "16/3")),
+         ("3*T^(2/3)", "17/3")),
+    ],
+    "square_sheared": [
+        (("3/2", "1/2"), "13/2", ("6",),
+         (("-T^(3/2)", "6"), ("-T^(1/2)", "6")),
+         ("-4*T^(1/2)", "5"),
+         (("-2*T^(1/2)", "5"), ("4*T^(1/2)", "5"),
+          ("4*T^(1/2)", "5"), ("-10*T^(1/2)", "5")),
+         ("4*T", "11/2")),
+        (("3/2", "1/2"), "13/2", ("6",),
+         (("-T^(3/2)", "6"), ("T^(1/2)", "6")),
+         ("0", "5"),
+         (("-2*T^(1/2)", "5"), ("4*T^(1/2)", "5"),
+          ("4*T^(1/2)", "5"), ("-6*T^(1/2)", "5")),
+         ("-4*T", "11/2")),
+        (("3/2", "1/2"), "13/2", ("6",),
+         (("T^(3/2)", "6"), ("-T^(1/2)", "6")),
+         ("0", "5"),
+         (("2*T^(1/2)", "5"), ("-4*T^(1/2)", "5"),
+          ("-4*T^(1/2)", "5"), ("6*T^(1/2)", "5")),
+         ("-4*T", "11/2")),
+        (("3/2", "1/2"), "13/2", ("6",),
+         (("T^(3/2)", "6"), ("T^(1/2)", "6")),
+         ("4*T^(1/2)", "5"),
+         (("2*T^(1/2)", "5"), ("-4*T^(1/2)", "5"),
+          ("-4*T^(1/2)", "5"), ("10*T^(1/2)", "5")),
+         ("4*T", "11/2")),
+    ],
     "pentagon": [
         (("-1", "-1"), "6", ("4", "7"),
          (("-T^-1 + T^3", "6"), ("-T^-1 + T^3", "6")),
@@ -377,6 +430,26 @@ def test_critical_points_multiplication_count():
     assert calls[QuadExt] < 1500
 
 
+def test_critical_points_weigh_and_build_once_per_candidate(monkeypatch):
+    """P2 under [[1,1],[1,2]] at cutoff 6: terms are weighed only by the
+    tropical selections (6 ``_term_weight`` calls), and the term monomials,
+    shifts and unshifts are built once per call and candidate (43 scalars
+    canonicalized).  Weighing again per candidate and per lift, and
+    building them per table and per point, took 21 and 69."""
+    calls = _count_calls(monkeypatch, "_term_weight")
+    calls["_canonical"] = 0
+
+    def canonical(*args, _orig=novikov._canonical):
+        calls["_canonical"] += 1
+        return _orig(*args)
+
+    monkeypatch.setattr(novikov, "_canonical", canonical)
+    pot, cutoff = _case("p2_moved")
+    assert len(critical_points(pot, cutoff)) == 3
+    assert calls["_term_weight"] <= 6
+    assert calls["_canonical"] <= 43
+
+
 def test_coordinate_invisible_below_cutoff_is_named():
     Q = Rationals()
     w = NovikovLaurentPolynomial.make(Q, 2, [
@@ -495,13 +568,21 @@ SQRT2_SWITCH_POINTS = [
 
 
 def test_base_change_lifts_each_point_once(monkeypatch):
-    calls = _count_calls(monkeypatch, "_lift_point")
+    lifted = []
+
+    def counted(pot, terms, u, mus, roots, cutoff, field,
+                _orig=potential._lift_points):
+        lifted.append((u, len(roots), field))
+        return _orig(pot, terms, u, mus, roots, cutoff, field)
+
+    monkeypatch.setattr(potential, "_lift_points", counted)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         points = critical_points(_degenerate_then_sqrt2(), 8)
     # the rational roots at valuation 1/2 come before the switch to
-    # Q(sqrt 2) and are lifted once, after it
-    assert calls == {"_lift_point": len(points)}
+    # Q(sqrt 2) and are lifted once, after it, with those of their candidate
+    assert lifted == [((Fraction(1, 2),), 2, QuadraticField(2)),
+                      ((2,), 2, QuadraticField(2))]
     assert [str(c.message) for c in caught] == [
         "degenerate leading root (1) at valuation (0) (multiplicity hint 2);"
         " not lifted"]
@@ -810,8 +891,8 @@ def test_newton_step_with_singular_jacobian_is_named():
         (0, (3,), Fraction(1, 3)), (0, (2,), -1), (0, (1,), 1),
         (1, (3,), Fraction(1, 3)), (1, (2,), Fraction(-3, 2)), (1, (1,), 3)])
     with pytest.raises(StructureError, match="singular Jacobian"):
-        _lift_point(w, (Fraction(0),), (Fraction(0),), (Fraction(1),), 6,
-                    Rationals())
+        _lift_points(w, _term_monomials(w, Rationals()), (Fraction(0),),
+                     (Fraction(0),), [(Fraction(1),)], 6, Rationals())
 
 
 def test_newton_step_with_dependent_jacobian_is_named():
@@ -823,8 +904,54 @@ def test_newton_step_with_dependent_jacobian_is_named():
         (0, (0, 3), Fraction(1, 3)), (0, (0, 2), -1), (0, (0, 1), 1)])
     zero = (Fraction(0), Fraction(0))
     with pytest.raises(StructureError, match="singular Jacobian"):
-        _lift_point(w, zero, zero, (Fraction(1), Fraction(1)), 6,
-                    Rationals())
+        _lift_points(w, _term_monomials(w, Rationals()), zero, zero,
+                     [(Fraction(1), Fraction(1))], 6, Rationals())
+
+
+@settings(max_examples=60)
+@given(data=st.data(), n=st.integers(1, 2))
+def test_lift_pad_from_candidate_weights_bounds_every_term(data, n):
+    # the pad max(0, -min u, -min mus) of _lift_points against the maximum
+    # over every term weight, u and mus that it replaces
+    entries = data.draw(st.lists(st.tuples(
+        st.fractions(0, 3, max_denominator=3),
+        st.tuples(*[st.integers(-3, 3)] * n),
+        st.integers(-3, 3).filter(bool)), min_size=2, max_size=6))
+    w = NovikovLaurentPolynomial.make(Rationals(), n, entries)
+    eqs = [w.log_derivative(i) for i in range(n)]
+    assume(not any(eq.is_zero() for eq in eqs))
+    for u, mus, _ in potential._tropical_candidates(eqs)[0]:
+        weight = potential._term_weight
+        assert mus == [min(weight(e, a, u) for e, a, _ in eq.terms())
+                       for eq in eqs]
+        weights = [weight(e, a, u) for e, a, _ in w.terms()]
+        assert max(0, -min(u), -min(mus)) == max(
+            [0] + [-x for x in weights if x < 0] + [-s for s in u if s < 0]
+            + [-m for m in mus if m < 0])
+
+
+def test_negative_valuation_alone_pads_the_lift():
+    # W = -y^-2 + T*y^-1 has the critical point y = 2/T, W = T^2/4: its
+    # valuation u = -1 pads the working precision, while both terms of
+    # y dW/dy weigh 2 there and pad nothing
+    w = NovikovLaurentPolynomial.make(Rationals(), 1, [
+        (0, (-2,), -1), (1, (-1,), 1)])
+    (p,) = critical_points(w, 4)
+    assert (_pin(p.coordinates[0]), _pin(p.value)) == \
+        (("2*T^-1", "4"), ("1/4*T^2", "4"))
+
+
+def test_det_carries_the_cutoff_of_a_novikov_zero():
+    # exact zeros are skipped, a Novikov zero O(T^c) is not: its piece
+    # lowers the cutoff of the determinant, 2 x 2 and larger alike
+    Q = Rationals()
+    zero, one = NovikovScalar.zero(Q, 1), NovikovScalar.one(Q, 6)
+    for mat, want in (([[zero, one], [one, one]], "-1"),
+                      ([[one, zero], [one, one]], "1"),
+                      ([[zero, one, 0], [one, one, 0], [0, 0, one]], "-1")):
+        assert _pin(potential._det(mat)) == (want, "1")
+    assert potential._det([[0, 2], [3, 4]]) == -6
+    assert potential._det([[0, 0], [3, 4]]) == 0
 
 
 def test_morse_count_excludes_exterior_points():

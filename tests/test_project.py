@@ -1,7 +1,8 @@
 """pyproject.toml agrees with the package: every declared console script
 resolves to a callable, the declared dependencies are exactly the
-third-party imports, every name a module exports exists and every name
-a module imports is used."""
+third-party imports, every name a module exports exists, every name a
+module imports is used and every private module-level function is
+called from the package."""
 
 import ast
 import importlib
@@ -100,3 +101,32 @@ def test_potential_has_no_floating_point():
         and isinstance(node.value, (float, complex))
     ]
     assert not found, f"potential.py uses floating point at {found}"
+
+
+def _unreferenced_private_functions():
+    """Module-level private functions of the package that no code of the
+    package references outside their own definition."""
+    trees = [ast.parse(path.read_text(), str(path)) for path in
+             sorted((PYPROJECT.parent / "src" / "ainfbench").rglob("*.py"))]
+    private = {node.name for tree in trees for node in tree.body
+               if isinstance(node, ast.FunctionDef)
+               and node.name.startswith("_") and not node.name.endswith("__")}
+    used = set()
+    for top in (node for tree in trees for node in tree.body):
+        own = top.name if isinstance(top, ast.FunctionDef) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                ref = node.id
+            elif isinstance(node, ast.Attribute):
+                ref = node.attr
+            else:
+                continue
+            if ref != own:
+                used.add(ref)
+    return sorted(private - used)
+
+
+def test_private_functions_are_used_by_the_package():
+    """A private helper that only tests call is dead code."""
+    unused = _unreferenced_private_functions()
+    assert not unused, f"private functions used nowhere in src: {unused}"
