@@ -105,42 +105,31 @@ class _ExtensionNeeded(Exception):
 def _det(mat):
     """Determinant over a commutative ring, by cofactor expansion.
 
-    The matrices here are tiny.  Each minor is expanded once, memoized on
-    its columns (its rows are always the last ones), so an n x n matrix
-    costs n * 2^n products rather than n!.  Exact zeros of the expanded
-    row are skipped, which keeps the sparse Sylvester eliminants cheap;
-    when the whole row is zero its first entry is the determinant.  A
-    Novikov zero is O(T^c), not exact: its piece carries that error into
-    the cutoff.  A 2 x 2 matrix, the common case (Cramer steps, Hessians),
-    is expanded directly: the same pieces in the same order, no memo.
+    The matrices are n x n for n variables (Cramer steps, Hessians,
+    leading Jacobians, unimodularity checks), so the first row is simply
+    expanded.  Its exact zeros are skipped; when the whole row is zero its
+    first entry is the determinant.  A Novikov zero is O(T^c), not exact:
+    its piece carries that error into the cutoff.  A 2 x 2 matrix is
+    expanded directly, the same pieces in the same order.
     """
     n = len(mat)
+    if n == 1:
+        return mat[0][0]
     if n == 2:
         (a, b), (c, d) = mat
         out = a * d if a or isinstance(a, NovikovScalar) else None
         if b or isinstance(b, NovikovScalar):
             out = -(b * c) if out is None else out + -(b * c)
         return a if out is None else out
-    memo = {}
-
-    def minor(cols):
-        row = mat[n - len(cols)]
-        if len(cols) == 1:
-            return row[cols[0]]
-        if cols in memo:
-            return memo[cols]
-        out = None
-        for j, entry in enumerate(row[c] for c in cols):
-            if not entry and not isinstance(entry, NovikovScalar):
-                continue
-            piece = entry * minor(cols[:j] + cols[j + 1:])
-            if j % 2:
-                piece = -piece
-            out = piece if out is None else out + piece
-        memo[cols] = out if out is not None else row[cols[0]]
-        return memo[cols]
-
-    return minor(tuple(range(n)))
+    out = None
+    for j, entry in enumerate(mat[0]):
+        if not entry and not isinstance(entry, NovikovScalar):
+            continue
+        piece = entry * _det([row[:j] + row[j + 1:] for row in mat[1:]])
+        if j % 2:
+            piece = -piece
+        out = piece if out is None else out + piece
+    return mat[0][0] if out is None else out
 
 
 def _cramer(rows, rhs):
@@ -309,18 +298,16 @@ def _table(terms, point):
     """The monomial table of ``monomial_values`` from ``_term_monomials``."""
     field = point[0].field
     cutoff = min(z.cutoff for z in point)
-    powers: dict = {}
+    powers = {(j, 1): z for j, z in enumerate(point)}
 
     def power(j, k):
+        # k != 0; y_j^-1 is inverted once, on first use
         if (j, k) not in powers:
-            if k == 0:
-                powers[(j, k)] = NovikovScalar.one(field, _EXACT)
-            elif k > 0:
-                powers[(j, k)] = power(j, k - 1) * point[j]
+            if k == -1:
+                powers[(j, k)] = point[j].invert()
             else:
-                if (j, -1) not in powers:
-                    powers[(j, -1)] = point[j].invert()
-                powers[(j, k)] = power(j, k + 1) * powers[(j, -1)]
+                step = 1 if k > 0 else -1
+                powers[(j, k)] = power(j, k - step) * power(j, step)
         return powers[(j, k)]
 
     entries = []
@@ -669,15 +656,6 @@ def _tropical_candidates(eqs):
     return [seen[u] for u in sorted(seen)], flat
 
 
-def _univar_from_lead(lead, field):
-    exps = sorted(a[0] for a in lead)
-    lo = exps[0]
-    coeffs = [field.zero] * (exps[-1] - lo + 1)
-    for a, c in lead.items():
-        coeffs[a[0] - lo] = c
-    return _Poly(field, coeffs)
-
-
 def _bicols(lead, field):
     """Bivariate leading part as z2-degree columns of polynomials in z1."""
     lo1 = min(a[0] for a in lead)
@@ -694,43 +672,63 @@ def _bicols(lead, field):
     return cols
 
 
-def _col_eval(cols, x, field):
-    return _Poly(field, [col.eval(x) for col in cols])
+def _resultant(a, b):
+    """det Syl(a, b) of two z2-column lists, by the subresultant PRS.
 
+    Column j is the coefficient of z2^j, a polynomial in z1; the last one
+    is nonzero.  Brown-Traub's PRS over K[z1] divides each pseudo-remainder
+    lc(b)^(delta+1) * a mod b exactly by g * h^delta (g = lc(a), h the
+    previous scale, both 1 at first) and takes the sign from the degrees:
+    the Sylvester determinant itself, in time polynomial in the degrees.
+    The resultant of a part a0 without z2 is a0^deg(b).
+    """
+    g = h = one = _Poly(a[0].field, [a[0].field.one])
+    sign = 1
+    if len(a) < len(b):
+        a, b, sign = b, a, (-1) ** ((len(a) - 1) * (len(b) - 1))
 
-def _sylvester(cols_a, cols_b, field):
-    da = len(cols_a) - 1
-    db = len(cols_b) - 1
-    size = da + db
-    zero = _Poly.zero(field)
-    rows = []
-    rev_a = list(reversed(cols_a))
-    rev_b = list(reversed(cols_b))
-    for k in range(db):
-        rows.append([zero] * k + rev_a + [zero] * (size - k - da - 1))
-    for k in range(da):
-        rows.append([zero] * k + rev_b + [zero] * (size - k - db - 1))
-    return rows
+    def power(p, k):
+        return math.prod([p] * k, start=one)
+
+    while len(b) > 1:
+        da, db = len(a) - 1, len(b) - 1
+        delta = da - db
+        sign *= (-1) ** (da * db)
+        r = list(a)
+        for k in range(delta, -1, -1):
+            neg = -r.pop()
+            r = [x * b[-1] for x in r]
+            if neg:
+                for j in range(db):
+                    r[k + j] = r[k + j] + neg * b[j]
+        while r and not r[-1]:
+            r.pop()
+        if not r:
+            return _Poly.zero(one.field)
+        scale = g * power(h, delta)
+        a, b, g = b, [x.divmod(scale)[0] for x in r], b[-1]
+        h = power(g, delta).divmod(power(h, delta - 1))[0] if delta else h
+    out = power(b[0], len(a) - 1).divmod(power(h, len(a) - 2))[0]
+    return out if sign > 0 else -out
 
 
 def _leading_system(leads, field, n):
     """Eliminant in z1 and back-substitution columns of a leading system.
 
     Built once per candidate over ``field``.  In two variables the
-    eliminant is the Sylvester resultant of the z2-columns, or the single
-    column of a leading part without z2; in one variable it is the leading
+    eliminant is the resultant of the two leading parts in z2, over their
+    z2-columns; in one variable it is the single column of the leading
     part itself and nothing is back-substituted.
     """
     if n == 1:
-        return _univar_from_lead(leads[0], field), ()
+        return _bicols({(*a, 0): c for a, c in leads[0].items()}, field)[0], ()
     cols = (_bicols(leads[0], field), _bicols(leads[1], field))
-    single = [c for c in cols if len(c) == 1]
-    if len(single) == 2:
+    if len(cols[0]) == len(cols[1]) == 1:
         raise StructureError(
             "positive-dimensional leading system: "
             "no leading equation constrains the second variable"
         )
-    elim = single[0][0] if single else _det(_sylvester(*cols, field))
+    elim = _resultant(*cols)
     if elim.is_zero():
         raise StructureError(
             "positive-dimensional leading system: the leading curves share "
@@ -748,8 +746,8 @@ def _leading_roots(system, root):
     cols = [[_in_field(col, root) for col in c] for c in cols]
     sols = []
     for r, _m in _exact_roots(elim):
-        # a leading part whose single column is the eliminant vanishes here
-        g1, g2 = (_col_eval(c, r, root) for c in cols)
+        # a leading part without z2 vanishes here: its power is the eliminant
+        g1, g2 = (_Poly(root, [col.eval(r) for col in c]) for c in cols)
         if g1.is_zero() and g2.is_zero():
             raise StructureError(
                 "positive-dimensional leading system: a coordinate line of "
@@ -977,7 +975,9 @@ def critical_points(pot, cutoff):
                 found.append((u, mus, roots))
     except WorkbenchError:
         # a point of an earlier candidate that cannot be lifted is the
-        # first error in candidate order
+        # first error in candidate order, and only its lift tells: the
+        # lifted coordinates may vanish below the cutoff, or the residual
+        # miss its bound
         lift()
         raise
     points = lift()

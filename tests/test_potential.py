@@ -1,4 +1,5 @@
 import itertools
+import random
 import warnings
 from fractions import Fraction
 
@@ -402,10 +403,10 @@ def test_critical_values_invariant_under_change_of_variables(name, move):
 def test_critical_points_multiplication_count():
     """P2 under [[1,1],[1,2]] at cutoff 6 in few scalar products.
 
-    One monomial table per Newton point and leading systems kept over Q
-    need 96 Novikov and 579 Q(sqrt -3) products; evaluating every
-    derivative separately and redoing the solve over Q(sqrt -3) needed
-    333 and 7,170.
+    One monomial table per Newton point, seeded with each coordinate and
+    its inverse, and leading systems kept over Q need 84 Novikov and 536
+    Q(sqrt -3) products; evaluating every derivative separately and
+    redoing the solve over Q(sqrt -3) needed 333 and 7,170.
     """
     pot, cutoff = _case("p2_moved")
     calls = {NovikovScalar: 0, QuadExt: 0}
@@ -538,19 +539,19 @@ def _count_calls(monkeypatch, *names):
 
 def test_critical_points_is_one_pass(monkeypatch):
     calls = _count_calls(monkeypatch, "_tropical_candidates",
-                         "_leading_system", "_leading_roots", "_sylvester")
+                         "_leading_system", "_leading_roots", "_resultant")
     with pytest.warns(DegenerateRootWarning):
         critical_points(_degenerate_then_sqrt2(), 8)
     # one system per candidate; only the roots are extracted again at the
     # switch to Q(sqrt 2)
     assert calls == {"_tropical_candidates": 1, "_leading_system": 3,
-                     "_leading_roots": 4, "_sylvester": 0}
+                     "_leading_roots": 4, "_resultant": 0}
     calls.update(dict.fromkeys(calls, 0))
     pot, cutoff = _case("p2_moved")
     critical_points(pot, cutoff)
     # one two-variable candidate, whose roots need Q(sqrt -3)
     assert calls == {"_tropical_candidates": 1, "_leading_system": 1,
-                     "_leading_roots": 2, "_sylvester": 1}
+                     "_leading_roots": 2, "_resultant": 1}
 
 
 # (coordinate and value below T^4, residual valuation, lift schedule) of
@@ -648,12 +649,13 @@ def test_inconsistent_tropical_selections_give_no_points(entries):
     assert critical_points(w, 4) == []
 
 
-def _words():
-    """The 20 products of one or two elementary matrices of GL(2, Z)."""
+def _words(lengths=(1, 2)):
+    """The products of n elementary matrices of GL(2, Z), n in ``lengths``,
+    with repeats: 20 of one or two."""
     elementary = [((1, 1), (0, 1)), ((1, -1), (0, 1)),
                   ((1, 0), (1, 1)), ((1, 0), (-1, 1))]
     out = []
-    for length in (1, 2):
+    for length in lengths:
         for word in itertools.product(elementary, repeat=length):
             m = ((1, 0), (0, 1))
             for e in word:
@@ -707,14 +709,104 @@ def test_ray_expansions_and_moment_points_multiply_back(name):
 def test_coordinate_line_from_a_leading_part_without_z2(monkeypatch):
     # W = y1^2/2 - y1 + T (y1 - 1)^2 / y2: at valuation (0, 1) the leading
     # part of y2 dW/dy2 is -(z1 - 1)^2 / z2, one column whose root z1 = 1
-    # also kills the leading part of y1 dW/dy1
+    # also kills the leading part of y1 dW/dy1; its resultant with the
+    # other leading part is a power of that column, with the same roots
     w = NovikovLaurentPolynomial.make(Rationals(), 2, [
         (0, (2, 0), Fraction(1, 2)), (0, (1, 0), -1),
         (1, (2, -1), 1), (1, (1, -1), -2), (1, (0, -1), 1)])
-    calls = _count_calls(monkeypatch, "_sylvester")
+    calls = _count_calls(monkeypatch, "_resultant")
     with pytest.raises(StructureError, match="coordinate line"):
         critical_points(w, 4)
-    assert calls == {"_sylvester": 0}
+    assert calls == {"_resultant": 1}
+
+
+def _sylvester(cols_a, cols_b):
+    """Sylvester matrix of two z2-column lists, highest column first."""
+    zero = potential._Poly.zero(cols_a[0].field)
+    da, db = len(cols_a) - 1, len(cols_b) - 1
+    return ([[zero] * k + cols_a[::-1] + [zero] * (db - 1 - k)
+             for k in range(db)]
+            + [[zero] * k + cols_b[::-1] + [zero] * (da - 1 - k)
+               for k in range(da)])
+
+
+def _cofactor_det(mat):
+    """Cofactor expansion along the first row, each minor memoized on its
+    columns (its rows are the last ones): n * 2^n products."""
+    memo = {}
+
+    def minor(cols):
+        row = mat[len(mat) - len(cols)]
+        if len(cols) == 1:
+            return row[cols[0]]
+        if cols not in memo:
+            out = potential._Poly.zero(row[0].field)
+            for j, entry in enumerate(row[c] for c in cols):
+                if entry:
+                    piece = entry * minor(cols[:j] + cols[j + 1:])
+                    out = out + (-piece if j % 2 else piece)
+            memo[cols] = out
+        return memo[cols]
+
+    return minor(tuple(range(len(mat))))
+
+
+def _random_cols(rng, field, zero_rate):
+    """A z2-column list of z2-degree 0-3 and z1-degree 0-2, its first and
+    last columns nonzero and each interior one zero at ``zero_rate``."""
+    def scalar():
+        x = field.coerce(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+        if isinstance(field, QuadraticField):
+            x = x + field.coerce(rng.randint(-2, 2)) * field.root
+        return x
+
+    def poly():
+        p = potential._Poly.zero(field)
+        while not p:
+            p = potential._Poly(field, [scalar() for _ in range(
+                rng.randint(1, 3))])
+        return p
+
+    d2 = rng.randint(0, 3)
+    return [poly() if j in (0, d2) or rng.random() > zero_rate
+            else potential._Poly.zero(field) for j in range(d2 + 1)]
+
+
+def _times(cols_a, cols_b):
+    """The product of two z2-column lists."""
+    zero = potential._Poly.zero(cols_a[0].field)
+    out = [zero] * (len(cols_a) + len(cols_b) - 1)
+    for i, a in enumerate(cols_a):
+        for j, b in enumerate(cols_b):
+            out[i + j] = out[i + j] + a * b
+    return out
+
+
+@pytest.mark.parametrize("field", [Rationals(), QuadraticField(5)],
+                         ids=["Q", "Q(sqrt 5)"])
+def test_resultant_is_the_sylvester_determinant(field):
+    # det Syl(a, b) coefficient for coefficient, in both argument orders
+    # (the sign), with z2-free parts, zero interior columns and common
+    # factors (resultant 0); the memoized cofactor expansion the
+    # resultant replaced is the reference
+    rng = random.Random(5)
+    seen = dict.fromkeys(["single", "interior zero", "common factor"], 0)
+    for _ in range(150):
+        a, b = (_random_cols(rng, field, 0.4) for _ in range(2))
+        if len(a) == len(b) == 1:
+            continue
+        if rng.random() < 0.2 and len(a) + len(b) < 6:
+            c = _random_cols(rng, field, 0.4)[:2]
+            if len(c) == 2:
+                a, b = _times(a, c), _times(b, c)
+                assert potential._resultant(a, b).is_zero()
+                seen["common factor"] += 1
+        seen["single"] += 1 in (len(a), len(b))
+        seen["interior zero"] += not all(a) or not all(b)
+        for x, y in ((a, b), (b, a)):
+            want = _cofactor_det(_sylvester(x, y))
+            assert potential._resultant(x, y).coeffs == want.coeffs
+    assert min(seen.values()) >= 10, seen
 
 
 def test_two_square_roots_are_not_representable():
@@ -1012,13 +1104,7 @@ def test_u_of_c_takes_only_critical_points():
         u_of_c(toric, coords)
 
 
-def test_hexagon_in_a_sheared_chart_keeps_its_values(monkeypatch):
-    # the Sylvester eliminant of this chart is large enough that a
-    # determinant expanding each minor more than once costs millions of
-    # polynomial products
-    rays = [(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1), (-1, -1)]
-    hexagon = build_toric_potential(
-        MomentPolytope(rays, [1] * 6, basis=(0, 4))).potential
+def _count_poly_products(monkeypatch):
     calls = [0]
 
     def counted(a, b, _orig=potential._Poly.__mul__):
@@ -1026,7 +1112,44 @@ def test_hexagon_in_a_sheared_chart_keeps_its_values(monkeypatch):
         return _orig(a, b)
 
     monkeypatch.setattr(potential._Poly, "__mul__", counted)
+    return calls
+
+
+HEXAGON_VALUES = ["-2*T", "-2*T", "-2*T", "-3*T", "-3*T", "6*T"]
+
+
+def test_hexagon_in_a_sheared_chart_keeps_its_values(monkeypatch):
+    # the eliminant of this chart is a resultant of Sylvester size 16: the
+    # subresultant PRS takes 158 polynomial products, where a memoized
+    # cofactor expansion of the Sylvester matrix took 79,498
+    hexagon = build_toric_potential(
+        MomentPolytope(HEXAGON_RAYS, [1] * 6, basis=(0, 4))).potential
+    calls = _count_poly_products(monkeypatch)
     points = critical_points(hexagon.change_of_variables([[1, -3], [0, 1]]), 6)
-    assert sorted(format_scalar(p.value) for p in points) == [
-        "-2*T", "-2*T", "-2*T", "-3*T", "-3*T", "6*T"]
-    assert calls[0] < 100_000
+    assert sorted(format_scalar(p.value) for p in points) == HEXAGON_VALUES
+    assert calls[0] < 200
+
+
+@pytest.mark.parametrize("name", ["hexagon", "bl2"])
+def test_three_letter_chart_zoo(name, monkeypatch):
+    # the hexagon and Bl2 (the hexagon without the ray (-1, -1)) under the
+    # 34 distinct products of three elementary matrices: every chart gives
+    # the hexagon's values, and Bl2's degree-3 factor on every chart.  The
+    # subresultant PRS takes 2,182 and 2,038 polynomial products; the
+    # memoized cofactor expansion of the Sylvester matrices took 4,399,652
+    # and 3,075,542
+    rays = HEXAGON_RAYS if name == "hexagon" else HEXAGON_RAYS[:5]
+    pot = build_toric_potential(
+        MomentPolytope(rays, [1] * len(rays), basis=(0, 4))).potential
+    charts = sorted(set(_words((3,))))
+    assert len(charts) == 34
+    calls = _count_poly_products(monkeypatch)
+    for m in charts:
+        moved = pot.change_of_variables(m)
+        if name == "hexagon":
+            assert sorted(format_scalar(p.value) for p in
+                          critical_points(moved, 6)) == HEXAGON_VALUES, m
+        else:
+            with pytest.raises(NotRepresentable, match="degree-3 factor"):
+                critical_points(moved, 6)
+    assert calls[0] < 2_500

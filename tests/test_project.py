@@ -1,8 +1,8 @@
 """pyproject.toml agrees with the package: every declared console script
 resolves to a callable, the declared dependencies are exactly the
 third-party imports, every name a module exports exists, every name a
-module imports is used and every private module-level function is
-called from the package."""
+module imports is used and every private module-level function, and
+every method of a private class, is called from the package."""
 
 import ast
 import importlib
@@ -104,17 +104,28 @@ def test_potential_has_no_floating_point():
 
 
 def _unreferenced_private_functions():
-    """Module-level private functions of the package that no code of the
-    package references outside their own definition."""
+    """Module-level private functions of the package, and methods of its
+    private classes, that no code of the package references outside their
+    own definition.  Dunder methods are called by the language."""
     trees = [ast.parse(path.read_text(), str(path)) for path in
              sorted((PYPROJECT.parent / "src" / "ainfbench").rglob("*.py"))]
-    private = {node.name for tree in trees for node in tree.body
-               if isinstance(node, ast.FunctionDef)
-               and node.name.startswith("_") and not node.name.endswith("__")}
-    used = set()
+    # units: each top-level statement, and each method of a private class
+    units, private = [], set()
     for top in (node for tree in trees for node in tree.body):
-        own = top.name if isinstance(top, ast.FunctionDef) else None
-        for node in ast.walk(top):
+        if isinstance(top, ast.ClassDef) and top.name.startswith("_"):
+            units += top.body
+            private.update(f"{top.name}.{node.name}" for node in top.body
+                           if isinstance(node, ast.FunctionDef)
+                           and not node.name.endswith("__"))
+        else:
+            units.append(top)
+            if isinstance(top, ast.FunctionDef) and \
+                    top.name.startswith("_") and not top.name.endswith("__"):
+                private.add(top.name)
+    used = set()
+    for unit in units:
+        own = unit.name if isinstance(unit, ast.FunctionDef) else None
+        for node in ast.walk(unit):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 ref = node.id
             elif isinstance(node, ast.Attribute):
@@ -123,10 +134,12 @@ def _unreferenced_private_functions():
                 continue
             if ref != own:
                 used.add(ref)
-    return sorted(private - used)
+    return sorted(name for name in private
+                  if name.rpartition(".")[2] not in used)
 
 
 def test_private_functions_are_used_by_the_package():
-    """A private helper that only tests call is dead code."""
+    """A private helper, or a method of a private class such as ``_Poly``,
+    that only tests call is dead code."""
     unused = _unreferenced_private_functions()
     assert not unused, f"private functions used nowhere in src: {unused}"
