@@ -366,7 +366,7 @@ def _structure_index(cat, unit=None):
     return slots, ops
 
 
-def _differential_terms(cat, table, parity, top, index):
+def _differential_terms(cat, table, parity, top, index, prefixes):
     """The terms of the Hochschild differential of the cochain ``table``.
 
     Two families of terms: the cochain inserted as an argument of a
@@ -378,6 +378,9 @@ def _differential_terms(cat, table, parity, top, index):
     structure map's outputs in the first family, x the structure map's
     value and vec the cochain's outputs in the second.  Terms longer than
     ``top`` are never formed; the first one skipped yields None.
+    ``prefixes`` keeps the reduced prefix of each (chain, args) of the
+    cochain, so calls that share one, such as the elementary cochains of
+    one word, compute it once.
     """
     rphi = reduced(parity)
     slots, ops = index
@@ -397,7 +400,10 @@ def _differential_terms(cat, table, parity, top, index):
                        sign_of(rphi * pre), c, outsM)
 
     for (chainP, argsP), outsP in table.items():
-        pref = _arg_reduced_prefix(cat, chainP, argsP)
+        pref = prefixes.get((chainP, argsP))
+        if pref is None:
+            pref = prefixes[chainP, argsP] = _arg_reduced_prefix(
+                cat, chainP, argsP)
         s = len(argsP)
         for i in range(s):
             hits = ops.get((chainP[i], chainP[i + 1], argsP[i]))
@@ -429,7 +435,7 @@ def cochain_differential(phi: HCochain, index=None) -> HCochain:
     if index is None:
         index = _structure_index(cat)
     for term in _differential_terms(cat, phi.table, phi.parity,
-                                    phi.max_length, index):
+                                    phi.max_length, index, {}):
         if term is None:
             out.truncated = True
             continue
@@ -449,12 +455,13 @@ def _elementary_columns(cat, elems, max_length):
     """
     _require_flat(cat)
     index = _structure_index(cat, NovikovScalar.one(cat.field, cat.cutoff))
+    prefixes = {}
     cols = []
     for (chain, args, out), parity in elems:
         # None stands for the unit coefficient of the one entry
         table = {}
         for term in _differential_terms(cat, {(chain, args): {out: None}},
-                                        parity, max_length, index):
+                                        parity, max_length, index, prefixes):
             if term is not None:
                 new_chain, new_args, sgn, x, vec = term
                 for o, y in vec.items():

@@ -48,6 +48,10 @@ Coefficient fields:
                             (d may be negative), elements are ``QuadExt``
                             with a reduced integer triple (p, q, n).
 
+Both divide exactly by ``quotient(x, y)``; over Q it is ``x // y`` when
+both are ``int``s and y divides x, so integral quotients build no
+``Fraction``.
+
 The valuation ``val`` of a nonzero scalar is its least exponent; ``val(0)`` is
 ``math.inf``.  It obeys  val(a*b) = val(a)+val(b)  and
 val(a+b) >= min(val a, val b)  with equality when the valuations differ.
@@ -352,6 +356,12 @@ class Rationals:
             return x if x in (1, -1) else Fraction(1, x)
         return _exact(Fraction(x.denominator, x.numerator))
 
+    def quotient(self, x, y):
+        """x / y, y nonzero: ``x // y`` when y divides x in Z."""
+        if type(x) is int and type(y) is int and not x % y:
+            return x // y
+        return _exact(Fraction(x, y))
+
     def sqrt(self, x):
         return _fraction_sqrt(self.coerce(x))
 
@@ -400,6 +410,10 @@ class QuadraticField:
 
     def invert(self, x):
         return self.coerce(x).inverse()
+
+    def quotient(self, x, y):
+        """x / y, y nonzero."""
+        return x * self.invert(y)
 
     def sqrt(self, x):
         """Square root within the field when one exists, else None.

@@ -10,12 +10,19 @@ radical of each eliminant, in exact arithmetic only: while its degree is
 >= 3 it is split by a rational factor of degree 1 or 2, found among the
 finitely many candidates that Gauss's lemma leaves (the rational-root
 theorem, and Kronecker's method for quadratics), and every factor is
-solved by the formula.  A radical with no such factor is not recognized.
-Quadratic irrationalities trigger an automatic base change to the
-matching quadratic field.
+solved by the formula.  A radical with no such factor is not recognized;
+when it has none modulo a small prime either, it is rejected before any
+candidate is tried.  Quadratic irrationalities trigger an automatic base
+change to the matching quadratic field.
 
-Three rules keep the solve from computing anything twice:
+Four rules keep the solve from computing anything twice, or in fractions:
 
+* Integer arithmetic over Q.  Polynomials divide through the field's
+  exact ``quotient``, an ``int`` whenever the division is exact in Z, so
+  the subresultant PRS divides by g*h^delta in integers; gcds run on
+  primitive integer polynomials (a pseudo-remainder sequence, each
+  remainder divided by its content) and the radical is kept primitive;
+  tropical selections are weighed in integers, det times the weight.
 * One monomial table per point.  A table evaluates every term c*T^e*y^a
   once, from the exact monomials c*T^e built once per root field and
   call; the value, the logarithmic derivatives and the logarithmic
@@ -61,6 +68,7 @@ from .novikov import (
     _exact,
     _integer,
     _lowest,
+    _ratio,
     _scalar,
     _squarefree_decompose,
     field_power,
@@ -405,9 +413,6 @@ class _Poly:
                 out[i + j] = out[i + j] + a * b
         return _Poly(self.field, out)
 
-    def scale(self, c):
-        return _Poly(self.field, [c * x for x in self.coeffs])
-
     def divmod(self, other):
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
@@ -417,29 +422,27 @@ class _Poly:
         if dq < 0:
             return _Poly.zero(field), _Poly(field, rem)
         quo = [field.zero] * (dq + 1)
-        inv_lead = field.invert(other.coeffs[-1])
+        quotient, lead = field.quotient, other.coeffs[-1]
         for k in range(dq, -1, -1):
             # strip high-order residue one degree at a time
             top = rem[k + other.degree]
             if field.is_zero(top):
                 continue
-            f = top * inv_lead
+            f = quotient(top, lead)
             quo[k] = f
             for j, b in enumerate(other.coeffs):
                 rem[k + j] = rem[k + j] - f * b
         return _Poly(field, quo), _Poly(field, rem)
 
     def derivative(self):
-        field = self.field
-        return _Poly(
-            field,
-            [field.coerce(i) * c for i, c in enumerate(self.coeffs)][1:],
-        )
+        return _Poly(self.field,
+                     [i * c for i, c in enumerate(self.coeffs)][1:])
 
     def monic(self):
         if self.is_zero():
             return self
-        return self.scale(self.field.invert(self.coeffs[-1]))
+        quotient, lead = self.field.quotient, self.coeffs[-1]
+        return _Poly(self.field, [quotient(c, lead) for c in self.coeffs])
 
     def eval(self, x):
         field = self.field
@@ -452,11 +455,40 @@ class _Poly:
         return f"<poly deg {self.degree}>"
 
 
+def _pseudo_remainder(a, b):
+    """lc(b)^(deg a - deg b + 1) * a mod b on coefficient lists, lowest
+    first, with no division: the entries are scalars or polynomials.  An
+    ``a`` of lower degree is returned as it is."""
+    r, db = list(a), len(b) - 1
+    for k in range(len(a) - 1 - db, -1, -1):
+        neg = -r.pop()
+        r = [x * b[-1] for x in r]
+        if neg:
+            for j in range(db):
+                r[k + j] = r[k + j] + neg * b[j]
+    return r
+
+
+def _primitive(p: _Poly) -> _Poly:
+    """p up to a unit: over Q the integer polynomial with coprime
+    coefficients and positive leading coefficient, else p made monic."""
+    if not isinstance(p.field, Rationals) or p.is_zero():
+        return p.monic()
+    den = math.lcm(*(c.denominator for c in p.coeffs))
+    ints = [c.numerator * (den // c.denominator) for c in p.coeffs]
+    g = math.gcd(*ints) if ints[-1] > 0 else -math.gcd(*ints)
+    return _Poly(p.field, [c // g for c in ints])
+
+
 def _poly_gcd(a: _Poly, b: _Poly) -> _Poly:
-    while not b.is_zero():
-        _, r = a.divmod(b)
-        a, b = b, r
-    return a.monic() if not a.is_zero() else a
+    """The monic gcd, by a primitive pseudo-remainder sequence: over Q on
+    integer polynomials, each remainder divided by its content, over
+    Q(sqrt d) on monic ones (Euclid's algorithm)."""
+    a, b = _primitive(a), _primitive(b)
+    while b:
+        a, b = b, _primitive(_Poly(a.field, _pseudo_remainder(a.coeffs,
+                                                              b.coeffs)))
+    return a.monic()
 
 
 def _in_field(p: _Poly, field) -> _Poly:
@@ -468,12 +500,9 @@ def _in_field(p: _Poly, field) -> _Poly:
 
 def _strip_origin(p: _Poly):
     """Split off the largest power of x dividing p."""
-    k = 0
-    field = p.field
-    coeffs = p.coeffs
-    while k < len(coeffs) and field.is_zero(coeffs[k]):
-        k += 1
-    return _Poly(field, coeffs[k:]), k
+    k = next((k for k, c in enumerate(p.coeffs) if not p.field.is_zero(c)),
+             len(p.coeffs))
+    return _Poly(p.field, p.coeffs[k:]), k
 
 
 # -- exact root extraction -------------------------------------------------
@@ -505,14 +534,15 @@ def _multiplicity(p: _Poly, root):
 
 
 def _formula_roots(p: _Poly):
-    """Roots of a squarefree monic p of degree at most 2, by the formula."""
+    """Roots of a squarefree p of degree at most 2, by the formula."""
     field = p.field
+    quotient = field.quotient
     if p.degree < 2:
-        return [-p.coeffs[0]] if p.degree == 1 else []
-    c, b, _ = p.coeffs
-    s = _sqrt_or_extend(field, b * b - field.coerce(4) * c)
-    half = field.invert(field.coerce(2))
-    return [(-b + s) * half, (-b - s) * half]
+        return [quotient(-p.coeffs[0], p.coeffs[1])] if p.degree == 1 else []
+    c, b, a = p.coeffs
+    s = _sqrt_or_extend(field, b * b - field.coerce(4) * a * c)
+    twice = field.coerce(2) * a
+    return [quotient(-b + s, twice), quotient(-b - s, twice)]
 
 
 def _divisors(n: int):
@@ -522,67 +552,106 @@ def _divisors(n: int):
     return small + [n // k for k in reversed(small) if k * k != n]
 
 
-def _split_factor(p: _Poly):
-    """(factor, p / factor) for a monic rational factor of degree 1 or 2.
+_PRIMES = (5, 7, 11, 13)    # the first not dividing lead(r) certifies
 
-    p is squarefree and monic.  Its factors over Q are those of R = p over
-    Q, the gcd over Q of the polynomial of the rational parts of p's
-    coefficients and that of their sqrt(d) parts, cleared to a primitive
-    integer polynomial.  By Gauss's lemma a factor of R of degree 1 or 2
-    is an integer polynomial whose leading coefficient divides lead(R),
-    whose constant term divides R(0) and whose value at 1 divides R(1).
-    So the roots s/t with s | R(0) and t | lead(R) are tried first, then
-    the quadratics a*x^2 + b*x + c with a | lead(R), c | R(0) and
-    a + b + c | R(1); the first candidate that divides R exactly is split
-    off.  When R(0) = 0 the factor is x.
+
+def _certifying_prime(r):
+    """A prime modulo which the integer polynomial r has no factor of
+    degree 1 or 2, or None.
+
+    Every irreducible of degree 1 or 2 over F_p divides x^(p^2) - x, so
+    gcd(r, x^(p^2) - x) = 1 over F_p says that r mod p has none; a factor
+    of r over Q of degree 1 or 2 would reduce to one, as p does not divide
+    its leading coefficient, a divisor of lead(r) (Gauss's lemma).
+    """
+    p = next((p for p in _PRIMES if r[-1] % p), None)
+    if p is None:
+        return None
+
+    def mod(a, b):      # a mod b over F_p, up to a unit
+        a = [c % p for c in _pseudo_remainder(a, b)]
+        while a and not a[-1]:
+            a.pop()
+        return a
+
+    inv = pow(r[-1], -1, p)
+    m = [c * inv % p for c in r]      # monic, so mod m is exact
+    power = [1]
+    for _ in range(p * p):      # x^(p^2) mod m, one shift at a time
+        power = mod([0] + power, m)
+    a, b = m, mod([c - (i == 1) for i, c in enumerate(power + [0, 0])], m)
+    while b:
+        a, b = b, mod(a, b)
+    return p if len(a) == 1 else None
+
+
+def _split_factor(p: _Poly):
+    """(factor, p / factor) for a factor of degree 1 or 2 over Q.
+
+    p is squarefree: over Q a primitive integer polynomial, over Q(sqrt d)
+    monic.  Its factors over Q are those of R: p itself over Q, else the
+    primitive gcd of the polynomials of the rational parts and of the
+    sqrt(d) parts of p's coefficients.  R(0) = 0 gives the factor x.
+    Otherwise ``_certifying_prime`` may prove that R has no factor of
+    degree 1 or 2; if not, by Gauss's lemma such a factor is an integer
+    polynomial whose leading coefficient divides lead(R), whose constant
+    term divides R(0) and whose value at 1 divides R(1).  The roots s/t
+    with s | R(0) and t | lead(R) are tried, then the quadratics
+    a*x^2 + b*x + c with a | lead(R), c | R(0) and a + b + c | R(1), each
+    list of divisors formed once; the first that divides R exactly is
+    split off, over Q(sqrt d) monic.  Over Q it is primitive, as a
+    candidate's multiples come after it, so the rest is too.
     """
     field = p.field
     if isinstance(field, Rationals):
-        rat = p
+        big = p
     else:
-        rat = _poly_gcd(_Poly(_RATIONALS, [c.a for c in p.coeffs]),
-                        _Poly(_RATIONALS, [c.b for c in p.coeffs]))
-    # rat is monic, so over the lcm of its denominators it is primitive
-    den = math.lcm(*(c.denominator for c in rat.coeffs))
-    r = [c.numerator * (den // c.denominator) for c in rat.coeffs]
-    lead, r0, r1 = r[-1], r[0], sum(r)
-    if not r0:
-        cands = [[0, 1]]
-    else:
-        cands = itertools.chain(
-            ([-s, t] for t in _divisors(lead)
-             for e in _divisors(r0) for s in (e, -e)),
-            ([c, v - a - c, a] for a in _divisors(lead)
-             for e in _divisors(r0) for c in (e, -e)
-             for f in _divisors(r1) for v in (f, -f)),
-        )
-    for cand in cands:
+        big = _primitive(_poly_gcd(_Poly(_RATIONALS, [c.a for c in p.coeffs]),
+                                   _Poly(_RATIONALS, [c.b for c in p.coeffs])))
+    lead, r0, r1 = big.coeffs[-1], big.coeffs[0], sum(big.coeffs)
+    unknown = (f"a degree-{p.degree} factor of the leading system has roots "
+               f"not recognized over {field!r}")
+    prime = _certifying_prime(big.coeffs) if r0 else None
+    if prime is not None:
+        raise NotRepresentable(
+            f"{unknown}: it has no factor of degree 1 or 2 modulo {prime}")
+
+    def candidates():
+        leads, zeros = _divisors(lead), _divisors(r0)
+        for t, e, s in itertools.product(leads, zeros, (1, -1)):
+            yield [-s * e, t]
+        for a, e, s, f, w in itertools.product(
+                leads, zeros, (1, -1), _divisors(r1), (1, -1)):
+            yield [s * e, w * f - a - s * e, a]
+
+    for cand in candidates() if r0 else [[0, 1]]:
         cand = _Poly(_RATIONALS, cand)
-        if rat.divmod(cand)[1].is_zero():
+        rest, rem = big.divmod(cand)
+        if rem.is_zero():
+            if isinstance(field, Rationals):
+                return cand, rest
             factor = _in_field(cand.monic(), field)
             return factor, p.divmod(factor)[0]
-    raise NotRepresentable(
-        f"a degree-{p.degree} factor of the leading system has roots "
-        f"not recognized over {field!r}"
-    )
+    raise NotRepresentable(unknown)
 
 
 def _exact_roots(p: _Poly):
     """All roots of p in the coefficient field, with multiplicities.
 
-    One exact path for every degree: with g = gcd(p, p'), only the monic
-    radical p/g is solved.  While it has degree >= 3, ``_split_factor``
-    splits off a rational factor of degree 1 or 2; each factor, and what
-    is left, is solved by the formula.  A root r has multiplicity 1 + its
-    multiplicity in g.  Raises _ExtensionNeeded over the rationals when a
-    root generates a quadratic extension, and NotRepresentable when a
-    root lies outside the field or the radical has degree >= 3 and no
-    rational factor of degree 1 or 2.  Roots come sorted by
-    ``field.format``.
+    One exact path for every degree: with g = gcd(p, p'), only the radical
+    p/g is solved, over Q as a primitive integer polynomial and over
+    Q(sqrt d) monic.  While it has degree >= 3, ``_split_factor`` splits
+    off a factor of degree 1 or 2 with rational coefficients; each
+    factor, and what is left, is solved by the formula.  A root r has
+    multiplicity 1 + its multiplicity in g.  Raises _ExtensionNeeded over
+    the rationals when a root generates a quadratic extension, and
+    NotRepresentable when a root lies outside the field or the radical has
+    degree >= 3 and no rational factor of degree 1 or 2.  Roots come
+    sorted by ``field.format``.
     """
     field = p.field
     g = _poly_gcd(p, p.derivative())
-    work = p.divmod(g)[0].monic()
+    work = _primitive(p.divmod(g)[0])
     roots = []
     while work.degree >= 3:
         factor, work = _split_factor(work)
@@ -600,10 +669,6 @@ def _vec(u) -> str:
     return "(" + ", ".join(str(x) for x in u) + ")"
 
 
-def _term_weight(e, a, u):
-    return e + sum(k * s for k, s in zip(a, u))
-
-
 def _tropical_candidates(eqs):
     """Valuation vectors balancing every equation's Newton polytope.
 
@@ -615,10 +680,15 @@ def _tropical_candidates(eqs):
     zero (two terms of one exponent differ in energy) and every numerator
     vanishes; in at most two variables that is exact.  Each candidate u
     comes sorted as (u, mus, leads): per equation its minimal weight and
-    its leading monomials {exponents: coefficient}, weighed once.  Two
-    terms of one equation and equal weight have distinct exponents.
+    its leading monomials {exponents: coefficient}.  Energies are scaled
+    to integers once, and each solution u = dets / det is weighed once,
+    as det times the weight, in integers; u and the mus are formed only
+    for a candidate.  Two terms of one equation and equal weight have
+    distinct exponents.
     """
-    supports = [eq.terms() for eq in eqs]
+    scale = math.lcm(*(e.denominator for eq in eqs for e, _, _ in eq.terms()))
+    supports = [[(e.numerator * (scale // e.denominator), a, c)
+                 for e, a, c in eq.terms()] for eq in eqs]
     pair_lists = [
         list(itertools.combinations(range(len(sup)), 2)) for sup in supports
     ]
@@ -639,21 +709,27 @@ def _tropical_candidates(eqs):
             if all(any(row) for row in rows) and not any(dets):
                 flat = True
             continue
-        u = tuple(_exact(Fraction(d, det)) for d in dets)
-        if u in seen:
+        g = math.gcd(det, *dets) if det > 0 else -math.gcd(det, *dets)
+        key = (det // g, *(d // g for d in dets))
+        if key in seen:
             continue
-        mus, leads = [], []
+        seen[key] = None    # until it is accepted
+        det, *dets = key
+        mins, leads = [], []
         for sup in supports:
-            ws = [_term_weight(e, a, u) for e, a, _ in sup]
+            ws = [e * det + sum(k * d for k, d in zip(a, dets))
+                  for e, a, _ in sup]
             mu = min(ws)
             lead = {a: c for (_, a, c), w in zip(sup, ws) if w == mu}
             if len(lead) < 2:
                 break
-            mus.append(mu)
+            mins.append(mu)
             leads.append(lead)
         else:
-            seen[u] = (u, mus, leads)
-    return [seen[u] for u in sorted(seen)], flat
+            den = det * scale
+            seen[key] = (tuple(_ratio(d, den) for d in dets),
+                         [_ratio(m, den) for m in mins], leads)
+    return sorted(filter(None, seen.values()), key=lambda c: c[0]), flat
 
 
 def _bicols(lead, field):
@@ -694,13 +770,7 @@ def _resultant(a, b):
         da, db = len(a) - 1, len(b) - 1
         delta = da - db
         sign *= (-1) ** (da * db)
-        r = list(a)
-        for k in range(delta, -1, -1):
-            neg = -r.pop()
-            r = [x * b[-1] for x in r]
-            if neg:
-                for j in range(db):
-                    r[k + j] = r[k + j] + neg * b[j]
+        r = _pseudo_remainder(a, b)
         while r and not r[-1]:
             r.pop()
         if not r:
@@ -753,13 +823,7 @@ def _leading_roots(system, root):
                 "positive-dimensional leading system: a coordinate line of "
                 "leading solutions"
             )
-        if g1.is_zero():
-            h = g2
-        elif g2.is_zero():
-            h = g1
-        else:
-            h = _poly_gcd(g1, g2)
-        h, _ = _strip_origin(h)
+        h, _ = _strip_origin(_poly_gcd(g1, g2))
         if h.degree < 1:
             continue    # spurious eliminant root
         for s, ms in _exact_roots(h):
@@ -798,20 +862,20 @@ class HessianReport:
     nondegenerate: bool
 
 
-def _leading_jacobian(leads, z0, field, n):
+def _leading_jacobian(leads, z0, field):
+    """Row i holds a_j * c * z0^a summed over the leading part i: each
+    monomial is formed once and scaled by its ``int`` exponents."""
     rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = field.zero
-            for a, c in leads[i].items():
-                if a[j]:
-                    mono = field.one
-                    for k, ak in enumerate(a):
-                        if ak:
-                            mono = mono * field_power(field, z0[k], ak)
-                    acc = acc + field.coerce(a[j]) * c * mono
-            row.append(acc)
+    for lead in leads:
+        row = [field.zero] * len(z0)
+        for a, c in lead.items():
+            mono = c
+            for k, ak in enumerate(a):
+                if ak:
+                    mono = mono * field_power(field, z0[k], ak)
+            for j, aj in enumerate(a):
+                if aj:
+                    row[j] = row[j] + aj * mono
         rows.append(row)
     return rows
 
@@ -960,7 +1024,7 @@ def critical_points(pot, cutoff):
             sols.sort(key=lambda sm: tuple(root.format(c) for c in sm[0]))
             roots = []
             for z0, hint in sols:
-                jac0 = _leading_jacobian(leads, z0, root, n)
+                jac0 = _leading_jacobian(leads, z0, root)
                 if not root.is_zero(_det(jac0)):
                     roots.append(z0)
                     continue

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import warnings
 from fractions import Fraction
@@ -404,7 +405,7 @@ def test_critical_points_multiplication_count():
     """P2 under [[1,1],[1,2]] at cutoff 6 in few scalar products.
 
     One monomial table per Newton point, seeded with each coordinate and
-    its inverse, and leading systems kept over Q need 84 Novikov and 536
+    its inverse, and leading systems kept over Q need 84 Novikov and 545
     Q(sqrt -3) products; evaluating every derivative separately and
     redoing the solve over Q(sqrt -3) needed 333 and 7,170.
     """
@@ -432,12 +433,15 @@ def test_critical_points_multiplication_count():
 
 
 def test_critical_points_weigh_and_build_once_per_candidate(monkeypatch):
-    """P2 under [[1,1],[1,2]] at cutoff 6: terms are weighed only by the
-    tropical selections (6 ``_term_weight`` calls), and the term monomials,
-    shifts and unshifts are built once per call and candidate (43 scalars
-    canonicalized).  Weighing again per candidate and per lift, and
-    building them per table and per point, took 21 and 69."""
-    calls = _count_calls(monkeypatch, "_term_weight")
+    """Tropical selections are weighed in integers, and u and the mus of
+    an accepted candidate are formed once (two ``_ratio`` calls per
+    variable and candidate: 4 for the one candidate of P2 under
+    [[1,1],[1,2]], 8 for the two of the pentagon, which also rejects a
+    selection); the term monomials, shifts and unshifts are built once per
+    call and candidate (31 scalars canonicalized for P2).  Weighing with
+    a rational u built a Fraction per term weight, and building the
+    monomials per table and per point took 69 canonical scalars."""
+    calls = _count_calls(monkeypatch, "_ratio")
     calls["_canonical"] = 0
 
     def canonical(*args, _orig=novikov._canonical):
@@ -447,8 +451,39 @@ def test_critical_points_weigh_and_build_once_per_candidate(monkeypatch):
     monkeypatch.setattr(novikov, "_canonical", canonical)
     pot, cutoff = _case("p2_moved")
     assert len(critical_points(pot, cutoff)) == 3
-    assert calls["_term_weight"] <= 6
-    assert calls["_canonical"] <= 43
+    assert calls == {"_ratio": 4, "_canonical": 31}
+    calls.update(dict.fromkeys(calls, 0))
+    pot, cutoff = _case("pentagon")
+    assert len(critical_points(pot, cutoff)) == 5
+    assert calls["_ratio"] == 8
+
+
+def _count_fractions(monkeypatch):
+    built = [0]
+
+    def counted(cls, *args, _orig=Fraction.__new__, **kwargs):
+        built[0] += 1
+        return _orig(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    return built
+
+
+@pytest.mark.parametrize("name, bound", [
+    ("p2_moved", 89), ("square", 51), ("skew", 40)])
+def test_critical_points_fraction_count(monkeypatch, name, bound):
+    """Few ``Fraction``s per solve: the leading solve over Q divides
+    exactly in ``int``s, takes its gcds on primitive integer polynomials
+    and weighs tropical selections in integers, so P2 under [[1,1],[1,2]],
+    the square and the skew P1xP1 at cutoff 6 build 89, 51 and 40 of
+    them, the coordinate and value views included; dividing through
+    field inverses built 2,911, 238 and 226."""
+    pot, cutoff = _case(name)
+    built = _count_fractions(monkeypatch)
+    points = critical_points(pot, cutoff)
+    monkeypatch.undo()
+    assert [_record(p) for p in points] == GOLDEN[name]
+    assert built[0] <= bound
 
 
 def test_coordinate_invisible_below_cutoff_is_named():
@@ -809,6 +844,114 @@ def test_resultant_is_the_sylvester_determinant(field):
     assert min(seen.values()) >= 10, seen
 
 
+def test_resultant_of_integer_columns_builds_no_fraction(monkeypatch):
+    # the exact divisions by g * h^delta of the subresultant PRS stay in
+    # int when the columns are integer polynomials
+    rng = random.Random(7)
+    pairs = []
+    while len(pairs) < 60:
+        a, b = (_random_cols(rng, Rationals(), 0.3) for _ in range(2))
+        if len(a) + len(b) > 2:
+            pairs.append([[potential._Poly(Rationals(), [
+                c.numerator * 6 // c.denominator for c in col.coeffs])
+                for col in cols] for cols in (a, b)])
+    built = _count_fractions(monkeypatch)
+    results = [potential._resultant(a, b) for a, b in pairs]
+    monkeypatch.undo()
+    assert built == [0]
+    assert all(type(c) is int for r in results for c in r.coeffs)
+    assert sum(not r for r in results) < 10
+    for (a, b), r in zip(pairs, results):
+        assert r.coeffs == _cofactor_det(_sylvester(a, b)).coeffs
+
+
+def _field_gcd(a, b):
+    """Euclid's algorithm over the coefficient field, made monic at the
+    end: the gcd that the primitive pseudo-remainder sequence replaced."""
+    while not b.is_zero():
+        _, r = a.divmod(b)
+        a, b = b, r
+    return a.monic() if not a.is_zero() else a
+
+
+@pytest.mark.parametrize("field", [Rationals(), QuadraticField(5)],
+                         ids=["Q", "Q(sqrt 5)"])
+def test_poly_gcd_is_the_monic_field_gcd(field):
+    # non-monic operands with Fraction coefficients, common factors of
+    # degree 0-3 and zero operands, in both argument orders
+    rng = random.Random(11)
+
+    def poly(degree):
+        coeffs = [field.coerce(Fraction(rng.randint(-4, 4), rng.randint(1, 4)))
+                  for _ in range(degree + 1)]
+        return potential._Poly(field, coeffs)
+
+    seen = dict.fromkeys(["zero", "common", "coprime"], 0)
+    for _ in range(200):
+        common = poly(rng.randint(0, 3))
+        a, b = (poly(rng.randint(-1, 4)) * common for _ in range(2))
+        want = _field_gcd(a, b)
+        seen["zero" if not a or not b else
+             "common" if want.degree > 0 else "coprime"] += 1
+        for x, y in ((a, b), (b, a)):
+            got = potential._poly_gcd(x, y)
+            assert got.coeffs == want.coeffs
+            assert all(type(c) is not Fraction or c.denominator != 1
+                       for c in got.coeffs)
+        if isinstance(field, Rationals) and a:
+            # the sequence runs on primitive integer polynomials
+            prim = potential._primitive(a).coeffs
+            assert all(type(c) is int for c in prim)
+            assert prim[-1] > 0 and math.gcd(*prim) == 1
+            assert potential._Poly(field, prim).monic().coeffs == \
+                a.monic().coeffs
+    assert min(seen.values()) >= 10, seen
+
+
+# 2*y1^-2*y2^-2 - 3*y1^-2*y2^-1 - y1^-2 - T^(5/3)*y1*y2^-1 + 2*T^(5/3)*y1*y2^2,
+# whose leading eliminant has a radical of degree 15 (5 under two charts)
+# without a rational factor of degree 1 or 2
+DEGREE_15 = NovikovLaurentPolynomial.make(Rationals(), 2, [
+    (0, (-2, -2), 2), (0, (-2, -1), -3), (0, (-2, 0), -1),
+    (Fraction(5, 3), (1, -1), -1), (Fraction(5, 3), (1, 2), 2)])
+
+
+def test_radical_without_small_factors_is_rejected_modulo_a_prime(
+        monkeypatch):
+    # under the identity and the 16 other charts of at most two letters
+    # the radical has no factor of degree <= 2 modulo 5, which raises at
+    # once; enumerating the divisor candidates took from 1 s to minutes
+    # per chart.  Bounded by counts, not time: no divisor list is formed,
+    # and per chart at most 60 pseudo-remainders (the 25 steps to x^25
+    # mod 5 and the gcds and resultant; 53 at most) and 200 polynomial
+    # products (189 at most); a count past its bound fails at once
+    counts = {"_pseudo_remainder": 0, "__mul__": 0}
+
+    def counted(name, bound, orig):
+        def call(*args):
+            counts[name] += 1
+            assert counts[name] <= bound, f"more than {bound} {name}"
+            return orig(*args)
+        return call
+
+    def divisors(n):
+        raise AssertionError("divisor candidates enumerated")
+
+    monkeypatch.setattr(potential, "_pseudo_remainder", counted(
+        "_pseudo_remainder", 60, potential._pseudo_remainder))
+    monkeypatch.setattr(potential._Poly, "__mul__", counted(
+        "__mul__", 200, potential._Poly.__mul__))
+    monkeypatch.setattr(potential, "_divisors", divisors)
+    charts = sorted(set([((1, 0), (0, 1))] + _words()))
+    assert len(charts) == 17
+    for m in charts:
+        counts.update(dict.fromkeys(counts, 0))
+        with pytest.raises(NotRepresentable,
+                           match=r"degree-(15|5) factor .* not recognized "
+                                 r".* modulo 5$"):
+            critical_points(DEGREE_15.change_of_variables(m), 6)
+
+
 def test_two_square_roots_are_not_representable():
     # y dW/dy = y^3 - 3y - T/y + 2T^5/y^3: the roots +-sqrt(3) at
     # valuation 0 switch to Q(sqrt 3), and the roots +-sqrt(-1/3) at
@@ -1012,8 +1155,10 @@ def test_lift_pad_from_candidate_weights_bounds_every_term(data, n):
     w = NovikovLaurentPolynomial.make(Rationals(), n, entries)
     eqs = [w.log_derivative(i) for i in range(n)]
     assume(not any(eq.is_zero() for eq in eqs))
+    def weight(e, a, u):
+        return e + sum(k * s for k, s in zip(a, u))
+
     for u, mus, _ in potential._tropical_candidates(eqs)[0]:
-        weight = potential._term_weight
         assert mus == [min(weight(e, a, u) for e, a, _ in eq.terms())
                        for eq in eqs]
         weights = [weight(e, a, u) for e, a, _ in w.terms()]
