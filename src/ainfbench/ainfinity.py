@@ -47,7 +47,7 @@ from .linalg import (
     quotient_representatives,
     solve_combination,
 )
-from .novikov import NovikovScalar, _exact, field_power
+from .novikov import NovikovScalar, _exact, _integer, field_power
 
 __all__ = [
     "AInfCategory",
@@ -60,7 +60,6 @@ __all__ = [
     "cohomology_category",
     "DiskClass",
     "EnergyGradedAlgebra",
-    "check_energy_cyclic",
     "local_system_value",
     "deform_by_mc",
     "divisor_element",
@@ -319,9 +318,19 @@ def _relation_residual(cat: AInfCategory, chain, labels):
     return total
 
 
+def _arity_bound(max_arity, default):
+    """``max_arity``, an int >= 0, or ``default`` when it is None."""
+    if max_arity is None:
+        return default
+    bound = _integer(max_arity)
+    if bound < 0:
+        raise StructureError(f"max_arity must be nonnegative, got {max_arity}")
+    return bound
+
+
 def check_ainf(cat: AInfCategory, max_arity=None) -> CheckReport:
     """Evaluate the structural relation on every basis tuple up to a bound."""
-    bound = max_arity if max_arity is not None else cat.max_op_arity() + 2
+    bound = _arity_bound(max_arity, cat.max_op_arity() + 2)
     report = CheckReport(f"ainf relations (arity <= {bound})")
     for s in range(bound + 1):
         for chain in cat.chains(s):
@@ -337,7 +346,7 @@ def check_ainf(cat: AInfCategory, max_arity=None) -> CheckReport:
 
 
 def check_unital(cat: AInfCategory, max_arity=None) -> CheckReport:
-    bound = max_arity if max_arity is not None else cat.max_op_arity() + 2
+    bound = _arity_bound(max_arity, cat.max_op_arity() + 2)
     report = CheckReport(f"unit axioms (arity <= {bound})")
     for x, u in cat.units.items():
         # arity 2: both orders against every basis element
@@ -391,7 +400,7 @@ def check_unital(cat: AInfCategory, max_arity=None) -> CheckReport:
 
 
 def check_cyclic(cat: AInfCategory, max_arity=None) -> CheckReport:
-    bound = max_arity if max_arity is not None else cat.max_op_arity() + 2
+    bound = _arity_bound(max_arity, cat.max_op_arity() + 2)
     report = CheckReport(f"cyclic pairing (arity <= {bound})")
     if cat.cyclic_degree is None:
         report.add("cyclic", (), (), "no pairing declared")
@@ -603,8 +612,8 @@ class DiskClass:
     """One disk class: energy exponent, even Maslov index, boundary in Z^m.
 
     ``ops[s]`` maps basis tuples to output rows whose values are elements
-    of the coefficient field; ``_pair_row`` and ``_rho_tables`` turn them
-    into constant Novikov scalars when they use them.
+    of the coefficient field; ``_rho_tables`` turns them into constant
+    Novikov scalars when it uses them.
     """
 
     energy: int | Fraction
@@ -726,52 +735,6 @@ class EnergyGradedAlgebra:
                             )
 
 
-def check_energy_cyclic(alg: EnergyGradedAlgebra, max_arity=6) -> CheckReport:
-    """Rotation identity of the per-class operations under the pairing."""
-    report = CheckReport("energy-level cyclic symmetry")
-    sp = alg.space
-    tables = [(0, {2: _cup_table(alg)})]
-    tables += [(d.energy, d.ops) for d in alg.disks]
-    for _, ops in tables:
-        for s, table in ops.items():
-            if s == 0 or s > max_arity:
-                # nothing to rotate at arity zero
-                continue
-            for args in itertools.product(sp.labels, repeat=s):
-                for x0 in sp.labels:
-                    report.checked += 1
-                    lhs = _pair_row(alg, table.get(tuple(args), {}), x0)
-                    rot = (x0,) + tuple(args[:-1])
-                    rhs = _pair_row(alg, table.get(rot, {}), args[-1])
-                    e = reduced(sp.parity(x0)) * sum(
-                        reduced(sp.parity(a)) for a in args
-                    )
-                    if sign_of(e) < 0:
-                        rhs = -rhs
-                    if not (lhs - rhs).is_zero():
-                        report.add("energy-cyc", (s,), args + (x0,), "fails")
-    return report
-
-
-def _cup_table(alg: EnergyGradedAlgebra):
-    out = {}
-    m = alg.cup_op()
-    for args, row in m.table.items():
-        out[args] = dict(row)
-    return out
-
-
-def _pair_row(alg, row, closing):
-    total = NovikovScalar.zero(alg.field, alg.cutoff)
-    for out, c in row.items():
-        if isinstance(c, NovikovScalar):
-            x = c
-        else:
-            x = alg.constant(c)
-        total = total + x * alg.signed_pairing(out, closing)
-    return total
-
-
 # -- Maurer-Cartan deformation ---------------------------------------------
 
 
@@ -781,7 +744,7 @@ def local_system_value(field, rho, dvec):
         raise StructureError("local system rank mismatch")
     out = field.one
     for r, k in zip(rho, dvec):
-        out = out * field_power(field, r, k)
+        out = out * field_power(field, field.coerce(r), k)
     return out
 
 
@@ -905,8 +868,7 @@ def _mc_category(alg, rho, elements, max_arity):
     Each object's arity-0 operation is built once: it is the curvature
     entry of the table and gives W.
     """
-    if max_arity is not None and max_arity < 0:
-        raise StructureError(f"max_arity must be nonnegative, got {max_arity}")
+    max_arity = _arity_bound(max_arity, None)
     for b in elements.values():
         _check_convergent(alg, b)
     tables = _rho_tables(alg, rho)

@@ -169,9 +169,6 @@ class HCochain:
     def length0(self, obj) -> dict:
         return self.entry((obj,), ())
 
-    def lengths(self):
-        return sorted({len(args) for (_, args) in self.table})
-
     def min_length(self):
         """Smallest length carrying a nonzero component, or None if zero."""
         best = None
@@ -205,15 +202,6 @@ class HCochain:
 
     def __sub__(self, other):
         return self + (-other)
-
-    def truncate_length(self, m) -> "HCochain":
-        out = HCochain(self.cat, self.parity, m, truncated=self.truncated)
-        for (chain, args), outs in self.table.items():
-            if len(args) <= m:
-                out.table[(chain, args)] = dict(outs)
-            else:
-                out.truncated = True
-        return out
 
     def as_vector(self) -> dict:
         """Flatten to {(chain, args, out): coeff} for linear algebra."""
@@ -275,14 +263,6 @@ def element_cochain(cat, obj, vector, max_length) -> HCochain:
     return phi
 
 
-def _elementary_parity(cat, chain, args, out) -> int:
-    """Declared degree parity of the elementary cochain at this entry."""
-    psum = cat.hom_space(chain[0], chain[-1]).parity(out) + len(args)
-    for k, a in enumerate(args):
-        psum += cat.hom_space(chain[k], chain[k + 1]).parity(a)
-    return psum & 1
-
-
 def _elementaries(cat, max_length):
     """Elementary cochains (chain, args, out) up to the length bound, each
     with its parity; the arguments' share is summed once for all outputs."""
@@ -306,13 +286,6 @@ def iter_elementaries(cat, max_length, parity=None):
     for elem, p in _elementaries(cat, max_length):
         if parity is None or p == parity:
             yield elem
-
-
-def elementary_cochain(cat, elem, max_length) -> HCochain:
-    chain, args, out = elem
-    phi = HCochain(cat, _elementary_parity(cat, chain, args, out), max_length)
-    phi.add(chain, args, out, NovikovScalar.one(cat.field, cat.cutoff))
-    return phi
 
 
 # -- cochain differential and products -------------------------------------

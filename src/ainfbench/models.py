@@ -27,7 +27,6 @@ __all__ = [
     "direct_sum_category",
     "eq42_disk",
     "circle_fiber_algebra",
-    "torus_surface_algebra",
 ]
 
 
@@ -364,53 +363,4 @@ def circle_fiber_algebra(field, cutoff, energies, s_max=12,
     return EnergyGradedAlgebra(
         field, cutoff, sp, "1", cup, integral, disks,
         dimension=1, loop_rank=1, name=name,
-    )
-
-
-def torus_surface_algebra(field, cutoff, disk_data, s_max=12,
-                          name="torus-fiber"):
-    """Two-torus cohomology with declared Maslov-two classes.
-
-    ``disk_data`` is a list of (energy, boundary pair, n_beta).  Only the
-    odd-generator slots of the operations are populated (the symmetric
-    boundary formula does not determine slots involving the top class), so
-    the fixture serves potential and divisor computations, not full
-    relation checks.  Every populated slot lands on the unit at Maslov
-    index two, so the tables pass the dimension rule.
-    """
-    sp = GradedSpace(
-        ("1", "x1", "x2", "x12"), (0, 1, 1, 0), (0, 1, 1, 2)
-    )
-    one = field.one
-    cup = {
-        ("1", "1"): {"1": one},
-        ("1", "x1"): {"x1": one},
-        ("1", "x2"): {"x2": one},
-        ("1", "x12"): {"x12": one},
-        ("x1", "1"): {"x1": one},
-        ("x2", "1"): {"x2": one},
-        ("x12", "1"): {"x12": one},
-        ("x1", "x2"): {"x12": one},
-        ("x2", "x1"): {"x12": -one},
-        ("x1", "x1"): {},
-        ("x2", "x2"): {},
-        ("x1", "x12"): {},
-        ("x12", "x1"): {},
-        ("x2", "x12"): {},
-        ("x12", "x2"): {},
-        ("x12", "x12"): {},
-    }
-    integral = {
-        ("1", "x12"): one,
-        ("x12", "1"): one,
-        ("x1", "x2"): one,
-        ("x2", "x1"): -one,
-    }
-    disks = [
-        eq42_disk(field, energy, boundary, n_beta, ("x1", "x2"), s_max)
-        for energy, boundary, n_beta in disk_data
-    ]
-    return EnergyGradedAlgebra(
-        field, cutoff, sp, "1", cup, integral, disks,
-        dimension=2, loop_rank=2, name=name,
     )

@@ -20,7 +20,7 @@ from .errors import StructureError
 from .graded import _acc, _signed, reduced, sign_of
 from .hochschild import (HCochain, _word_prefixes, b11, chain_parity,
                          word_parity)
-from .novikov import NovikovScalar
+from .novikov import NovikovScalar, _integer
 
 __all__ = [
     "trace",
@@ -172,6 +172,9 @@ def z_map(cat, vec: dict, max_length: int) -> HCochain:
     that word is a coordinate, and the dual basis converts coordinates
     into the output vector.
     """
+    max_length = _integer(max_length)
+    if max_length < 0:
+        raise StructureError(f"max_length must be nonnegative, got {max_length}")
     duals = cat.dual_bases()
     par = chain_parity(cat, vec)
     if par is None:

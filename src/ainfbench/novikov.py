@@ -695,10 +695,10 @@ class NovikovScalar:
         if len(ta) == 1 and len(tb) == 1:
             e1, c1 = ta[0]
             e2, c2 = tb[0]
+            # each lone exponent lies below its own cutoff, so e lies below
+            # all three bounds of the product's; nonzero coefficients of a
+            # field have a nonzero product
             e = e1 * ma + e2 * mb
-            if e >= cutoff:
-                return _scalar(field, (den, cutoff), 1, ())
-            # nonzero coefficients of a field have a nonzero product
             c = c1 * c2
             if cden != 1:
                 g = math.gcd(c, cden)
@@ -751,9 +751,8 @@ class NovikovScalar:
             step = r.lterms[0][0]
             k = 1
             while k * step < rel:
+                # (-r)^k leads at k*step < rel, below its cutoff (>= rel)
                 power = power * (-r)
-                if not power.lterms:
-                    break
                 geom = geom + power
                 k += 1
         # every term of geom lies below rel, so below new_cutoff once shifted

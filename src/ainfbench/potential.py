@@ -1224,6 +1224,11 @@ def u_of_c(toric, point) -> FiberPoint:
     reported.
     """
     poly = toric.polytope if isinstance(toric, ToricPotential) else toric
+    if not isinstance(poly, MomentPolytope):
+        raise StructureError(
+            "u_of_c recenters against a MomentPolytope or ToricPotential, "
+            f"not {type(toric).__name__}"
+        )
     if not isinstance(point, CriticalPoint):
         raise StructureError(
             f"u_of_c recenters a CriticalPoint, not {type(point).__name__}"

@@ -8,17 +8,18 @@ import pytest
 from ainfbench import ainfinity as ainf
 from ainfbench.ainfinity import (
     AInfCategory,
+    CheckReport,
     DiskClass,
     EnergyGradedAlgebra,
     _gap_inserted_op,
     _rho_tables,
     check_ainf,
     check_cyclic,
-    check_energy_cyclic,
     check_unital,
     cohomology_category,
     deform_by_mc,
     divisor_element,
+    local_system_value,
     mc_family_category,
 )
 from ainfbench.errors import (
@@ -27,7 +28,7 @@ from ainfbench.errors import (
     NotRepresentable,
     StructureError,
 )
-from ainfbench.graded import GradedSpace, MultilinearMap
+from ainfbench.graded import GradedSpace, MultilinearMap, reduced, sign_of
 from ainfbench.models import (
     circle_fiber_algebra,
     clifford_model,
@@ -39,7 +40,6 @@ from ainfbench.models import (
     point_category,
     sphere_model,
     summand_category,
-    torus_surface_algebra,
     word_label,
 )
 from ainfbench.novikov import (
@@ -47,6 +47,13 @@ from ainfbench.novikov import (
     Rationals,
     format_scalar,
     parse_scalar,
+)
+from ainfbench.mukai import z_map
+from ainfbench.potential import (
+    MomentPolytope,
+    build_toric_potential,
+    critical_points,
+    u_of_c,
 )
 
 E = 6
@@ -275,6 +282,27 @@ def acyclic_toy(m1_coeff):
     )
 
 
+def test_unit_insertion_into_a_higher_operation_is_located():
+    toy = acyclic_toy(sc("T"))
+    sp = toy.hom_space("X", "X")
+    m3 = MultilinearMap((sp,) * 3, sp, parity=1)
+    m3.add_entry(("u", "x", "x"), "x", sc("1"))
+    cat = AInfCategory(Q, E, ("X",), {("X", "X"): sp},
+                       {**toy.ops, ("X",) * 4: m3}, units=toy.units)
+    report = check_unital(cat)
+    assert [(v.kind, v.chain, v.args, v.detail)
+            for v in report.violations] == [
+        ("unit-kill", ("X",) * 4, ("x", "x"),
+         "m_3 with unit at slot 0 is nonzero")]
+
+
+def test_cyclic_check_without_a_pairing_names_it():
+    report = check_cyclic(acyclic_toy(sc("T")))
+    assert [(v.kind, v.chain, v.args, v.detail)
+            for v in report.violations] == [
+        ("cyclic", (), (), "no pairing declared")]
+
+
 def test_cohomology_acyclic_toy():
     cat = acyclic_toy(sc("T"))
     assert check_ainf(cat).passed
@@ -344,6 +372,50 @@ def test_deform_rejects_bad_input():
         deform_by_mc(alg, (Fraction(1),), {"x": sc("1")})
     with pytest.raises(StructureError):
         deform_by_mc(alg, (Fraction(1),), {"1": sc("T")})
+
+
+def _cl1():
+    return clifford_model(Q, E, [[Fraction(2)]])
+
+
+def _p1_fiber():
+    toric = build_toric_potential(MomentPolytope([(1,), (-1,)], [0, 1]))
+    return toric, critical_points(toric, E)[0]
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: check_ainf(_cl1(), max_arity=-1), StructureError,
+                 "max_arity must be nonnegative, got -1", id="ainf-negative"),
+    pytest.param(lambda: check_unital(_cl1(), max_arity=-1), StructureError,
+                 "max_arity must be nonnegative, got -1",
+                 id="unital-negative"),
+    pytest.param(lambda: check_cyclic(_cl1(), max_arity=-1), StructureError,
+                 "max_arity must be nonnegative, got -1",
+                 id="cyclic-negative"),
+    pytest.param(lambda: check_ainf(_cl1(), max_arity=2.5), NotRepresentable,
+                 r"2\.5", id="ainf-float"),
+    pytest.param(lambda: check_unital(_cl1(), max_arity="3"),
+                 NotRepresentable, "'3'", id="unital-text"),
+    pytest.param(lambda: check_cyclic(_cl1(), max_arity=True),
+                 NotRepresentable, "True", id="cyclic-bool"),
+    pytest.param(lambda: deform_by_mc(bare_circle(), (1,), {},
+                                      max_arity=2.5),
+                 NotRepresentable, r"2\.5", id="deform-float"),
+    pytest.param(lambda: mc_family_category(bare_circle(), (1,), [{}],
+                                            max_arity=True),
+                 NotRepresentable, "True", id="family-bool"),
+    pytest.param(lambda: u_of_c(_p1_fiber()[0].potential, _p1_fiber()[1]),
+                 StructureError, "not NovikovLaurentPolynomial",
+                 id="u_of_c-potential"),
+    pytest.param(lambda: local_system_value(Q, (1.5,), (1,)),
+                 NotRepresentable, r"1\.5", id="rho-float"),
+    pytest.param(lambda: z_map(_cl1(), {(("T",), ("1",)): sc("1")}, -1),
+                 StructureError, "max_length must be nonnegative, got -1",
+                 id="z_map-negative"),
+])
+def test_malformed_arguments_name_the_bad_value(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 def test_curvature_and_derivative_identity():
@@ -544,6 +616,55 @@ def assert_matches_reference(alg, tables, gap_elements, s):
     return want
 
 
+def torus_surface_algebra(field, cutoff, disk_data, s_max=12,
+                          name="torus-fiber"):
+    """Two-torus cohomology with declared Maslov-two classes.
+
+    ``disk_data`` is a list of (energy, boundary pair, n_beta).  Only the
+    odd-generator slots of the operations are populated (the symmetric
+    boundary formula does not determine slots involving the top class), so
+    the fixture serves potential and divisor computations, not full
+    relation checks.  Every populated slot lands on the unit at Maslov
+    index two, so the tables pass the dimension rule.
+    """
+    sp = GradedSpace(
+        ("1", "x1", "x2", "x12"), (0, 1, 1, 0), (0, 1, 1, 2)
+    )
+    one = field.one
+    cup = {
+        ("1", "1"): {"1": one},
+        ("1", "x1"): {"x1": one},
+        ("1", "x2"): {"x2": one},
+        ("1", "x12"): {"x12": one},
+        ("x1", "1"): {"x1": one},
+        ("x2", "1"): {"x2": one},
+        ("x12", "1"): {"x12": one},
+        ("x1", "x2"): {"x12": one},
+        ("x2", "x1"): {"x12": -one},
+        ("x1", "x1"): {},
+        ("x2", "x2"): {},
+        ("x1", "x12"): {},
+        ("x12", "x1"): {},
+        ("x2", "x12"): {},
+        ("x12", "x2"): {},
+        ("x12", "x12"): {},
+    }
+    integral = {
+        ("1", "x12"): one,
+        ("x12", "1"): one,
+        ("x1", "x2"): one,
+        ("x2", "x1"): -one,
+    }
+    disks = [
+        eq42_disk(field, energy, boundary, n_beta, ("x1", "x2"), s_max)
+        for energy, boundary, n_beta in disk_data
+    ]
+    return EnergyGradedAlgebra(
+        field, cutoff, sp, "1", cup, integral, disks,
+        dimension=2, loop_rank=2, name=name,
+    )
+
+
 @pytest.mark.parametrize("s", [0, 1, 2, 3])
 def test_gap_insertion_matches_enumeration_on_torus(s):
     third, half = Fraction(1, 3), Fraction(1, 2)
@@ -614,6 +735,52 @@ def test_gap_insertion_matches_enumeration_on_mixed_lengths(s):
     gaps = [{"x": sc("T^(1/3)")}, {"x": sc("-T^(1/2) + 2*T")},
             {"x": sc("3*T^(1/2)")}, {"x": sc("T^(2/3)")}]
     assert assert_matches_reference(alg, tables, gaps[: s + 1], s)
+
+
+def check_energy_cyclic(alg: EnergyGradedAlgebra, max_arity=6) -> CheckReport:
+    """Rotation identity of the per-class operations under the pairing."""
+    report = CheckReport("energy-level cyclic symmetry")
+    sp = alg.space
+    tables = [(0, {2: _cup_table(alg)})]
+    tables += [(d.energy, d.ops) for d in alg.disks]
+    for _, ops in tables:
+        for s, table in ops.items():
+            if s == 0 or s > max_arity:
+                # nothing to rotate at arity zero
+                continue
+            for args in itertools.product(sp.labels, repeat=s):
+                for x0 in sp.labels:
+                    report.checked += 1
+                    lhs = _pair_row(alg, table.get(tuple(args), {}), x0)
+                    rot = (x0,) + tuple(args[:-1])
+                    rhs = _pair_row(alg, table.get(rot, {}), args[-1])
+                    e = reduced(sp.parity(x0)) * sum(
+                        reduced(sp.parity(a)) for a in args
+                    )
+                    if sign_of(e) < 0:
+                        rhs = -rhs
+                    if not (lhs - rhs).is_zero():
+                        report.add("energy-cyc", (s,), args + (x0,), "fails")
+    return report
+
+
+def _cup_table(alg: EnergyGradedAlgebra):
+    out = {}
+    m = alg.cup_op()
+    for args, row in m.table.items():
+        out[args] = dict(row)
+    return out
+
+
+def _pair_row(alg, row, closing):
+    total = NovikovScalar.zero(alg.field, alg.cutoff)
+    for out, c in row.items():
+        if isinstance(c, NovikovScalar):
+            x = c
+        else:
+            x = alg.constant(c)
+        total = total + x * alg.signed_pairing(out, closing)
+    return total
 
 
 def test_energy_cyclic_on_circle_fixture():

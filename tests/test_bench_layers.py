@@ -6,16 +6,21 @@ moves one of those names still passes the rest of the suite and fails
 only in a traced benchmark run, so this test runs the installer with a
 tracer that checks each name instead of wrapping it.  A second test runs
 it with the real tracer and checks that each scalar operation is counted
-once, however the package routes it internally.
+once, however the package routes it internally.  A third runs one pass of
+every workload and judges each answer by the workload's own oracle, so a
+name that a workload calls and a refactor moves fails here too.
 """
 
 import importlib
 import importlib.util
+import random
 import sys
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
+
+import pytest
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -93,3 +98,34 @@ def test_traced_addsub_counts_each_operation_once():
     assert tracer.calls["novikov.addsub"] == 7
     assert tracer.calls["novikov.mul"] == 1
     assert tracer.calls["novikov.invert"] == 0
+
+
+WORKLOADS = ("clifford-homology", "splitgen-certificate", "mc-family",
+             "lg-critical")
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_one_pass_of_each_workload_meets_its_oracles(workload):
+    """Every operation of one seeded pass returns an answer its check
+    accepts, or raises the known defect: the skew P1xP1 charts whose
+    leading system is positive-dimensional, ten of them in ``lg-critical``.
+    """
+    workloads = load_bench_module("workloads")
+    assert set(workloads.WORKLOADS) == set(WORKLOADS)
+    lib = load_library()
+    ops, _ = workloads.WORKLOADS[workload](lib, random.Random(5))
+    defects = []
+    for op in ops:
+        try:
+            out = op.run()
+        except lib.errors.WorkbenchError as exc:
+            if op.known_defect is None or not op.known_defect(exc):
+                raise
+            defects.append(op.name)
+            continue
+        assert op.check(out) is None, op.name
+    if workload == "lg-critical":
+        assert len(defects) == 10
+        assert all(name.startswith("skew@") for name in defects)
+    else:
+        assert defects == []

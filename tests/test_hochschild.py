@@ -26,8 +26,8 @@ from ainfbench.hochschild import (
     chain_differential,
     cochain_differential,
     cup,
+    cochain_from_vector,
     element_cochain,
-    elementary_cochain,
     homology,
     include_chain,
     iter_elementaries,
@@ -212,7 +212,7 @@ def test_length0_closedness_is_graded_commutation():
     assert d.entry((T, T), ("1",)) == {}
     assert {k: v for k, v in d.entry((T, T), ("e1",)).items()
             if not v.is_zero()} == {"1": const(4)}
-    assert sorted(d.lengths()) == [1]
+    assert {len(args) for _, args in d.table} == {1}
 
 
 def test_cochain_differential_squares_to_zero():
@@ -266,7 +266,7 @@ def test_cup_of_scalar_cochains_is_pointwise_product():
     b = element_cochain(cat, T, {"1": const(5)}, 4)
     prod = cup(a, b)
     assert {k: v for k, v in prod.length0(T).items()} == {"1": const(15)}
-    assert sorted(prod.lengths()) == [0]
+    assert {len(args) for _, args in prod.table} == {0}
 
 
 def test_cup_of_cocycles_is_cocycle():
@@ -287,7 +287,8 @@ def test_cup_associative_within_window():
             g = random_cochain(cat, rng.randrange(2), 3, rng)
             h = random_cochain(cat, rng.randrange(2), 3, rng)
             d = cup(cup(f, g), h) - cup(f, cup(g, h))
-            assert d.truncate_length(3).is_zero()
+            assert cochain_from_vector(
+                cat, d.parity, 3, d.as_vector()).is_zero()
 
 
 def test_cup_splits_as_projection_algebra():
@@ -342,7 +343,9 @@ def test_module_law_on_projection_classes():
     for a in co.representatives[0]:
         for b in co.representatives[0]:
             for X in reps:
-                lhs = cap(cup(a, b).truncate_length(4), X, check=True)
+                ab = cup(a, b)
+                ab = cochain_from_vector(lam, ab.parity, 4, ab.as_vector())
+                lhs = cap(ab, X, check=True)
                 rhs = cap(a, cap(b, X, check=True), check=True)
                 cl = class_coordinates(lam, reps, lhs, 4)
                 cr = class_coordinates(lam, reps, rhs, 4)
@@ -766,12 +769,13 @@ def dense_cochain_window_dims(cat, length):
     """
     m = length - 2
 
-    def matrix(sources, targets, window):
+    def matrix(parity, sources, targets, window):
         index = {f: i for i, f in enumerate(targets)}
         rows = []
         for f in sources:
             row = [Fraction(0)] * len(targets)
-            d = cochain_differential(elementary_cochain(cat, f, window))
+            d = cochain_differential(
+                cochain_from_vector(cat, parity, window, {f: one()}))
             for key, c in d.as_vector().items():
                 row[index[key]] = constant_part(c)
             rows.append(row)
@@ -782,9 +786,10 @@ def dense_cochain_window_dims(cat, length):
         large = list(iter_elementaries(cat, length, p))
         small = list(iter_elementaries(cat, m, p))
         cocycles = null_rows(matrix(
-            large, list(iter_elementaries(cat, length, 1 - p)), length))
+            p, large, list(iter_elementaries(cat, length, 1 - p)), length))
         truncated = [[rel[large.index(f)] for f in small] for rel in cocycles]
-        bounds = matrix(list(iter_elementaries(cat, m, 1 - p)), small, m)
+        bounds = matrix(1 - p, list(iter_elementaries(cat, m, 1 - p)),
+                        small, m)
         dims[p] = rref_rank(truncated + bounds) - rref_rank(bounds)
     return dims
 

@@ -1119,6 +1119,31 @@ def test_moment_polytope_rejects_malformed_data(rays, offsets, basis,
         MomentPolytope(rays, offsets, basis)
 
 
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: NovikovLaurentPolynomial.make(
+        Rationals(), 1, [(-1, (1,), 1)]),
+        "negative energy -1 violates the Gromov bound", id="energy"),
+    pytest.param(lambda: NovikovLaurentPolynomial.make(
+        Rationals(), 2, [(0, (1,), 1)]),
+        r"exponent vector \(1,\) does not match 2 variables",
+        id="exponent-length"),
+    pytest.param(lambda: _case("p1")[0].monomial_values((1,)),
+                 "evaluation points are Novikov scalars", id="point"),
+    pytest.param(lambda: _case("p1")[0].change_of_variables([[2]]),
+                 "substitution matrix must be unimodular", id="substitution"),
+    pytest.param(lambda: build_toric_potential(
+        MomentPolytope(HEXAGON_RAYS, [1] * 6, basis=(0, 1))),
+        r"ray \(1, 1\) gets negative energy -1", id="ray-energy"),
+    pytest.param(lambda: u_of_c(
+        build_toric_potential(MomentPolytope(P2_RAYS, [0, 0, 1])),
+        critical_points(_case("p1")[0], 6)[0]),
+        "coordinate count does not match the polytope", id="coordinates"),
+])
+def test_potential_inputs_name_the_fault(build, message):
+    with pytest.raises(StructureError, match=message):
+        build()
+
+
 def test_newton_step_with_singular_jacobian_is_named():
     # W = y^3/3 - y^2 + y + T (y^3/3 - 3y^2/2 + 3y): at y = 1 the residual
     # y dW/dy is T and its derivative y d/dy (y dW/dy) vanishes exactly
