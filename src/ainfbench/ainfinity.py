@@ -714,6 +714,11 @@ class EnergyGradedAlgebra:
                 raise FixtureError("Maslov indices must be even")
             if len(disk.boundary) != self.loop_rank:
                 raise FixtureError("boundary vector has wrong rank")
+            for k in disk.boundary:
+                if type(k) is not int and not (
+                        type(k) is Fraction and k.denominator == 1):
+                    raise FixtureError(
+                        f"boundary vector entry {k!r} is not an integer")
             if disk.energy <= 0:
                 raise FixtureError("nonzero disk classes need positive energy")
             for s, table in disk.ops.items():
@@ -744,7 +749,7 @@ def local_system_value(field, rho, dvec):
         raise StructureError("local system rank mismatch")
     out = field.one
     for r, k in zip(rho, dvec):
-        out = out * field_power(field, field.coerce(r), k)
+        out = out * field_power(field, field.coerce(r), _integer(k))
     return out
 
 

@@ -47,7 +47,7 @@ from .linalg import (
     seeded_quotient,
     solve_combination,
 )
-from .novikov import NovikovScalar
+from .novikov import NovikovScalar, _integer
 
 
 def _require_flat(cat: AInfCategory):
@@ -149,6 +149,10 @@ class HCochain:
     __slots__ = ("cat", "parity", "max_length", "table", "truncated")
 
     def __init__(self, cat, parity, max_length, truncated=False):
+        max_length = _integer(max_length)
+        if max_length < 0:
+            raise StructureError(
+                f"max_length must be nonnegative, got {max_length}")
         self.cat = cat
         self.parity = parity & 1
         self.max_length = max_length
@@ -745,21 +749,35 @@ def _stable_dims(basis, diff, of_len, windows, drop):
     without them (``drop`` = 1) it is N - 1, the differential strictly
     lowers length and nothing sticks out.
 
-    One elimination per parity per call; every window reads ranks of its
-    length prefixes.  ``basis[p]`` is in length order and ends at the
-    largest build window, so the rows of every small and build window are a
-    prefix of its rows, and one blocked elimination gives the rank of each
-    prefix.  Only the parts sticking out get eliminations of their own.
+    One elimination per call; every window reads ranks of its length
+    prefixes.  ``basis[p]`` is in length order and ends at the largest
+    build window, so the rows of every small and build window are a prefix
+    of its rows, and one blocked elimination gives the rank of each prefix.
+    It takes both parities in one length order and stops each block at its
+    d∘d = 0 bound (``blocked_rank``).  The parts sticking out are
+    truncated rows, not a differential, and get unbounded eliminations of
+    their own.
     Returns ``({window: dims}, eliminators, {p: full-window blocks})``: the
     blocks of parity p eliminate the boundaries that the chain class basis
     of parity 1 - p divides by.
     """
-    elims, rows, lens, pivots, full = [], {}, {}, {}, {}
-    for p in (0, 1):
-        lens[p] = [of_len(e) for e in basis[p]]
-        rows[p] = [diff(e) for e in basis[p]]
-        full[p], pivots[p] = blocked_rank(rows[p])
-        elims.extend(full[p])
+    lens = {p: [of_len(e) for e in basis[p]] for p in (0, 1)}
+    rows = {p: [diff(e) for e in basis[p]] for p in (0, 1)}
+    # both parities in one length order, so a block meets the pivots the
+    # shorter rows of the other parity installed and stops at its bound
+    order = sorted((n, p, i) for p in (0, 1) for i, n in enumerate(lens[p]))
+    elims, at = blocked_rank([rows[p][i] for _, p, i in order],
+                             [basis[p][i] for _, p, i in order])
+    pivots = {0: [], 1: []}
+    for j in at:
+        _, p, i = order[j]
+        pivots[p].append(i)
+    # a block of parity p pivots on keys of parity 1 - p
+    parity = {e: p for p in (0, 1) for e in basis[p]}
+    full = {0: [], 1: []}
+    for el in elims:
+        if el.rank:
+            full[1 - parity[el.pivot_keys[0]]].append(el)
 
     dims = {}
     for n in windows:
@@ -809,6 +827,10 @@ def homology(cat, length, side="chains", want_basis=False) -> HomologyReport:
     The chain class basis divides by the boundaries of the whole build
     window, the very rows ``_stable_dims`` eliminated block by block in the
     same order, so it inserts only its cycles into those eliminations.
+
+    ``cat`` must be an A∞ category, as ``check_ainf`` certifies: the rank
+    count skips rows on the ground that the differential squares to zero,
+    and on other structure maps its ranks are not those of the complex.
     """
     _require_flat(cat)
     if side not in ("chains", "cochains"):

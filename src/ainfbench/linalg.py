@@ -23,6 +23,17 @@ single elimination over all rows would give.  A blocked rank also reports
 which rows installed a pivot, so one elimination gives the rank of every
 prefix of its rows.
 
+A rank count of a complex stops each block early.  Precondition: the rows
+are a differential on their own basis, row i = d(e_i) with every key a
+basis element, and d∘d = 0.  A block B with key set K then spans a subspace
+of ker d ∩ span K, of dimension |K| - rank d(K).  The rows d(k) of the keys
+k that have installed pivots are independent, so if l of them have, B
+holds at most |K| - l pivots and every row after the one installing the
+last of them reduces to zero.  ``blocked_rank`` skips those rows; pivots,
+pivot rows and prefix ranks do not change, whatever the pivot rule.
+Eliminating the blocks in order of their longest row lets each read the
+pivots of the shorter rows before it.
+
 A quotient inserts only its numerators into eliminated denominator blocks
 (``seeded_quotient``), merging the blocks a numerator touches by
 concatenating their pivot rows; blocks share no key, so the pivots are
@@ -212,27 +223,49 @@ def partition_rows(rows):
     return list(groups.values())
 
 
-def blocked_rank(rows):
+def blocked_rank(rows, sources=None):
     """One Eliminator per support-connected cluster; ranks add up.
 
-    Returns ``(eliminators, pivot_rows)``, where ``pivot_rows`` lists in
-    ascending order the positions of the rows that installed a pivot.
-    Each cluster meets its rows in input order, so the rows before
-    position k install exactly the pivots an elimination of ``rows[:k]``
-    alone would: its rank is the number of entries of ``pivot_rows``
-    below k, and one elimination gives the rank of every prefix.
+    Returns ``(eliminators, pivot_rows)``: one eliminator per cluster of
+    ``partition_rows``, in its order, and in ascending order the positions
+    of the rows that installed a pivot.  Each cluster meets its rows in
+    input order, so the rows before position k install exactly the pivots
+    an elimination of ``rows[:k]`` alone would: its rank is the number of
+    entries of ``pivot_rows`` below k, and one elimination gives the rank
+    of every prefix.
+
+    With ``sources``, the rows must be a differential on their own basis:
+    row i is d(sources[i]), every key is a source, and d∘d = 0.  Clusters
+    are then eliminated in order of their last row, and a cluster with key
+    set K stops once it holds |K| - l pivots, where l counts the keys whose
+    own row installed a pivot before it.  Its rows lie in ker d ∩ span K,
+    of dimension |K| - rank d(K), and the l pivot rows are independent, so
+    rank d(K) >= l and every later row of the cluster reduces to zero.
+    Skipping them changes no pivot, pivot row or position, whatever the
+    pivot rule.
     """
     # fresh copies, so identity marks a position even when the same row
     # object is passed twice
     rows = [dict(row) for row in rows]
     where = {id(row): i for i, row in enumerate(rows)}
-    elims, pivot_rows = [], []
-    for grp in partition_rows(rows):
+    groups = partition_rows(rows)
+    elims, pivot_rows, pivoted = [None] * len(groups), [], set()
+    for g in sorted(range(len(groups)),
+                    key=lambda g: where[id(groups[g][-1])]):
         elim = Eliminator()
-        for row in grp:
+        bound = None
+        if sources is not None:
+            keys = {k for row in groups[g] for k in row}
+            bound = len(keys) - len(pivoted.intersection(keys))
+        for row in groups[g]:
+            if elim.rank == bound:
+                break
             if elim.insert(row)[0] is not None:
-                pivot_rows.append(where[id(row)])
-        elims.append(elim)
+                i = where[id(row)]
+                pivot_rows.append(i)
+                if sources is not None:
+                    pivoted.add(sources[i])
+        elims[g] = elim
     pivot_rows.sort()
     return elims, pivot_rows
 

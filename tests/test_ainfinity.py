@@ -409,6 +409,14 @@ def _p1_fiber():
                  id="u_of_c-potential"),
     pytest.param(lambda: local_system_value(Q, (1.5,), (1,)),
                  NotRepresentable, r"1\.5", id="rho-float"),
+    pytest.param(lambda: local_system_value(Q, (2,), (1.5,)),
+                 NotRepresentable, r"1\.5", id="boundary-float"),
+    pytest.param(lambda: local_system_value(Q, (2,), (Fraction(3, 2),)),
+                 StructureError, "3/2 is not an integer",
+                 id="boundary-fraction"),
+    pytest.param(lambda: _circle_algebra(boundary=(1.5,)), FixtureError,
+                 r"boundary vector entry 1\.5 is not an integer",
+                 id="fixture-boundary-float"),
     pytest.param(lambda: z_map(_cl1(), {(("T",), ("1",)): sc("1")}, -1),
                  StructureError, "max_length must be nonnegative, got -1",
                  id="z_map-negative"),

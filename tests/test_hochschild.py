@@ -16,7 +16,12 @@ from ainfbench.ainfinity import (
     subcategory,
 )
 from ainfbench import hochschild
-from ainfbench.errors import InsufficientCutoff, NotStabilized, StructureError
+from ainfbench.errors import (
+    InsufficientCutoff,
+    NotRepresentable,
+    NotStabilized,
+    StructureError,
+)
 from ainfbench.graded import reduced, sign_of
 from ainfbench.hochschild import (
     HCochain,
@@ -193,6 +198,26 @@ def test_hcochain_add_prunes_cancelled_and_overlong_entries():
     assert phi.table == {} and not phi.truncated
     phi.add((x, x, x), (v, v), u, const(1))
     assert phi.is_zero() and phi.truncated
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda cat: HCochain(cat, 0, -1), id="HCochain"),
+    pytest.param(lambda cat: unit_cochain(cat, -1), id="unit_cochain"),
+    pytest.param(lambda cat: element_cochain(cat, "T", {"1": one()}, -1),
+                 id="element_cochain"),
+])
+def test_cochains_refuse_a_negative_window(build):
+    # a negative window would drop even the length-0 entries and hand back
+    # the zero cochain
+    with pytest.raises(StructureError,
+                       match="max_length must be nonnegative, got -1"):
+        build(cl2())
+
+
+def test_cochain_window_is_an_integer():
+    assert HCochain(cl2(), 0, Fraction(4)).max_length == 4
+    with pytest.raises(NotRepresentable, match=r"2\.5"):
+        HCochain(cl2(), 0, 2.5)
 
 
 # -- differentials ---------------------------------------------------------
@@ -1107,17 +1132,21 @@ def test_homology_builds_each_column_once(monkeypatch, name, side,
     assert calls == Counter(expected)
 
 
-@pytest.mark.parametrize("side,count", [("chains", 462),
-                                        ("cochains", 686)])
-def test_class_basis_inserts_only_blocks_it_needs(monkeypatch, side, count):
-    # the dimensions alone insert 310 either way, one elimination per
-    # parity for both windows (386 with one per window and row set); the
-    # chain quotient reuses the rank count's eliminations of the build
-    # window's boundaries and inserts only its kernel vectors; the cochain
-    # quotient eliminates only the coboundary blocks holding a kernel
-    # vector, never a block of coboundaries alone.  One unblocked
-    # elimination inserted 1,902 rows on chains and 2,926 on cochains, and
-    # a cochain basis built one length further 1,710
+@pytest.mark.parametrize("side,dims,count", [("chains", 142, 294),
+                                             ("cochains", 191, 567)])
+def test_class_basis_inserts_only_blocks_it_needs(monkeypatch, side, dims,
+                                                  count):
+    # the dimensions eliminate both parities in one call, each block
+    # stopping at its d∘d = 0 bound: 142 inserts on chains and 191 on
+    # cochains, where every row eliminated to the end inserted 310 either
+    # way (386 with one elimination per window and row set); the chain
+    # quotient reuses the rank count's eliminations of the build window's
+    # boundaries and inserts only its kernel vectors; the cochain quotient
+    # eliminates only the coboundary blocks holding a kernel vector, never
+    # a block of coboundaries alone.  Without the bound the bases inserted
+    # 462 and 686; one unblocked elimination inserted 1,902 rows on chains
+    # and 2,926 on cochains, and a cochain basis built one length further
+    # 1,710
     inserts = Counter()
     real_insert = Eliminator.insert
 
@@ -1127,7 +1156,7 @@ def test_class_basis_inserts_only_blocks_it_needs(monkeypatch, side, count):
 
     monkeypatch.setattr(Eliminator, "insert", insert)
     homology(cl2(), 4, side=side)
-    assert inserts[side] == 310
+    assert inserts[side] == dims
     inserts.clear()
     homology(cl2(), 4, side=side, want_basis=True)
     assert inserts[side] == count
@@ -1173,6 +1202,82 @@ def test_seeded_chain_basis_matches_a_fresh_quotient(name):
 
 
 # -- the indexed differential against a scan of every structure map --------
+
+BOUND_FIXTURES = {
+    "cl1": cl1,
+    "cl1(beta=0)": lambda: cl1(beta=0),
+    "cl1(beta=-3)": lambda: cl1(beta=-3),
+    "cl2": cl2,
+    "padded_cl2": lambda: with_zero_arity1(cl2()),
+    "sphere(1)": lambda: sphere(1),
+    "sphere(2)": sphere,
+    "sphere(3)": lambda: sphere(3),
+    "pair_sum": pair_sum,
+    "acyclic_toy": acyclic_toy,
+    "energy_clifford(1/2)": lambda: energy_clifford(Fraction(1, 2)),
+    "energy_clifford(1)": lambda: energy_clifford(1),
+    "energy_clifford(2)": lambda: energy_clifford(2),
+    "energy_clifford(3)": lambda: energy_clifford(3),
+    # pivots at valuation 7 against the cutoff 6: margin -1
+    "energy_clifford(7, beta_cutoff=12)":
+        lambda: energy_clifford(7, beta_cutoff=12),
+    "deformed_circle": lambda: deformed_circle(),
+    "circle_fiber(rho=1)": lambda: deformed_circle(1, deformed=False),
+    "circle_fiber(rho=-1)": lambda: deformed_circle(-1, deformed=False),
+    "circle_fiber(rho=2)": lambda: deformed_circle(2, deformed=False),
+}
+
+
+def elimination(elims):
+    return [(el.pivot_keys, el.pivot_valuations, el.rows) for el in elims
+            if el.rank]
+
+
+@pytest.mark.parametrize("name", list(BOUND_FIXTURES))
+def test_bounded_rank_count_matches_an_unbounded_reference(monkeypatch,
+                                                          name):
+    # the rank count stops each block at its d∘d = 0 bound; each parity's
+    # full row list eliminated without a bound must install the same
+    # pivots, at the same valuations, with the same pivot rows and prefix
+    # ranks, and give the same report
+    cat = BOUND_FIXTURES[name]()
+    assert check_ainf(cat).passed
+    bounded = hochschild.blocked_rank
+    compared = Counter()
+
+    def compare(rows, sources=None):
+        elims, at = bounded(rows, sources)
+        if sources is None:
+            return elims, at
+        for p in (0, 1):
+            mine = [i for i, e in enumerate(sources) if parity(e) == p]
+            ref, ref_at = bounded([rows[i] for i in mine])
+            # a block of parity p pivots on keys of parity 1 - p
+            got = [el for el in elims
+                   if el.rank and parity(el.pivot_keys[0]) != p]
+            assert elimination(got) == elimination(ref)
+            where = {i: k for k, i in enumerate(mine)}
+            assert [where[i] for i in at if i in where] == ref_at
+        compared[side] += 1
+        return elims, at
+
+    for side in ("chains", "cochains"):
+        for n in (2, 3, 4):
+            if side == "chains":
+                parity = lambda w: word_parity(cat, w)
+            else:
+                parity = {e: p for p in (0, 1)
+                          for e in iter_elementaries(cat, n, parity=p)
+                          }.__getitem__
+            for want_basis in (False, True):
+                monkeypatch.setattr(hochschild, "blocked_rank", compare)
+                got = homology(cat, n, side=side, want_basis=want_basis)
+                monkeypatch.setattr(hochschild, "blocked_rank",
+                                    lambda rows, sources=None: bounded(rows))
+                want = homology(cat, n, side=side, want_basis=want_basis)
+                assert describe(got) == describe(want)
+    assert compared == {"chains": 6, "cochains": 6}
+
 
 def scan_every_op_differential(phi):
     """The cochain differential written directly: every structure map entry
@@ -1231,13 +1336,14 @@ def scan_every_op_differential(phi):
     return out
 
 
-def deformed_circle():
-    # the circle fiber deformed by b = T^(1/2) x, curvature dropped: its
-    # structure maps carry half-integer T-exponents and an arity-1 map
+def deformed_circle(rho=1, deformed=True):
+    # the circle fiber at local system rho, deformed by b = T^(1/2) x (by
+    # b = 0 unless ``deformed``), curvature dropped: its structure maps
+    # carry half-integer T-exponents and an arity-1 map
     alg = circle_fiber_algebra(Q, E, (Fraction(1, 2), Fraction(1, 2)))
-    cat, _ = deform_by_mc(alg, (Fraction(1),),
-                          {"x": NovikovScalar.monomial(Q, E, Fraction(1, 2))},
-                          max_arity=4)
+    b = {"x": NovikovScalar.monomial(Q, E, Fraction(1, 2))} if deformed \
+        else {}
+    cat, _ = deform_by_mc(alg, (Fraction(rho),), b, max_arity=4)
     ops = {chain: m for chain, m in cat.ops.items() if len(chain) > 1}
     return AInfCategory(cat.field, cat.cutoff, cat.objects, cat.hom, ops,
                         units=cat.units, name="deformed-circle")
