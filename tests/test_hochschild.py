@@ -1138,15 +1138,14 @@ def test_class_basis_inserts_only_blocks_it_needs(monkeypatch, side, dims,
                                                   count):
     # the dimensions eliminate both parities in one call, each block
     # stopping at its d∘d = 0 bound: 142 inserts on chains and 191 on
-    # cochains, where every row eliminated to the end inserted 310 either
-    # way (386 with one elimination per window and row set); the chain
-    # quotient reuses the rank count's eliminations of the build window's
-    # boundaries and inserts only its kernel vectors; the cochain quotient
-    # eliminates only the coboundary blocks holding a kernel vector, never
-    # a block of coboundaries alone.  Without the bound the bases inserted
-    # 462 and 686; one unblocked elimination inserted 1,902 rows on chains
-    # and 2,926 on cochains, and a cochain basis built one length further
-    # 1,710
+    # cochains (310 either way with every row inserted, 386 with one
+    # elimination per window and row set); the chain quotient reuses the
+    # rank count's eliminations of the build window's boundaries and
+    # inserts only its kernel vectors; the cochain quotient eliminates only
+    # the coboundary blocks holding a kernel vector, never a block of
+    # coboundaries alone.  One unblocked elimination inserted 1,902 rows on
+    # chains and 2,926 on cochains, and a cochain basis built one length
+    # further 1,710
     inserts = Counter()
     real_insert = Eliminator.insert
 
@@ -1200,8 +1199,6 @@ def test_seeded_chain_basis_matches_a_fresh_quotient(name):
         got = homology(cat, n, side="chains", want_basis=True)
         assert describe(got) == describe(want)
 
-
-# -- the indexed differential against a scan of every structure map --------
 
 BOUND_FIXTURES = {
     "cl1": cl1,
@@ -1278,6 +1275,8 @@ def test_bounded_rank_count_matches_an_unbounded_reference(monkeypatch,
                 assert describe(got) == describe(want)
     assert compared == {"chains": 6, "cochains": 6}
 
+
+# -- the indexed differential against a scan of every structure map --------
 
 def scan_every_op_differential(phi):
     """The cochain differential written directly: every structure map entry
